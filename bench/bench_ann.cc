@@ -1,10 +1,12 @@
 // Recall-vs-speed series for the IVF approximate blocking index
 // (index/ivf_index.h): at N in {2.5k, 25k, 100k} items, sweep nprobe and
 // report QueryBatch wall-clock, speedup over the exact oracle, and
-// recall@k against the exact top-k. The 2.5k point is paper scale (where
-// the pipelines default to the exact path); the 100k point is where the
-// sub-linear flop count pays. scripts/bench_compare.py treats recall_at_k
-// as a correctness metric: a drop beyond tolerance FAILs the comparison.
+// recall@k against the exact top-k; at 25k and 100k also the cost of
+// batch and single-row inserts into a live index. The 2.5k point is
+// paper scale (where the pipelines default to the exact path); the 100k
+// point is where the sub-linear flop count pays. scripts/bench_compare.py
+// treats recall_at_k as a correctness metric: a drop beyond tolerance
+// FAILs the comparison.
 
 #include <cmath>
 #include <cstdio>
@@ -272,6 +274,69 @@ void Run(const std::string& json_path) {
       r.Num("seconds", mean_batch_seconds);
       r.Num("speedup", speedup);
       r.Num("recall_at_k", recall);
+    }
+
+    // Single-row arrival series: the serving upsert shape. Each index is
+    // built over the first N - 1,000 items and the last 1,000 arrive one
+    // Insert call each, so a per-call cost that grows with N shows
+    // undiluted - the batch series above spreads it over 1,250+ rows.
+    // `seconds` is the mean per single-row Insert; the IVF record's
+    // recall@10 (nprobe 16, against the exact truth over all N items)
+    // rides the same bench_compare gate as the other ann_* records.
+    if (n_items >= 25000) {
+      const int arrivals = 1000;
+      const int start = n_items - arrivals;
+      const int nprobe = 16;
+      index::IvfIndex ivf_single(items.data(), start, dim);
+      WallTimer ivf_timer;
+      for (int i = start; i < n_items; ++i) {
+        SUDO_CHECK_OK(ivf_single.Insert(
+            items.data() + static_cast<size_t>(i) * dim, 1, dim));
+      }
+      const double ivf_per_insert = ivf_timer.ElapsedSeconds() / arrivals;
+      const double recall = RecallAtK(
+          truth, ivf_single.QueryBatch(queries.data(), n_queries, dim, k,
+                                       nprobe));
+      index::KnnIndex exact_single(items.data(), start, dim);
+      WallTimer exact_insert_timer;
+      for (int i = start; i < n_items; ++i) {
+        SUDO_CHECK_OK(exact_single.Insert(
+            items.data() + static_cast<size_t>(i) * dim, 1, dim));
+      }
+      const double exact_per_insert =
+          exact_insert_timer.ElapsedSeconds() / arrivals;
+      TablePrinter single_table(StrFormat(
+          "Single-row arrivals %d -> %d, one Insert call each", start,
+          n_items));
+      single_table.SetHeader({"index", "us/insert", "recall@10 (nprobe=16)",
+                              "bytes"});
+      single_table.AddRow({"IVF", StrFormat("%.2f", ivf_per_insert * 1e6),
+                           StrFormat("%.4f", recall),
+                           StrFormat("%zu", ivf_single.bytes_resident())});
+      single_table.AddRow({"exact", StrFormat("%.2f", exact_per_insert * 1e6),
+                           "-",
+                           StrFormat("%zu", exact_single.bytes_resident())});
+      single_table.Print();
+      auto& ri = records.Add();
+      ri.Str("bench", "ann_ivf_insert_single");
+      ri.Int("n_items", n_items);
+      ri.Int("n_queries", n_queries);
+      ri.Int("dim", dim);
+      ri.Int("k", k);
+      ri.Int("nprobe", nprobe);
+      ri.Int("arrivals", arrivals);
+      ri.Num("seconds", ivf_per_insert);
+      ri.Num("recall_at_k", recall);
+      ri.Int("bytes_resident",
+             static_cast<int64_t>(ivf_single.bytes_resident()));
+      auto& re = records.Add();
+      re.Str("bench", "ann_exact_insert_single");
+      re.Int("n_items", n_items);
+      re.Int("dim", dim);
+      re.Int("arrivals", arrivals);
+      re.Num("seconds", exact_per_insert);
+      re.Int("bytes_resident",
+             static_cast<int64_t>(exact_single.bytes_resident()));
     }
   }
 

@@ -1,7 +1,9 @@
 #include "index/ivf_index.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <utility>
 
 #include "cluster/dense_kmeans.h"
 #include "common/parallel.h"
@@ -30,10 +32,8 @@ void IvfIndex::BuildFromStore(const QuantRowStore& staging, const int* ids,
   n_tombstones_ = 0;
   n_at_last_train_ = n;
   inserts_since_train_ = 0;
-  cell_start_.assign(1, 0);
+  cells_.clear();
   centroids_.clear();
-  store_.Reset(dim, storage_.storage);
-  ids_.clear();
   pos_by_id_.clear();
   if (n <= 0) {
     next_id_ = std::max(next_id_, 0);
@@ -73,35 +73,35 @@ void IvfIndex::BuildFromStore(const QuantRowStore& staging, const int* ids,
   const cluster::DenseKMeansResult km =
       cluster::DenseKMeans(train_rows, n, dim, ko);
 
-  // Drop empty cells (keeping relative centroid order) and lay items out
-  // grouped by cell, ascending id within each cell, so probing a cell
-  // scores one contiguous stride-1 panel.
+  // Drop empty cells (keeping relative centroid order) and append each
+  // row to its cell in staging (ascending-id) order, so every cell holds
+  // one contiguous stride-1 panel in ascending id.
   std::vector<int> counts(static_cast<size_t>(km.num_centroids), 0);
   for (int a : km.assignments) ++counts[static_cast<size_t>(a)];
   std::vector<int> new_cell(static_cast<size_t>(km.num_centroids), -1);
   for (int c = 0; c < km.num_centroids; ++c) {
     if (counts[static_cast<size_t>(c)] == 0) continue;
-    new_cell[static_cast<size_t>(c)] =
-        static_cast<int>(cell_start_.size()) - 1;
-    cell_start_.push_back(cell_start_.back() + counts[static_cast<size_t>(c)]);
+    new_cell[static_cast<size_t>(c)] = num_cells();
+    Cell& cell = cells_.emplace_back();
+    cell.store.Reset(dim, storage_.storage);
+    cell.store.Reserve(counts[static_cast<size_t>(c)]);
+    cell.ids.reserve(static_cast<size_t>(counts[static_cast<size_t>(c)]));
     centroids_.insert(centroids_.end(),
                       km.centroids.begin() + static_cast<size_t>(c) * dim,
                       km.centroids.begin() + static_cast<size_t>(c + 1) * dim);
   }
-  store_.ResizeRows(n);
-  ids_.resize(static_cast<size_t>(n));
   pos_by_id_.reserve(static_cast<size_t>(n));
-  std::vector<int> cursor(cell_start_.begin(), cell_start_.end() - 1);
   for (int i = 0; i < n; ++i) {
     const int c = new_cell[static_cast<size_t>(
         km.assignments[static_cast<size_t>(i)])];
-    const int pos = cursor[static_cast<size_t>(c)]++;
     const int id = ids != nullptr ? ids[static_cast<size_t>(i)] : i;
     SUDO_CHECK(id >= 0);
-    ids_[static_cast<size_t>(pos)] = id;
-    pos_by_id_.emplace(id, pos);
+    Cell& cell = cells_[static_cast<size_t>(c)];
+    pos_by_id_.emplace(id, RowRef{c, static_cast<int>(cell.ids.size())});
+    cell.ids.push_back(id);
+    ++cell.live;
     // Verbatim (codes, scale) move - cell layout never re-quantizes.
-    store_.PlaceFrom(staging, i, pos);
+    cell.store.AppendFrom(staging, i);
   }
   const int derived =
       ids != nullptr ? ids[static_cast<size_t>(n - 1)] + 1 : n;
@@ -207,21 +207,34 @@ void IvfIndex::GatherLiveStore(QuantRowStore* staging,
   // buffer that depends only on the live (row, id) set, never on the cell
   // layout history, so a retrain is reproducible from the surviving rows.
   // Rows move as (codes, scale) pairs - gathering never re-quantizes.
-  staging->Reset(dim_, store_.mode());
+  std::vector<std::pair<int, RowRef>> live;
+  live.reserve(static_cast<size_t>(size()));
+  for (int c = 0; c < num_cells(); ++c) {
+    const Cell& cell = cells_[static_cast<size_t>(c)];
+    for (int pos = 0; pos < static_cast<int>(cell.ids.size()); ++pos) {
+      const int id = cell.ids[static_cast<size_t>(pos)];
+      if (id >= 0) live.push_back({id, RowRef{c, pos}});
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  staging->Reset(dim_, storage_.storage);
   staging->Reserve(size());
   ids->clear();
-  ids->reserve(static_cast<size_t>(size()));
-  for (int pos = 0; pos < n_; ++pos) {
-    if (ids_[static_cast<size_t>(pos)] >= 0) ids->push_back(pos);
+  ids->reserve(live.size());
+  for (const auto& [id, ref] : live) {
+    staging->AppendFrom(cells_[static_cast<size_t>(ref.cell)].store, ref.pos);
+    ids->push_back(id);
   }
-  std::sort(ids->begin(), ids->end(), [this](int a, int b) {
-    return ids_[static_cast<size_t>(a)] < ids_[static_cast<size_t>(b)];
-  });
-  for (size_t i = 0; i < ids->size(); ++i) {
-    const int pos = (*ids)[i];
-    staging->AppendFrom(store_, pos);
-    (*ids)[i] = ids_[static_cast<size_t>(pos)];
+}
+
+size_t IvfIndex::bytes_resident() const {
+  size_t bytes =
+      centroids_.size() * sizeof(float) + cells_.size() * sizeof(int);
+  for (const Cell& cell : cells_) {
+    bytes += cell.store.bytes_resident() + cell.ids.size() * sizeof(int);
   }
+  return bytes;
 }
 
 Status IvfIndex::Insert(const float* rows, int n, int dim) {
@@ -245,70 +258,24 @@ Status IvfIndex::Insert(const float* rows, int n, int dim) {
   // lowest cell id).
   std::vector<float> cell_scores(static_cast<size_t>(n) * cells, 0.0f);
   ks::GemmBT(n, cells, dim_, rows, centroids_.data(), cell_scores.data());
-  std::vector<int> assign(static_cast<size_t>(n));
-  {
-    std::vector<int> sel_idx;
-    std::vector<Neighbor> best;
-    for (int i = 0; i < n; ++i) {
-      SelectTopKNeighbors(cell_scores.data() + static_cast<size_t>(i) * cells,
-                          nullptr, cells, 1, &sel_idx, &best);
-      assign[static_cast<size_t>(i)] = best[0].id;
-    }
-  }
-
-  // One-pass layout rewrite: each cell's region becomes [old live rows in
-  // storage order | new rows in arrival order]. Ids are monotone, so the
-  // within-cell ascending-id invariant is preserved; tombstones are
-  // dropped for free while we are rewriting anyway.
-  std::vector<int> new_start(static_cast<size_t>(cells) + 1, 0);
-  for (int c = 0; c < cells; ++c) {
-    int live = 0;
-    for (int pos = cell_start_[static_cast<size_t>(c)];
-         pos < cell_start_[static_cast<size_t>(c) + 1]; ++pos) {
-      if (ids_[static_cast<size_t>(pos)] >= 0) ++live;
-    }
-    new_start[static_cast<size_t>(c) + 1] = live;
-  }
+  std::vector<int> sel_idx;
+  std::vector<Neighbor> best;
   for (int i = 0; i < n; ++i) {
-    ++new_start[static_cast<size_t>(assign[static_cast<size_t>(i)]) + 1];
+    SelectTopKNeighbors(cell_scores.data() + static_cast<size_t>(i) * cells,
+                        nullptr, cells, 1, &sel_idx, &best);
+    // Append to the nearest cell: ids are monotone, so the cell stays in
+    // ascending-id order. The arriving row is quantized here, its one
+    // ingest point.
+    const int c = best[0].id;
+    const int id = next_id_ + i;
+    Cell& cell = cells_[static_cast<size_t>(c)];
+    pos_by_id_.emplace(id, RowRef{c, static_cast<int>(cell.ids.size())});
+    cell.ids.push_back(id);
+    ++cell.live;
+    cell.store.Append(rows + static_cast<size_t>(i) * dim_, 1);
   }
-  for (int c = 0; c < cells; ++c) {
-    new_start[static_cast<size_t>(c) + 1] +=
-        new_start[static_cast<size_t>(c)];
-  }
-  const int n_new = new_start[static_cast<size_t>(cells)];
-  QuantRowStore new_store;
-  new_store.Reset(dim_, storage_.storage);
-  new_store.ResizeRows(n_new);
-  std::vector<int> new_ids(static_cast<size_t>(n_new));
-  std::vector<int> cursor(new_start.begin(), new_start.end() - 1);
-  for (int c = 0; c < cells; ++c) {
-    for (int pos = cell_start_[static_cast<size_t>(c)];
-         pos < cell_start_[static_cast<size_t>(c) + 1]; ++pos) {
-      if (ids_[static_cast<size_t>(pos)] < 0) continue;
-      const int w = cursor[static_cast<size_t>(c)]++;
-      new_ids[static_cast<size_t>(w)] = ids_[static_cast<size_t>(pos)];
-      // Surviving rows move verbatim; only the arriving rows below pass
-      // through quantization (their one ingest point).
-      new_store.PlaceFrom(store_, pos, w);
-    }
-  }
-  for (int i = 0; i < n; ++i) {
-    const int w = cursor[static_cast<size_t>(assign[static_cast<size_t>(i)])]++;
-    new_ids[static_cast<size_t>(w)] = next_id_ + i;
-    new_store.Place(rows + static_cast<size_t>(i) * dim_, w);
-  }
-  store_ = std::move(new_store);
-  ids_ = std::move(new_ids);
-  cell_start_.assign(new_start.begin(), new_start.end());
-  n_ = n_new;
-  n_tombstones_ = 0;
+  n_ += n;
   next_id_ += n;
-  pos_by_id_.clear();
-  pos_by_id_.reserve(static_cast<size_t>(n_));
-  for (int pos = 0; pos < n_; ++pos) {
-    pos_by_id_.emplace(ids_[static_cast<size_t>(pos)], pos);
-  }
   inserts_since_train_ += n;
   MaybeRetrain();
   return Status::OK();
@@ -332,46 +299,48 @@ Status IvfIndex::Remove(const int* ids, int n) {
       }
     }
   }
+  std::vector<int> touched(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     const auto it = pos_by_id_.find(ids[i]);
-    ids_[static_cast<size_t>(it->second)] = -1;
+    const RowRef ref = it->second;
+    Cell& cell = cells_[static_cast<size_t>(ref.cell)];
+    cell.ids[static_cast<size_t>(ref.pos)] = -1;
+    --cell.live;
     pos_by_id_.erase(it);
     ++n_tombstones_;
+    touched[static_cast<size_t>(i)] = ref.cell;
   }
-  CompactIfNeeded();
+  for (int c : touched) CompactCellIfNeeded(c);
   return Status::OK();
 }
 
-void IvfIndex::CompactIfNeeded() {
-  if (n_tombstones_ == 0 ||
-      static_cast<float>(n_tombstones_) <=
-          mutation_.compact_tombstone_fraction * static_cast<float>(n_)) {
+void IvfIndex::CompactCellIfNeeded(int c) {
+  Cell& cell = cells_[static_cast<size_t>(c)];
+  const int stored = static_cast<int>(cell.ids.size());
+  const int dead = stored - cell.live;
+  if (dead == 0 || static_cast<float>(dead) <=
+                       mutation_.compact_tombstone_fraction *
+                           static_cast<float>(stored)) {
     return;
   }
-  // Stable per-cell erase: live rows keep their relative order inside
-  // each cell and the prefix shrinks accordingly; centroids and cell
-  // identity are untouched (this is storage hygiene, not re-training).
-  const int cells = num_cells();
+  // Stable erase: live rows keep their relative (ascending-id) order
+  // inside the cell; the centroid is untouched (this is storage hygiene,
+  // not re-training).
   int w = 0;
-  for (int c = 0; c < cells; ++c) {
-    const int r0 = cell_start_[static_cast<size_t>(c)];
-    const int r1 = cell_start_[static_cast<size_t>(c) + 1];
-    cell_start_[static_cast<size_t>(c)] = w;
-    for (int pos = r0; pos < r1; ++pos) {
-      if (ids_[static_cast<size_t>(pos)] < 0) continue;
-      if (w != pos) {
-        store_.MoveRow(pos, w);
-        ids_[static_cast<size_t>(w)] = ids_[static_cast<size_t>(pos)];
-      }
-      pos_by_id_[ids_[static_cast<size_t>(w)]] = w;
-      ++w;
+  for (int pos = 0; pos < stored; ++pos) {
+    const int id = cell.ids[static_cast<size_t>(pos)];
+    if (id < 0) continue;
+    if (w != pos) {
+      cell.store.MoveRow(pos, w);
+      cell.ids[static_cast<size_t>(w)] = id;
     }
+    pos_by_id_[id].pos = w;
+    ++w;
   }
-  cell_start_[static_cast<size_t>(cells)] = w;
-  n_ = w;
-  n_tombstones_ = 0;
-  store_.Truncate(n_);
-  ids_.resize(static_cast<size_t>(n_));
+  cell.store.Truncate(w);
+  cell.ids.resize(static_cast<size_t>(w));
+  n_ -= dead;
+  n_tombstones_ -= dead;
 }
 
 void IvfIndex::MaybeRetrain() {
@@ -385,14 +354,7 @@ void IvfIndex::MaybeRetrain() {
   bool imbalance = false;
   if (live >= cells) {  // mean >= 1: below that the ratio is noise
     int max_live = 0;
-    for (int c = 0; c < cells; ++c) {
-      int cell_live = 0;
-      for (int pos = cell_start_[static_cast<size_t>(c)];
-           pos < cell_start_[static_cast<size_t>(c) + 1]; ++pos) {
-        if (ids_[static_cast<size_t>(pos)] >= 0) ++cell_live;
-      }
-      max_live = std::max(max_live, cell_live);
-    }
+    for (const Cell& cell : cells_) max_live = std::max(max_live, cell.live);
     imbalance = static_cast<float>(max_live) * static_cast<float>(cells) >
                 mutation_.retrain_imbalance * static_cast<float>(live);
   }
@@ -424,15 +386,19 @@ void IvfIndex::QueryBatchImpl(
         std::vector<std::vector<int>> cand_ids(kQueryBlock);
         std::vector<std::vector<float>> cand_scores(kQueryBlock);
         // int8-mode scratch: quantized query block, gathered quantized
-        // queries, per-query candidate storage positions, and the fp32
-        // re-rank buffers.
-        const bool int8 = store_.int8_mode();
+        // queries, per-query candidate positions within their cells and
+        // the (first candidate, cell) start of each probed cell's run,
+        // and the fp32 re-rank buffers.
+        const bool int8 = storage_.storage == IndexStorage::kInt8;
         std::vector<int8_t> qcodes;
         std::vector<float> qscales;
         std::vector<int8_t> gq_codes;
         std::vector<float> gq_scales;
         std::vector<std::vector<int>> cand_pos(int8 ? kQueryBlock : 0);
+        std::vector<std::vector<std::pair<int, int>>> cand_runs(
+            int8 ? kQueryBlock : 0);
         std::vector<int> sel_pos;
+        std::vector<QuantCandidate> sel_rows;
         std::vector<float> rr_row;
         std::vector<float> rr_scores;
         std::vector<int> rr_ids;
@@ -468,7 +434,10 @@ void IvfIndex::QueryBatchImpl(
             }
             cand_ids[static_cast<size_t>(i)].clear();
             cand_scores[static_cast<size_t>(i)].clear();
-            if (int8) cand_pos[static_cast<size_t>(i)].clear();
+            if (int8) {
+              cand_pos[static_cast<size_t>(i)].clear();
+              cand_runs[static_cast<size_t>(i)].clear();
+            }
           }
           // Group by cell so the block's queries probing the same cell
           // share one candidate panel; ascending (cell, query) order
@@ -478,17 +447,16 @@ void IvfIndex::QueryBatchImpl(
 
           // 3) Candidate scoring: one (sub-block x cell-rows) panel per
           // probed cell; exact full-dimension similarities. The panel
-          // spans the cell's full stored region (tombstones included -
-          // each score is an independent chain), but only live rows are
+          // spans the cell's stored rows (tombstones included - each
+          // score is an independent chain), but only live rows are
           // gathered as candidates.
           size_t g = 0;
           while (g < probes.size()) {
-            const int cell = probes[g].first;
+            const int c = probes[g].first;
             size_t h = g;
-            while (h < probes.size() && probes[h].first == cell) ++h;
-            const int r0 = cell_start_[static_cast<size_t>(cell)];
-            const int r1 = cell_start_[static_cast<size_t>(cell) + 1];
-            const int nr = r1 - r0;
+            while (h < probes.size() && probes[h].first == c) ++h;
+            const Cell& cell = cells_[static_cast<size_t>(c)];
+            const int nr = static_cast<int>(cell.ids.size());
             const int gq = static_cast<int>(h - g);
             if (nr == 0) {
               g = h;
@@ -509,8 +477,8 @@ void IvfIndex::QueryBatchImpl(
                     qscales[static_cast<size_t>(lq)];
               }
               ks::GemmBTI8(gq, nr, dim_, gq_codes.data(), gq_scales.data(),
-                           store_.q_data() + static_cast<size_t>(r0) * dim_,
-                           store_.scales() + r0, gscores.data());
+                           cell.store.q_data(), cell.store.scales(),
+                           gscores.data());
             } else {
               gpanel.resize(static_cast<size_t>(gq) * dim_);
               for (int j = 0; j < gq; ++j) {
@@ -519,8 +487,7 @@ void IvfIndex::QueryBatchImpl(
                           queries + static_cast<size_t>(q0 + lq + 1) * dim_,
                           gpanel.begin() + static_cast<size_t>(j) * dim_);
               }
-              ks::GemmBT(gq, nr, dim_, gpanel.data(),
-                         store_.fp32_data() + static_cast<size_t>(r0) * dim_,
+              ks::GemmBT(gq, nr, dim_, gpanel.data(), cell.store.fp32_data(),
                          gscores.data());
             }
             for (int j = 0; j < gq; ++j) {
@@ -529,10 +496,15 @@ void IvfIndex::QueryBatchImpl(
                   gscores.data() + static_cast<size_t>(j) * nr;
               auto& ci = cand_ids[static_cast<size_t>(lq)];
               auto& cs = cand_scores[static_cast<size_t>(lq)];
-              for (int pos = r0; pos < r1; ++pos) {
-                if (ids_[static_cast<size_t>(pos)] < 0) continue;
-                ci.push_back(ids_[static_cast<size_t>(pos)]);
-                cs.push_back(row[pos - r0]);
+              if (int8) {
+                cand_runs[static_cast<size_t>(lq)].emplace_back(
+                    static_cast<int>(ci.size()), c);
+              }
+              for (int pos = 0; pos < nr; ++pos) {
+                const int id = cell.ids[static_cast<size_t>(pos)];
+                if (id < 0) continue;
+                ci.push_back(id);
+                cs.push_back(row[pos]);
                 if (int8) cand_pos[static_cast<size_t>(lq)].push_back(pos);
               }
             }
@@ -557,12 +529,22 @@ void IvfIndex::QueryBatchImpl(
             const int r = QuantRerankDepth(storage_, k);
             SelectTopRLivePositions(cs.data(), ci.data(),
                                     static_cast<int>(ci.size()), r, &sel_pos);
-            // sel_pos indexes the candidate list; map to store positions.
-            auto& cp = cand_pos[static_cast<size_t>(i)];
-            for (int& v : sel_pos) v = cp[static_cast<size_t>(v)];
-            RerankQuantCandidates(store_, queries + static_cast<size_t>(q0 + i) * dim_,
-                                  sel_pos, ids_.data(), k, &rr_row, &rr_scores,
-                                  &rr_ids, &sel_idx,
+            // sel_pos indexes the candidate list; the last run starting
+            // at or before a candidate names its cell.
+            const auto& runs = cand_runs[static_cast<size_t>(i)];
+            sel_rows.clear();
+            for (int v : sel_pos) {
+              const int c = (std::upper_bound(runs.begin(), runs.end(),
+                                              std::make_pair(v, INT_MAX)) -
+                             1)->second;
+              sel_rows.push_back(
+                  {&cells_[static_cast<size_t>(c)].store,
+                   cand_pos[static_cast<size_t>(i)][static_cast<size_t>(v)],
+                   ci[static_cast<size_t>(v)]});
+            }
+            RerankQuantCandidates(queries + static_cast<size_t>(q0 + i) * dim_,
+                                  sel_rows, k, &rr_row, &rr_scores, &rr_ids,
+                                  &sel_idx,
                                   &(*out)[static_cast<size_t>(q0 + i)]);
           }
         }

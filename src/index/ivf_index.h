@@ -26,12 +26,12 @@
 // bit-identical to KnnIndex on the same tier - including after any
 // insert/remove sequence.
 //
-// Mutation (VectorIndex): Insert assigns each arriving row to its
-// nearest cell (deterministic centroid argmax) and rewrites the
-// cell-grouped layout in one pass, so probing stays stride-1; Remove
-// tombstones in place and the layout compacts once tombstones exceed the
-// configured fraction. The cells themselves re-train - a fresh seeded
-// k-means over the live rows - when insert volume since the last
+// Mutation (VectorIndex): each cell owns its rows, so Insert appends each
+// arriving row to its nearest cell (deterministic centroid argmax) at
+// O(cells * dim) per row - no other row moves. Remove tombstones in
+// place, and a cell compacts once its tombstones exceed the configured
+// fraction of its stored rows. The cells themselves re-train - a fresh
+// seeded k-means over the live rows - when insert volume since the last
 // training or cell-size imbalance crosses the MutationOptions
 // thresholds, so approximation quality tracks a drifting corpus instead
 // of decaying with it.
@@ -74,13 +74,14 @@ struct IvfOptions {
 };
 
 /// Inverted-file index over L2-normalized vectors (inner product =
-/// cosine). Items are stored grouped by cell in one contiguous buffer so
-/// probing a cell scores a stride-1 panel; within a cell, live rows stay
-/// in ascending-id order across every mutation.
+/// cosine). Each cell keeps its rows in its own contiguous, growable
+/// store, so probing a cell scores a stride-1 panel and an insert
+/// appends to one cell; within a cell, live rows stay in ascending-id
+/// order across every mutation.
 class IvfIndex : public VectorIndex {
  public:
   /// Trains cells over `rows` ([n, dim] row-major), assigning ids
-  /// 0..n-1, and copies the vectors into cell-grouped storage. With
+  /// 0..n-1, and copies the vectors into their cells' stores. With
   /// StorageOptions::kInt8 the rows quantize once here; cell training
   /// and every re-training run on the DEQUANTIZED rows (so a retrain is
   /// a pure function of the stored (codes, scale) pairs, and a mutated
@@ -132,12 +133,9 @@ class IvfIndex : public VectorIndex {
   int size() const override { return n_ - n_tombstones_; }
   int dim() const override { return dim_; }
   int next_id() const override { return next_id_; }
-  /// Row storage + id map + centroids + cell table (see VectorIndex).
-  size_t bytes_resident() const override {
-    return store_.bytes_resident() + ids_.size() * sizeof(int) +
-           centroids_.size() * sizeof(float) +
-           cell_start_.size() * sizeof(int);
-  }
+  /// Row storage + id map + centroids + per-cell live counts (see
+  /// VectorIndex).
+  size_t bytes_resident() const override;
 
   // --- historical clamp-style wrappers (explicit nprobe per call) ---
 
@@ -167,7 +165,7 @@ class IvfIndex : public VectorIndex {
   // --- introspection ---
 
   /// Non-empty cells after the most recent (re-)training.
-  int num_cells() const { return static_cast<int>(cell_start_.size()) - 1; }
+  int num_cells() const { return static_cast<int>(cells_.size()); }
   /// Cell re-trainings performed by mutations since construction.
   int retrain_count() const { return retrains_; }
   /// Stored rows including tombstones.
@@ -177,6 +175,19 @@ class IvfIndex : public VectorIndex {
   const StorageOptions& storage() const { return storage_; }
 
  private:
+  /// One cell's rows: appended in ascending-id order, tombstones kept
+  /// until the cell compacts.
+  struct Cell {
+    QuantRowStore store;   // [ids.size(), dim] rows
+    std::vector<int> ids;  // position -> id, -1 = tombstoned
+    int live = 0;
+  };
+  /// Where a live id's row is stored.
+  struct RowRef {
+    int cell;
+    int pos;
+  };
+
   /// Lays out the staging store's rows into freshly trained cells,
   /// moving each (codes, scale) row verbatim; shared by every
   /// constructor and by mutation-triggered re-training. Cell training
@@ -190,18 +201,16 @@ class IvfIndex : public VectorIndex {
   /// Re-trains cells over the live rows when the volume or imbalance
   /// trigger fires (no-op otherwise).
   void MaybeRetrain();
-  /// Physically drops tombstoned rows (cells and centroids unchanged)
-  /// once they exceed the configured fraction.
-  void CompactIfNeeded();
+  /// Physically drops cell `c`'s tombstoned rows (centroids unchanged)
+  /// once they exceed the configured fraction of its stored rows.
+  void CompactCellIfNeeded(int c);
   /// The unvalidated query core (k/nprobe already clamped, dims checked).
   void QueryBatchImpl(const float* queries, int n_queries, int k, int nprobe,
                       int num_threads,
                       std::vector<std::vector<Neighbor>>* out) const;
 
-  QuantRowStore store_;           // [n_, dim] rows, grouped by cell
-  std::vector<int> ids_;          // storage position -> id, -1 = tombstoned
-  std::unordered_map<int, int> pos_by_id_;  // live ids only
-  std::vector<int> cell_start_;   // [cells + 1] prefix into flat_/ids_
+  std::vector<Cell> cells_;
+  std::unordered_map<int, RowRef> pos_by_id_;  // live ids only
   std::vector<float> centroids_;  // [cells, dim], L2-normalized
   int n_ = 0;                     // stored rows (incl. tombstones)
   int dim_ = 0;

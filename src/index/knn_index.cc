@@ -104,25 +104,24 @@ void SelectTopRLivePositions(const float* scores, const int* ids, int n,
   }
 }
 
-void RerankQuantCandidates(const QuantRowStore& store, const float* query,
-                           const std::vector<int>& cand, const int* ids,
-                           int k, std::vector<float>* row_scratch,
+void RerankQuantCandidates(const float* query,
+                           const std::vector<QuantCandidate>& cand, int k,
+                           std::vector<float>* row_scratch,
                            std::vector<float>* score_scratch,
                            std::vector<int>* cand_ids_scratch,
                            std::vector<int>* idx_scratch,
                            std::vector<Neighbor>* out) {
   const int n_cand = static_cast<int>(cand.size());
-  const int dim = store.dim();
-  row_scratch->resize(static_cast<size_t>(dim));
   score_scratch->resize(static_cast<size_t>(n_cand));
   cand_ids_scratch->resize(static_cast<size_t>(n_cand));
   for (int t = 0; t < n_cand; ++t) {
-    const int pos = cand[static_cast<size_t>(t)];
-    store.DequantizeRowInto(pos, row_scratch->data());
+    const QuantCandidate& c = cand[static_cast<size_t>(t)];
+    const int dim = c.store->dim();
+    row_scratch->resize(static_cast<size_t>(dim));
+    c.store->DequantizeRowInto(c.pos, row_scratch->data());
     (*score_scratch)[static_cast<size_t>(t)] =
         ks::Dot(query, row_scratch->data(), dim);
-    (*cand_ids_scratch)[static_cast<size_t>(t)] =
-        ids[static_cast<size_t>(pos)];
+    (*cand_ids_scratch)[static_cast<size_t>(t)] = c.id;
   }
   SelectTopKNeighbors(score_scratch->data(), cand_ids_scratch->data(),
                       n_cand, k, idx_scratch, out);
@@ -217,7 +216,8 @@ Status KnnIndex::Insert(const float* rows, int n, int dim) {
         std::to_string(dim_));
   }
   store_.Append(rows, n);
-  ids_.reserve(static_cast<size_t>(n_ + n));
+  // push_back grows geometrically; reserving the exact new size here
+  // would copy the whole id table on every one-row insert.
   for (int i = 0; i < n; ++i) {
     ids_.push_back(next_id_);
     pos_by_id_.emplace(next_id_, n_ + i);
@@ -394,10 +394,13 @@ void KnnIndex::QuantQueryBlock(const float* queries, int q0, int m, int k,
   for (int i = 0; i < m; ++i) {
     SelectTopRLivePositions(s->scores.data() + static_cast<size_t>(i) * n_,
                             ids_.data(), n_, r, &s->cand);
-    RerankQuantCandidates(store_, queries + static_cast<size_t>(q0 + i) * dim_,
-                          s->cand, ids_.data(), k, &s->row, &s->fscores,
-                          &s->cand_ids, &s->idx,
-                          &(*out)[static_cast<size_t>(q0 + i)]);
+    s->refs.clear();
+    for (int pos : s->cand) {
+      s->refs.push_back({&store_, pos, ids_[static_cast<size_t>(pos)]});
+    }
+    RerankQuantCandidates(queries + static_cast<size_t>(q0 + i) * dim_,
+                          s->refs, k, &s->row, &s->fscores, &s->cand_ids,
+                          &s->idx, &(*out)[static_cast<size_t>(q0 + i)]);
   }
 }
 

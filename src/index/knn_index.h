@@ -46,16 +46,22 @@ void SelectTopKNeighbors(const float* scores, const int* ids, int n, int k,
 void SelectTopRLivePositions(const float* scores, const int* ids, int n,
                              int r, std::vector<int>* out);
 
-/// Exact fp32 re-rank behind every int8 query path: for each candidate
-/// position, dequantizes the stored row and scores it against the fp32
-/// query with the fixed 4-lane kernels::Dot chain (tier-independent -
-/// Dot is not dispatched), then selects the final top-k with
-/// SelectTopKNeighbors. `cand` holds storage positions into `store`
-/// (all live); `ids` maps positions to item ids. The three scratch
+/// One int8 re-rank candidate: live row `pos` of `*store`, item `id`.
+struct QuantCandidate {
+  const QuantRowStore* store;
+  int pos;
+  int id;
+};
+
+/// Exact fp32 re-rank behind every int8 query path: for each candidate,
+/// dequantizes its stored row and scores it against the fp32 query with
+/// the fixed 4-lane kernels::Dot chain (tier-independent - Dot is not
+/// dispatched), then selects the final top-k with SelectTopKNeighbors.
+/// Candidates may come from several stores (the IVF cells). The scratch
 /// vectors are caller-owned and reused across calls.
-void RerankQuantCandidates(const QuantRowStore& store, const float* query,
-                           const std::vector<int>& cand, const int* ids,
-                           int k, std::vector<float>* row_scratch,
+void RerankQuantCandidates(const float* query,
+                           const std::vector<QuantCandidate>& cand, int k,
+                           std::vector<float>* row_scratch,
                            std::vector<float>* score_scratch,
                            std::vector<int>* cand_ids_scratch,
                            std::vector<int>* idx_scratch,
@@ -210,6 +216,7 @@ class KnnIndex : public VectorIndex {
     std::vector<float> qscales;
     std::vector<float> scores;
     std::vector<int> cand;
+    std::vector<QuantCandidate> refs;
     std::vector<float> row;
     std::vector<float> fscores;
     std::vector<int> cand_ids;

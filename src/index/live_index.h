@@ -19,10 +19,10 @@
 //
 // Concurrency: a shared_mutex - queries take it shared (the indexes are
 // internally unsynchronized but const-safe), mutations take it
-// exclusive. Mutations are applied in call order; the serving queue
-// (serving/server.h) drains requests in submission order per worker, so
-// a client that upserts then queries through the same server observes
-// its own write.
+// exclusive. Mutations are applied in call order; the server
+// (serving/server.h) applies each flush's index operations in submission
+// order, so a client observes its own write within a flush, and across
+// flushes once the write's future is ready.
 
 #ifndef SUDOWOODO_INDEX_LIVE_INDEX_H_
 #define SUDOWOODO_INDEX_LIVE_INDEX_H_

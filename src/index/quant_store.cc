@@ -76,18 +76,6 @@ void QuantRowStore::PlaceFrom(const QuantRowStore& src, int src_pos,
   }
 }
 
-void QuantRowStore::Place(const float* row, int dst_pos) {
-  SUDO_CHECK(row != nullptr && dst_pos >= 0 && dst_pos < n_);
-  if (int8_mode()) {
-    ks::QuantizeRowsI8(1, dim_, row,
-                       q_.data() + static_cast<size_t>(dst_pos) * dim_,
-                       scale_.data() + dst_pos);
-  } else {
-    std::copy(row, row + dim_,
-              f_.begin() + static_cast<size_t>(dst_pos) * dim_);
-  }
-}
-
 void QuantRowStore::MoveRow(int from, int to) {
   if (from == to) return;
   PlaceFrom(*this, from, to);

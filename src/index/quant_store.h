@@ -3,14 +3,14 @@
 // scale per row, 4x smaller - see IndexStorage in vector_index.h).
 //
 // Quantize-once contract: a row is quantized exactly once, when it
-// enters the store from fp32 (Append/Place). Every later layout move -
-// compaction (MoveRow/Truncate), IVF cell rewrite and retraining
-// (PlaceFrom across stores), facade migration (AppendFrom) - transfers
-// the (codes, scale) pair verbatim. Re-quantizing a dequantized row
-// would preserve the codes but can move the scale by 1 ulp (the
-// max|x|/127 division re-rounds), which would break the "mutated index
-// == from-scratch rebuild, bitwise" contract the indexes test against;
-// moving the pair makes layout changes exactly invisible.
+// enters the store from fp32 (Append). Every later layout move -
+// compaction (MoveRow/Truncate), IVF cell layout and retraining, and
+// facade migration (AppendFrom across stores) - transfers the (codes,
+// scale) pair verbatim. Re-quantizing a dequantized row would preserve
+// the codes but can move the scale by 1 ulp (the max|x|/127 division
+// re-rounds), which would break the "mutated index == from-scratch
+// rebuild, bitwise" contract the indexes test against; moving the pair
+// makes layout changes exactly invisible.
 
 #ifndef SUDOWOODO_INDEX_QUANT_STORE_H_
 #define SUDOWOODO_INDEX_QUANT_STORE_H_
@@ -44,16 +44,6 @@ class QuantRowStore {
   /// Appends row `src_pos` of `src` verbatim (same dim and mode).
   void AppendFrom(const QuantRowStore& src, int src_pos);
 
-  /// Grows/shrinks to exactly `n` rows for scatter placement via
-  /// Place/PlaceFrom; new rows are zero until placed.
-  void ResizeRows(int n);
-
-  /// Overwrites row `dst_pos` with row `src_pos` of `src` verbatim.
-  void PlaceFrom(const QuantRowStore& src, int src_pos, int dst_pos);
-
-  /// Overwrites row `dst_pos` with an fp32 row, quantizing in int8 mode.
-  void Place(const float* row, int dst_pos);
-
   /// Moves row `from` onto row `to` within this store (compaction).
   void MoveRow(int from, int to);
 
@@ -79,6 +69,11 @@ class QuantRowStore {
   size_t bytes_resident() const;
 
  private:
+  /// Grows/shrinks to exactly `n` rows; new rows are zero until written.
+  void ResizeRows(int n);
+  /// Overwrites row `dst_pos` with row `src_pos` of `src` verbatim.
+  void PlaceFrom(const QuantRowStore& src, int src_pos, int dst_pos);
+
   int dim_ = 0;
   int n_ = 0;
   IndexStorage mode_ = IndexStorage::kFp32;

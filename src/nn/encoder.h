@@ -66,6 +66,11 @@ class Encoder {
   /// Output representation width.
   virtual int dim() const = 0;
 
+  /// Token ids this encoder accepts: [0, vocab_size()). Encoding an id
+  /// outside that range is a programmer error (SUDO_CHECK), so untrusted
+  /// input must be range-checked first (serving::Server::Validate does).
+  virtual int vocab_size() const = 0;
+
   /// Serving front door used by the dynamic batcher (src/serving): the
   /// EncodeInference route plus per-row L2 normalization (Definition 1),
   /// written straight into the caller's [batch.size(), dim()] buffer.
@@ -320,6 +325,7 @@ class TransformerEncoder : public Encoder {
 
   std::vector<Tensor> Parameters() const override;
   int dim() const override { return config_.dim; }
+  int vocab_size() const override { return config_.vocab_size; }
   const TransformerConfig& config() const { return config_; }
 
  protected:
@@ -409,6 +415,7 @@ class FastBagEncoder : public Encoder {
 
   std::vector<Tensor> Parameters() const override;
   int dim() const override { return config_.dim; }
+  int vocab_size() const override { return config_.vocab_size; }
 
  protected:
   Tensor EncodeBatchImpl(const std::vector<std::vector<int>>& batch,

@@ -31,6 +31,7 @@ class GruEncoder : public Encoder {
 
   std::vector<Tensor> Parameters() const override;
   int dim() const override { return config_.dim; }
+  int vocab_size() const override { return config_.vocab_size; }
 
  protected:
   Tensor EncodeBatchImpl(const std::vector<std::vector<int>>& batch,

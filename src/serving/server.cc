@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <utility>
 
 namespace sudowoodo::serving {
@@ -17,6 +18,8 @@ Server::Server(std::vector<ModelReplica> replicas,
   for (const ModelReplica& r : replicas_) {
     SUDO_CHECK(r.encoder != nullptr);
     SUDO_CHECK(r.encoder->dim() == replicas_.front().encoder->dim());
+    SUDO_CHECK(r.encoder->vocab_size() ==
+               replicas_.front().encoder->vocab_size());
     SUDO_CHECK(options_.live_index == nullptr ||
                options_.live_index->dim() == r.encoder->dim());
     // All-or-nothing matchers: Submit-time validation checks one replica
@@ -40,10 +43,25 @@ void Server::Shutdown() {
   }
 }
 
+Status Server::ValidateTokenIds(const std::vector<int>& ids) const {
+  // The encoders treat an out-of-range id as a programmer error and abort
+  // (a SUDO_CHECK a worker's try/catch cannot intercept), so untrusted ids
+  // stop here. All replicas share one vocabulary (checked at construction).
+  const int vocab = replicas_.front().encoder->vocab_size();
+  for (int id : ids) {
+    if (id < 0 || id >= vocab) {
+      return Status::InvalidArgument("token id " + std::to_string(id) +
+                                     " outside the vocabulary [0, " +
+                                     std::to_string(vocab) + ")");
+    }
+  }
+  return Status::OK();
+}
+
 Status Server::Validate(const Request& request) const {
   switch (request.kind) {
     case RequestKind::kEncode:
-      return Status::OK();
+      return ValidateTokenIds(request.ids);
     case RequestKind::kMatch:
     case RequestKind::kClean:
       if (replicas_.front().matcher == nullptr) {
@@ -68,7 +86,9 @@ Status Server::Validate(const Request& request) const {
       if (request.kind != RequestKind::kQuery && request.item_id < 0) {
         return Status::InvalidArgument("item id must be >= 0");
       }
-      return Status::OK();
+      return request.kind == RequestKind::kDelete
+                 ? Status::OK()
+                 : ValidateTokenIds(request.ids);
   }
   return Status::Internal("unknown request kind");
 }

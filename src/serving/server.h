@@ -56,10 +56,11 @@ enum class RequestKind {
 
 struct Request {
   RequestKind kind = RequestKind::kEncode;
-  /// kEncode / kQuery / kUpsert: the token-id sequence to embed. For
-  /// kUpsert it is also the item's cache key: replacing an item with
-  /// different tokens invalidates the old serialization's cached
-  /// embedding (index/live_index.h).
+  /// kEncode / kQuery / kUpsert: the token-id sequence to embed; every
+  /// id must lie in [0, encoder vocab_size()), or Submit answers
+  /// kInvalidArgument. For kUpsert it is also the item's cache key:
+  /// replacing an item with different tokens invalidates the old
+  /// serialization's cached embedding (index/live_index.h).
   std::vector<int> ids;
   /// kUpsert / kDelete: the caller's item id (non-negative).
   int item_id = -1;
@@ -114,9 +115,10 @@ struct ServerOptions {
   /// encoder dim). nullptr rejects those kinds at Submit. Upsert/query
   /// rows ride the flush's encode pack (per-row bit-identity makes the
   /// shared pack invisible in the results); index operations are applied
-  /// in submission order within each flush, and a multi-worker server
-  /// interleaves flushes in arrival order under the live index's writer
-  /// lock.
+  /// in submission order within each flush. Across flushes there is no
+  /// ordering promise: a multi-worker server's workers may take the live
+  /// index's writer lock in either order, so a client sees its write
+  /// once that write's future is ready.
   index::LiveBlockingIndex* live_index = nullptr;
 };
 
@@ -167,6 +169,8 @@ class Server {
   };
 
   Status Validate(const Request& request) const;
+  /// InvalidArgument unless every id is in [0, encoder vocab_size()).
+  Status ValidateTokenIds(const std::vector<int>& ids) const;
   void WorkerLoop(ModelReplica replica);
   /// `encode_scratch` is the worker's reusable [rows, dim] encode buffer
   /// (per-worker, so flushes on different replicas never share it).

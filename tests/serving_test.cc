@@ -615,6 +615,65 @@ TEST(ServingLiveIndexTest, RejectsIndexKindsWithoutLiveIndex) {
             StatusCode::kInvalidArgument);
 }
 
+// An out-of-vocabulary token id would reach the encoder's range check
+// and abort the process, taking every in-flight request with it. Submit
+// rejects it instead: the bad requests get kInvalidArgument, the live
+// index is untouched, and the server keeps serving.
+TEST(ServingLiveIndexTest, OutOfVocabTokenIdsRejectedUpFront) {
+  auto enc = MakeServingEncoder(/*seed=*/7);
+  const int vocab = enc->vocab_size();
+  index::LiveBlockingIndex live(kDim, {});
+  ServerOptions opts;
+  opts.live_index = &live;
+  Server server({{enc.get(), nullptr}}, opts);
+
+  const std::vector<int> content = {7, 8, 9};
+  Request up;
+  up.kind = RequestKind::kUpsert;
+  up.item_id = 1;
+  up.ids = content;
+  ASSERT_TRUE(server.Submit(up).get().status.ok());
+  Request q;
+  q.kind = RequestKind::kQuery;
+  q.ids = content;
+  q.k = 1;
+  const Response before = server.Submit(q).get();
+  ASSERT_TRUE(before.status.ok());
+  ASSERT_EQ(before.neighbors.size(), 1u);
+
+  // A replacement of item 1 and a new item 2, each with one bad id.
+  Request bad_replace = up;
+  bad_replace.ids = {7, vocab, 9};
+  Request bad_new = up;
+  bad_new.item_id = 2;
+  bad_new.ids = {-1, 8};
+  Request bad_encode;
+  bad_encode.kind = RequestKind::kEncode;
+  bad_encode.ids = {vocab + 100};
+  Request bad_query = q;
+  bad_query.ids = {8, -3};
+  for (Request* r : {&bad_replace, &bad_new, &bad_encode, &bad_query}) {
+    EXPECT_EQ(server.Submit(*r).get().status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(live.size(), 1);
+  EXPECT_FALSE(live.Contains(2));
+  EXPECT_EQ(live.stats().upserts, 1u);
+  EXPECT_EQ(live.stats().replacements, 0u);
+
+  // Item 1 still holds its original row, and valid traffic is served.
+  const Response after = server.Submit(q).get();
+  ASSERT_TRUE(after.status.ok());
+  ASSERT_EQ(after.neighbors.size(), 1u);
+  EXPECT_EQ(after.neighbors[0].id, before.neighbors[0].id);
+  EXPECT_EQ(after.neighbors[0].sim, before.neighbors[0].sim);
+  Request good = up;
+  good.item_id = 2;
+  good.ids = {10, 11, vocab - 1};
+  EXPECT_TRUE(server.Submit(good).get().status.ok());
+  EXPECT_EQ(live.size(), 2);
+}
+
 // The TSan hammer: concurrent clients mixing queries, upserts, and
 // deletes of disjoint item ranges through a two-replica server. Queries
 // race mutations by design - the live index's shared_mutex must make
