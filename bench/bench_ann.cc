@@ -74,6 +74,25 @@ double RecallAtK(const std::vector<std::vector<index::Neighbor>>& exact,
   return total > 0 ? hit / total : 1.0;
 }
 
+/// Top-k of every query through the VectorIndex Status interface.
+std::vector<std::vector<index::Neighbor>> TopK(const index::VectorIndex& idx,
+                                               const std::vector<float>& q,
+                                               int n_queries, int dim,
+                                               int k) {
+  std::vector<std::vector<index::Neighbor>> out;
+  SUDO_CHECK_OK(idx.QueryBatch(q.data(), n_queries, dim, k, &out));
+  return out;
+}
+
+/// IVF top-k of every query, probing `nprobe` cells.
+std::vector<std::vector<index::Neighbor>> ProbeTopK(
+    const index::IvfIndex& ivf, const std::vector<float>& q, int n_queries,
+    int dim, int k, int nprobe) {
+  std::vector<std::vector<index::Neighbor>> out;
+  SUDO_CHECK_OK(ivf.QueryBatch(q.data(), n_queries, dim, k, nprobe, &out));
+  return out;
+}
+
 void Run(const std::string& json_path) {
   bench::JsonRecords records;
   const int dim = 64, n_queries = 1000, k = 10;
@@ -87,7 +106,7 @@ void Run(const std::string& json_path) {
 
     index::KnnIndex exact(items.data(), n_items, dim);
     WallTimer exact_timer;
-    const auto truth = exact.QueryBatch(queries.data(), n_queries, dim, k);
+    const auto truth = TopK(exact, queries, n_queries, dim, k);
     const double exact_seconds = exact_timer.ElapsedSeconds();
     {
       auto& r = records.Add();
@@ -115,8 +134,7 @@ void Run(const std::string& json_path) {
       index::KnnIndex exact_i8(items.data(), n_items, dim,
                                index::MutationOptions{}, i8so);
       WallTimer i8_timer;
-      const auto i8_res =
-          exact_i8.QueryBatch(queries.data(), n_queries, dim, k);
+      const auto i8_res = TopK(exact_i8, queries, n_queries, dim, k);
       const double i8_seconds = i8_timer.ElapsedSeconds();
       const double i8_recall = RecallAtK(truth, i8_res);
       const double bytes_ratio =
@@ -174,7 +192,7 @@ void Run(const std::string& json_path) {
       const int nprobe = 16;
       WallTimer timer;
       const auto approx =
-          ivf_i8.QueryBatch(queries.data(), n_queries, dim, k, nprobe);
+          ProbeTopK(ivf_i8, queries, n_queries, dim, k, nprobe);
       const double seconds = timer.ElapsedSeconds();
       auto& r = records.Add();
       r.Str("bench", "ann_ivf_int8_query_batch");
@@ -201,8 +219,7 @@ void Run(const std::string& json_path) {
     table.SetHeader({"nprobe", "seconds", "speedup_vs_exact", "recall@10"});
     for (int nprobe : {1, 2, 4, 8, 16}) {
       WallTimer timer;
-      const auto approx =
-          ivf.QueryBatch(queries.data(), n_queries, dim, k, nprobe);
+      const auto approx = ProbeTopK(ivf, queries, n_queries, dim, k, nprobe);
       const double seconds = timer.ElapsedSeconds();
       const double recall = RecallAtK(truth, approx);
       const double speedup = seconds > 0 ? exact_seconds / seconds : 0.0;
@@ -247,8 +264,7 @@ void Run(const std::string& json_path) {
       }
       const double mean_batch_seconds = insert_seconds / n_batches;
       const int nprobe = 16;
-      const auto approx =
-          inc.QueryBatch(queries.data(), n_queries, dim, k, nprobe);
+      const auto approx = ProbeTopK(inc, queries, n_queries, dim, k, nprobe);
       const double recall = RecallAtK(truth, approx);
       const double speedup =
           mean_batch_seconds > 0 ? build_seconds / mean_batch_seconds : 0.0;
@@ -295,8 +311,7 @@ void Run(const std::string& json_path) {
       }
       const double ivf_per_insert = ivf_timer.ElapsedSeconds() / arrivals;
       const double recall = RecallAtK(
-          truth, ivf_single.QueryBatch(queries.data(), n_queries, dim, k,
-                                       nprobe));
+          truth, ProbeTopK(ivf_single, queries, n_queries, dim, k, nprobe));
       index::KnnIndex exact_single(items.data(), start, dim);
       WallTimer exact_insert_timer;
       for (int i = start; i < n_items; ++i) {

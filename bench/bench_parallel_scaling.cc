@@ -47,7 +47,11 @@ void Run(const std::string& json_path) {
   const int n_items = 2500, n_queries = 2500, dim = 64, k = 10;
   std::printf("kNN blocking: %d items x %d queries, dim=%d, k=%d\n", n_items,
               n_queries, dim, k);
-  index::KnnIndex index(RandomUnitVectors(n_items, dim, 7));
+  std::vector<float> items;
+  for (const auto& v : RandomUnitVectors(n_items, dim, 7)) {
+    items.insert(items.end(), v.begin(), v.end());
+  }
+  index::KnnIndex index(items.data(), n_items, dim);
   const auto queries = RandomUnitVectors(n_queries, dim, 11);
 
   std::vector<std::vector<index::Neighbor>> baseline;
@@ -56,7 +60,8 @@ void Run(const std::string& json_path) {
   double serial_seconds = 0.0;
   for (int num_threads : {1, 2, 4}) {
     WallTimer timer;
-    auto result = index.QueryBatch(queries, k, num_threads);
+    std::vector<std::vector<index::Neighbor>> result;
+    SUDO_CHECK_OK(index.QueryBatch(queries, k, &result, num_threads));
     const double seconds = timer.ElapsedSeconds();
     if (num_threads == 1) {
       serial_seconds = seconds;

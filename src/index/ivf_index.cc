@@ -25,153 +25,94 @@ constexpr int kQueryBlock = 32;
 
 }  // namespace
 
-void IvfIndex::BuildFromStore(const QuantRowStore& staging, const int* ids,
-                              int n, int dim) {
-  n_ = n;
-  dim_ = dim;
-  n_tombstones_ = 0;
+void IvfIndex::Partition(const RowSet& src) {
+  const int n = src.size();
+  const int dim = src.dim();
   n_at_last_train_ = n;
   inserts_since_train_ = 0;
-  cells_.clear();
   centroids_.clear();
-  pos_by_id_.clear();
-  if (n <= 0) {
-    next_id_ = std::max(next_id_, 0);
+  if (n == 0) {
+    rows_ = src.Repartition({}, 0);
     return;
   }
-  SUDO_CHECK(staging.size() == n && staging.dim() == dim && dim > 0);
-  SUDO_CHECK(staging.mode() == storage_.storage);
+  SUDO_CHECK(dim > 0);
 
   int cells = options_.num_cells > 0
                   ? options_.num_cells
                   : static_cast<int>(
                         std::ceil(std::sqrt(static_cast<double>(n))));
   cells = std::max(1, std::min(cells, n));
-
-  // Cell training input: the staged rows as fp32. Under int8 this is
-  // the DEQUANTIZED image - a pure function of the stored (codes,
-  // scale) pairs - so a retrain after mutations trains exactly the
-  // cells a from-scratch int8 rebuild on the same surviving rows would.
-  // Centroids themselves stay fp32 (they are k-means means, not stored
-  // rows; centroid scoring keeps the fp32 GemmBT path).
-  std::vector<float> dequant;
-  const float* train_rows;
-  if (staging.int8_mode()) {
-    dequant.resize(static_cast<size_t>(n) * dim);
-    staging.DequantizeAllInto(dequant.data());
-    train_rows = dequant.data();
-  } else {
-    train_rows = staging.fp32_data();
-  }
-
   cluster::DenseKMeansOptions ko;
   ko.k = cells;
   ko.max_iters = options_.train_iters;
   ko.seed = options_.seed;
   ko.num_threads = options_.num_threads;
   ko.pool = options_.pool;
-  const cluster::DenseKMeansResult km =
-      cluster::DenseKMeans(train_rows, n, dim, ko);
+  cluster::DenseKMeansResult km;
+  {
+    // Cell training input: the live rows as fp32 in ascending-id order.
+    // Under int8 this is the DEQUANTIZED image - a pure function of the
+    // stored (codes, scale) pairs - so a retrain after mutations trains
+    // exactly the cells a from-scratch int8 rebuild on the same surviving
+    // rows would. Centroids themselves stay fp32 (they are k-means means,
+    // not stored rows; centroid scoring keeps the fp32 GemmBT path). The
+    // image is released before the layout below copies the stored rows,
+    // so at most two copies of the corpus are resident at once.
+    std::vector<float> train;
+    std::vector<int> ids;
+    src.ExportLive(&train, &ids);
+    km = cluster::DenseKMeans(train.data(), n, dim, ko);
+  }
 
-  // Drop empty cells (keeping relative centroid order) and append each
-  // row to its cell in staging (ascending-id) order, so every cell holds
-  // one contiguous stride-1 panel in ascending id.
+  // Drop empty cells (keeping relative centroid order); each row then
+  // moves to its cell in ascending-id order, so every cell holds one
+  // contiguous stride-1 panel in ascending id.
   std::vector<int> counts(static_cast<size_t>(km.num_centroids), 0);
   for (int a : km.assignments) ++counts[static_cast<size_t>(a)];
   std::vector<int> new_cell(static_cast<size_t>(km.num_centroids), -1);
+  int kept = 0;
   for (int c = 0; c < km.num_centroids; ++c) {
     if (counts[static_cast<size_t>(c)] == 0) continue;
-    new_cell[static_cast<size_t>(c)] = num_cells();
-    Cell& cell = cells_.emplace_back();
-    cell.store.Reset(dim, storage_.storage);
-    cell.store.Reserve(counts[static_cast<size_t>(c)]);
-    cell.ids.reserve(static_cast<size_t>(counts[static_cast<size_t>(c)]));
+    new_cell[static_cast<size_t>(c)] = kept++;
     centroids_.insert(centroids_.end(),
                       km.centroids.begin() + static_cast<size_t>(c) * dim,
                       km.centroids.begin() + static_cast<size_t>(c + 1) * dim);
   }
-  pos_by_id_.reserve(static_cast<size_t>(n));
+  std::vector<int> cell_of(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const int c = new_cell[static_cast<size_t>(
+    cell_of[static_cast<size_t>(i)] = new_cell[static_cast<size_t>(
         km.assignments[static_cast<size_t>(i)])];
-    const int id = ids != nullptr ? ids[static_cast<size_t>(i)] : i;
-    SUDO_CHECK(id >= 0);
-    Cell& cell = cells_[static_cast<size_t>(c)];
-    pos_by_id_.emplace(id, RowRef{c, static_cast<int>(cell.ids.size())});
-    cell.ids.push_back(id);
-    ++cell.live;
-    // Verbatim (codes, scale) move - cell layout never re-quantizes.
-    cell.store.AppendFrom(staging, i);
   }
-  const int derived =
-      ids != nullptr ? ids[static_cast<size_t>(n - 1)] + 1 : n;
-  next_id_ = std::max(next_id_, derived);
-}
-
-void IvfIndex::Build(const float* rows, const int* ids, int n, int dim) {
-  // Quantize-once point for fp32 row input (construction, nested-vector
-  // convenience); re-training goes through BuildFromStore directly.
-  QuantRowStore staging;
-  staging.Reset(dim, storage_.storage);
-  if (n > 0) staging.Append(rows, n);
-  BuildFromStore(staging, ids, n, dim);
+  rows_ = src.Repartition(cell_of, kept);
 }
 
 IvfIndex::IvfIndex(const float* rows, int n, int dim,
+                   const IvfOptions& options, const MutationOptions& mutation,
+                   const StorageOptions& storage)
+    : IvfIndex(rows, nullptr, n, dim, options, mutation, storage) {}
+
+IvfIndex::IvfIndex(const float* rows, const int* ids, int n, int dim,
                    const IvfOptions& options, const MutationOptions& mutation,
                    const StorageOptions& storage)
     : options_(options), mutation_(mutation), storage_(storage) {
   SUDO_CHECK(n >= 0 && dim >= 0 && (n == 0 || rows != nullptr));
   SUDO_CHECK_OK(ValidateMutationOptions(mutation));
   SUDO_CHECK_OK(ValidateStorageOptions(storage));
-  Build(rows, nullptr, n, dim);
+  // The quantize-once point for fp32 row input; strictly ascending ids
+  // keep within-cell storage order == id order.
+  RowSet staging(dim, storage.storage, 1);
+  staging.Append(0, rows, n, ids);
+  Partition(staging);
 }
 
-IvfIndex::IvfIndex(const float* rows, const int* ids, int n, int dim,
-                   const IvfOptions& options, const MutationOptions& mutation,
-                   const StorageOptions& storage, int next_id_hint)
+IvfIndex::IvfIndex(const RowSet& rows, const IvfOptions& options,
+                   const MutationOptions& mutation,
+                   const StorageOptions& storage)
     : options_(options), mutation_(mutation), storage_(storage) {
-  SUDO_CHECK(n >= 0 && dim >= 0 && (n == 0 || rows != nullptr));
-  SUDO_CHECK(n == 0 || ids != nullptr);
   SUDO_CHECK_OK(ValidateMutationOptions(mutation));
   SUDO_CHECK_OK(ValidateStorageOptions(storage));
-  for (int i = 1; i < n; ++i) {
-    // Strictly ascending ids keep within-cell storage order == id order.
-    SUDO_CHECK(ids[static_cast<size_t>(i)] > ids[static_cast<size_t>(i - 1)]);
-  }
-  next_id_ = std::max(0, next_id_hint);
-  Build(rows, ids, n, dim);
-}
-
-IvfIndex::IvfIndex(const QuantRowStore& staging, const int* ids, int n,
-                   const IvfOptions& options, const MutationOptions& mutation,
-                   const StorageOptions& storage, int next_id_hint)
-    : options_(options), mutation_(mutation), storage_(storage) {
-  SUDO_CHECK(n >= 0 && staging.size() == n);
-  SUDO_CHECK(n == 0 || ids != nullptr);
-  SUDO_CHECK_OK(ValidateMutationOptions(mutation));
-  SUDO_CHECK_OK(ValidateStorageOptions(storage));
-  SUDO_CHECK(staging.mode() == storage.storage);
-  for (int i = 1; i < n; ++i) {
-    SUDO_CHECK(ids[static_cast<size_t>(i)] > ids[static_cast<size_t>(i - 1)]);
-  }
-  next_id_ = std::max(0, next_id_hint);
-  BuildFromStore(staging, ids, n, staging.dim());
-}
-
-IvfIndex::IvfIndex(const std::vector<std::vector<float>>& items,
-                   const IvfOptions& options)
-    : options_(options) {
-  const int n = static_cast<int>(items.size());
-  const int dim = n > 0 ? static_cast<int>(items[0].size()) : 0;
-  std::vector<float> rows(static_cast<size_t>(n) * dim);
-  for (int i = 0; i < n; ++i) {
-    SUDO_CHECK(static_cast<int>(items[static_cast<size_t>(i)].size()) == dim);
-    std::copy(items[static_cast<size_t>(i)].begin(),
-              items[static_cast<size_t>(i)].end(),
-              rows.begin() + static_cast<size_t>(i) * dim);
-  }
-  Build(rows.data(), nullptr, n, dim);
+  SUDO_CHECK(rows.mode() == storage.storage);
+  Partition(rows);
 }
 
 Result<std::unique_ptr<IvfIndex>> IvfIndex::Create(
@@ -201,40 +142,10 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Create(
                                     storage);
 }
 
-void IvfIndex::GatherLiveStore(QuantRowStore* staging,
-                               std::vector<int>* ids) const {
-  // Ascending-id order (not storage order): re-training feeds k-means a
-  // buffer that depends only on the live (row, id) set, never on the cell
-  // layout history, so a retrain is reproducible from the surviving rows.
-  // Rows move as (codes, scale) pairs - gathering never re-quantizes.
-  std::vector<std::pair<int, RowRef>> live;
-  live.reserve(static_cast<size_t>(size()));
-  for (int c = 0; c < num_cells(); ++c) {
-    const Cell& cell = cells_[static_cast<size_t>(c)];
-    for (int pos = 0; pos < static_cast<int>(cell.ids.size()); ++pos) {
-      const int id = cell.ids[static_cast<size_t>(pos)];
-      if (id >= 0) live.push_back({id, RowRef{c, pos}});
-    }
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  staging->Reset(dim_, storage_.storage);
-  staging->Reserve(size());
-  ids->clear();
-  ids->reserve(live.size());
-  for (const auto& [id, ref] : live) {
-    staging->AppendFrom(cells_[static_cast<size_t>(ref.cell)].store, ref.pos);
-    ids->push_back(id);
-  }
-}
-
 size_t IvfIndex::bytes_resident() const {
-  size_t bytes =
-      centroids_.size() * sizeof(float) + cells_.size() * sizeof(int);
-  for (const Cell& cell : cells_) {
-    bytes += cell.store.bytes_resident() + cell.ids.size() * sizeof(int);
-  }
-  return bytes;
+  return centroids_.size() * sizeof(float) +
+         static_cast<size_t>(num_cells()) * sizeof(int) +
+         rows_.bytes_resident();
 }
 
 Status IvfIndex::Insert(const float* rows, int n, int dim) {
@@ -246,10 +157,10 @@ Status IvfIndex::Insert(const float* rows, int n, int dim) {
         "insert into an untrained IVF index (no cells; build it over an "
         "initial corpus, or grow a kAuto BlockingIndex instead)");
   }
-  if (dim != dim_) {
+  if (dim != this->dim()) {
     return Status::InvalidArgument(
         "insert dim " + std::to_string(dim) + " != index dim " +
-        std::to_string(dim_));
+        std::to_string(this->dim()));
   }
   const int cells = num_cells();
 
@@ -257,7 +168,7 @@ Status IvfIndex::Insert(const float* rows, int n, int dim) {
   // the shared deterministic tie-break (score desc, cell asc, NaN -> the
   // lowest cell id).
   std::vector<float> cell_scores(static_cast<size_t>(n) * cells, 0.0f);
-  ks::GemmBT(n, cells, dim_, rows, centroids_.data(), cell_scores.data());
+  ks::GemmBT(n, cells, dim, rows, centroids_.data(), cell_scores.data());
   std::vector<int> sel_idx;
   std::vector<Neighbor> best;
   for (int i = 0; i < n; ++i) {
@@ -266,81 +177,17 @@ Status IvfIndex::Insert(const float* rows, int n, int dim) {
     // Append to the nearest cell: ids are monotone, so the cell stays in
     // ascending-id order. The arriving row is quantized here, its one
     // ingest point.
-    const int c = best[0].id;
-    const int id = next_id_ + i;
-    Cell& cell = cells_[static_cast<size_t>(c)];
-    pos_by_id_.emplace(id, RowRef{c, static_cast<int>(cell.ids.size())});
-    cell.ids.push_back(id);
-    ++cell.live;
-    cell.store.Append(rows + static_cast<size_t>(i) * dim_, 1);
+    rows_.Append(best[0].id, rows + static_cast<size_t>(i) * dim, 1);
   }
-  n_ += n;
-  next_id_ += n;
   inserts_since_train_ += n;
   MaybeRetrain();
   return Status::OK();
 }
 
 Status IvfIndex::Remove(const int* ids, int n) {
-  if (n < 0) return Status::InvalidArgument("negative remove count");
-  if (n == 0) return Status::OK();
-  if (ids == nullptr) return Status::InvalidArgument("null remove ids");
-  // Validate the whole batch first so a NotFound removes nothing
-  // (duplicates within one call count as unknown on the second hit).
-  for (int i = 0; i < n; ++i) {
-    if (pos_by_id_.find(ids[i]) == pos_by_id_.end()) {
-      return Status::NotFound("id " + std::to_string(ids[i]) +
-                              " not in index");
-    }
-    for (int j = 0; j < i; ++j) {
-      if (ids[j] == ids[i]) {
-        return Status::NotFound("id " + std::to_string(ids[i]) +
-                                " removed twice in one call");
-      }
-    }
-  }
-  std::vector<int> touched(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const auto it = pos_by_id_.find(ids[i]);
-    const RowRef ref = it->second;
-    Cell& cell = cells_[static_cast<size_t>(ref.cell)];
-    cell.ids[static_cast<size_t>(ref.pos)] = -1;
-    --cell.live;
-    pos_by_id_.erase(it);
-    ++n_tombstones_;
-    touched[static_cast<size_t>(i)] = ref.cell;
-  }
-  for (int c : touched) CompactCellIfNeeded(c);
-  return Status::OK();
-}
-
-void IvfIndex::CompactCellIfNeeded(int c) {
-  Cell& cell = cells_[static_cast<size_t>(c)];
-  const int stored = static_cast<int>(cell.ids.size());
-  const int dead = stored - cell.live;
-  if (dead == 0 || static_cast<float>(dead) <=
-                       mutation_.compact_tombstone_fraction *
-                           static_cast<float>(stored)) {
-    return;
-  }
-  // Stable erase: live rows keep their relative (ascending-id) order
-  // inside the cell; the centroid is untouched (this is storage hygiene,
-  // not re-training).
-  int w = 0;
-  for (int pos = 0; pos < stored; ++pos) {
-    const int id = cell.ids[static_cast<size_t>(pos)];
-    if (id < 0) continue;
-    if (w != pos) {
-      cell.store.MoveRow(pos, w);
-      cell.ids[static_cast<size_t>(w)] = id;
-    }
-    pos_by_id_[id].pos = w;
-    ++w;
-  }
-  cell.store.Truncate(w);
-  cell.ids.resize(static_cast<size_t>(w));
-  n_ -= dead;
-  n_tombstones_ -= dead;
+  // Cells compact individually: centroids are untouched (this is storage
+  // hygiene, not re-training).
+  return rows_.Remove(ids, n, mutation_.compact_tombstone_fraction);
 }
 
 void IvfIndex::MaybeRetrain() {
@@ -354,23 +201,44 @@ void IvfIndex::MaybeRetrain() {
   bool imbalance = false;
   if (live >= cells) {  // mean >= 1: below that the ratio is noise
     int max_live = 0;
-    for (const Cell& cell : cells_) max_live = std::max(max_live, cell.live);
+    for (int c = 0; c < cells; ++c) {
+      max_live = std::max(max_live, rows_.table(c).live);
+    }
     imbalance = static_cast<float>(max_live) * static_cast<float>(cells) >
                 mutation_.retrain_imbalance * static_cast<float>(live);
   }
   if (!volume && !imbalance) return;
-  QuantRowStore staging;
-  std::vector<int> ids;
-  GatherLiveStore(&staging, &ids);
-  BuildFromStore(staging, ids.data(), live, dim_);
+  Partition(rows_);
   ++retrains_;
 }
 
-void IvfIndex::QueryBatchImpl(
-    const float* queries, int n_queries, int k, int nprobe, int num_threads,
-    std::vector<std::vector<Neighbor>>* out) const {
+Status IvfIndex::QueryBatch(const float* queries, int n_queries, int dim,
+                            int k, std::vector<std::vector<Neighbor>>* out,
+                            int num_threads) const {
+  return QueryBatch(queries, n_queries, dim, k, options_.nprobe, out,
+                    num_threads);
+}
+
+Status IvfIndex::QueryBatch(const float* queries, int n_queries, int dim,
+                            int k, int nprobe,
+                            std::vector<std::vector<Neighbor>>* out,
+                            int num_threads) const {
+  if (n_queries < 0) return Status::InvalidArgument("negative query count");
+  if (k < 0) return Status::InvalidArgument("k must be >= 0");
+  if (nprobe <= 0) return Status::InvalidArgument("nprobe must be > 0");
+  if (n_queries > 0 && queries == nullptr) {
+    return Status::InvalidArgument("null query buffer");
+  }
+  if (n_queries > 0 && size() > 0 && dim != this->dim()) {
+    return Status::InvalidArgument(
+        "query dim " + std::to_string(dim) + " != index dim " +
+        std::to_string(this->dim()));
+  }
+  out->assign(static_cast<size_t>(n_queries), {});
+  k = std::min(k, size());
+  if (k <= 0 || n_queries == 0) return Status::OK();
   const int n_cells = num_cells();
-  const int p = std::max(1, std::min(nprobe, n_cells));
+  const int p = std::min(nprobe, n_cells);
 
   const int64_t n_blocks =
       (static_cast<int64_t>(n_queries) + kQueryBlock - 1) / kQueryBlock;
@@ -410,16 +278,16 @@ void IvfIndex::QueryBatchImpl(
           if (int8) {
             // Quantize the query block once; every probed cell reuses
             // the codes (the per-query scale rides along to rescale).
-            qcodes.resize(static_cast<size_t>(m) * dim_);
+            qcodes.resize(static_cast<size_t>(m) * dim);
             qscales.resize(static_cast<size_t>(m));
-            ks::QuantizeRowsI8(m, dim_, queries + static_cast<size_t>(q0) * dim_,
+            ks::QuantizeRowsI8(m, dim, queries + static_cast<size_t>(q0) * dim,
                                qcodes.data(), qscales.data());
           }
 
           // 1) Centroid scoring: one (m x cells) panel.
           cell_scores.assign(static_cast<size_t>(m) * n_cells, 0.0f);
-          ks::GemmBT(m, n_cells, dim_,
-                     queries + static_cast<size_t>(q0) * dim_,
+          ks::GemmBT(m, n_cells, dim,
+                     queries + static_cast<size_t>(q0) * dim,
                      centroids_.data(), cell_scores.data());
 
           // 2) Probe selection per query: top-p cells, deterministic
@@ -455,7 +323,7 @@ void IvfIndex::QueryBatchImpl(
             const int c = probes[g].first;
             size_t h = g;
             while (h < probes.size() && probes[h].first == c) ++h;
-            const Cell& cell = cells_[static_cast<size_t>(c)];
+            const RowSet::Table& cell = rows_.table(c);
             const int nr = static_cast<int>(cell.ids.size());
             const int gq = static_cast<int>(h - g);
             if (nr == 0) {
@@ -466,28 +334,28 @@ void IvfIndex::QueryBatchImpl(
             if (int8) {
               // Gather the already-quantized query codes for this cell's
               // sub-block and score against the cell's quantized rows.
-              gq_codes.resize(static_cast<size_t>(gq) * dim_);
+              gq_codes.resize(static_cast<size_t>(gq) * dim);
               gq_scales.resize(static_cast<size_t>(gq));
               for (int j = 0; j < gq; ++j) {
                 const int lq = probes[g + static_cast<size_t>(j)].second;
-                std::copy(qcodes.begin() + static_cast<size_t>(lq) * dim_,
-                          qcodes.begin() + static_cast<size_t>(lq + 1) * dim_,
-                          gq_codes.begin() + static_cast<size_t>(j) * dim_);
+                std::copy(qcodes.begin() + static_cast<size_t>(lq) * dim,
+                          qcodes.begin() + static_cast<size_t>(lq + 1) * dim,
+                          gq_codes.begin() + static_cast<size_t>(j) * dim);
                 gq_scales[static_cast<size_t>(j)] =
                     qscales[static_cast<size_t>(lq)];
               }
-              ks::GemmBTI8(gq, nr, dim_, gq_codes.data(), gq_scales.data(),
+              ks::GemmBTI8(gq, nr, dim, gq_codes.data(), gq_scales.data(),
                            cell.store.q_data(), cell.store.scales(),
                            gscores.data());
             } else {
-              gpanel.resize(static_cast<size_t>(gq) * dim_);
+              gpanel.resize(static_cast<size_t>(gq) * dim);
               for (int j = 0; j < gq; ++j) {
                 const int lq = probes[g + static_cast<size_t>(j)].second;
-                std::copy(queries + static_cast<size_t>(q0 + lq) * dim_,
-                          queries + static_cast<size_t>(q0 + lq + 1) * dim_,
-                          gpanel.begin() + static_cast<size_t>(j) * dim_);
+                std::copy(queries + static_cast<size_t>(q0 + lq) * dim,
+                          queries + static_cast<size_t>(q0 + lq + 1) * dim,
+                          gpanel.begin() + static_cast<size_t>(j) * dim);
               }
-              ks::GemmBT(gq, nr, dim_, gpanel.data(), cell.store.fp32_data(),
+              ks::GemmBT(gq, nr, dim, gpanel.data(), cell.store.fp32_data(),
                          gscores.data());
             }
             for (int j = 0; j < gq; ++j) {
@@ -538,78 +406,18 @@ void IvfIndex::QueryBatchImpl(
                                               std::make_pair(v, INT_MAX)) -
                              1)->second;
               sel_rows.push_back(
-                  {&cells_[static_cast<size_t>(c)].store,
+                  {&rows_.table(c).store,
                    cand_pos[static_cast<size_t>(i)][static_cast<size_t>(v)],
                    ci[static_cast<size_t>(v)]});
             }
-            RerankQuantCandidates(queries + static_cast<size_t>(q0 + i) * dim_,
+            RerankQuantCandidates(queries + static_cast<size_t>(q0 + i) * dim,
                                   sel_rows, k, &rr_row, &rr_scores, &rr_ids,
                                   &sel_idx,
                                   &(*out)[static_cast<size_t>(q0 + i)]);
           }
         }
       });
-}
-
-Status IvfIndex::QueryBatch(const float* queries, int n_queries, int dim,
-                            int k, std::vector<std::vector<Neighbor>>* out,
-                            int num_threads) const {
-  if (n_queries < 0) return Status::InvalidArgument("negative query count");
-  if (k < 0) return Status::InvalidArgument("k must be >= 0");
-  if (n_queries > 0 && queries == nullptr) {
-    return Status::InvalidArgument("null query buffer");
-  }
-  if (n_queries > 0 && size() > 0 && dim != dim_) {
-    return Status::InvalidArgument(
-        "query dim " + std::to_string(dim) + " != index dim " +
-        std::to_string(dim_));
-  }
-  out->assign(static_cast<size_t>(n_queries), {});
-  k = std::min(k, size());
-  if (k <= 0 || n_queries == 0) return Status::OK();
-  QueryBatchImpl(queries, n_queries, k, options_.nprobe, num_threads, out);
   return Status::OK();
-}
-
-std::vector<std::vector<Neighbor>> IvfIndex::QueryBatch(
-    const float* queries, int n_queries, int dim, int k, int nprobe,
-    int num_threads) const {
-  // Historical clamp semantics: k <= 0, empty batches, and an empty
-  // index yield empty results; a width mismatch aborts.
-  std::vector<std::vector<Neighbor>> out(
-      static_cast<size_t>(std::max(0, n_queries)));
-  if (size() == 0 || n_queries <= 0 || k <= 0) return out;
-  SUDO_CHECK(dim == dim_ && queries != nullptr);
-  QueryBatchImpl(queries, n_queries, std::min(k, size()), nprobe,
-                 num_threads, &out);
-  return out;
-}
-
-std::vector<std::vector<Neighbor>> IvfIndex::QueryBatch(
-    const std::vector<std::vector<float>>& queries, int k, int nprobe,
-    int num_threads) const {
-  const int nq = static_cast<int>(queries.size());
-  if (nq == 0) return {};
-  if (size() == 0) {
-    return std::vector<std::vector<Neighbor>>(static_cast<size_t>(nq));
-  }
-  std::vector<float> qflat(static_cast<size_t>(nq) * dim_);
-  for (int i = 0; i < nq; ++i) {
-    SUDO_CHECK(static_cast<int>(queries[static_cast<size_t>(i)].size()) ==
-               dim_);
-    std::copy(queries[static_cast<size_t>(i)].begin(),
-              queries[static_cast<size_t>(i)].end(),
-              qflat.begin() + static_cast<size_t>(i) * dim_);
-  }
-  return QueryBatch(qflat.data(), nq, dim_, k, nprobe, num_threads);
-}
-
-std::vector<Neighbor> IvfIndex::Query(const std::vector<float>& query, int k,
-                                      int nprobe) const {
-  if (size() == 0) return {};
-  SUDO_CHECK(static_cast<int>(query.size()) == dim_);
-  auto batch = QueryBatch(query.data(), 1, dim_, k, nprobe, 1);
-  return std::move(batch[0]);
 }
 
 namespace {
@@ -628,6 +436,19 @@ bool UseIvf(const BlockingIndexOptions& options, int n) {
           n >= options.exact_threshold);
 }
 
+/// Per-item vectors (all the same width) as one row-major buffer.
+std::vector<float> FlattenRows(const std::vector<std::vector<float>>& items) {
+  std::vector<float> rows;
+  // One allocation of the final size: growing by insert would allocate
+  // and free every intermediate capacity on each index build.
+  if (!items.empty()) rows.reserve(items.size() * items[0].size());
+  for (const auto& item : items) {
+    SUDO_CHECK(item.size() == items[0].size());
+    rows.insert(rows.end(), item.begin(), item.end());
+  }
+  return rows;
+}
+
 }  // namespace
 
 BlockingIndex::BlockingIndex(const float* rows, int n, int dim,
@@ -644,25 +465,9 @@ BlockingIndex::BlockingIndex(const float* rows, int n, int dim,
 
 BlockingIndex::BlockingIndex(const std::vector<std::vector<float>>& items,
                              const BlockingIndexOptions& options)
-    : options_(options) {
-  const int n = static_cast<int>(items.size());
-  const int dim = n > 0 ? static_cast<int>(items[0].size()) : 0;
-  std::vector<float> rows(static_cast<size_t>(n) * dim);
-  for (int i = 0; i < n; ++i) {
-    SUDO_CHECK(static_cast<int>(items[static_cast<size_t>(i)].size()) == dim);
-    std::copy(items[static_cast<size_t>(i)].begin(),
-              items[static_cast<size_t>(i)].end(),
-              rows.begin() + static_cast<size_t>(i) * dim);
-  }
-  if (UseIvf(options, n)) {
-    ivf_ = std::make_unique<IvfIndex>(rows.data(), n, dim,
-                                      ResolveIvfOptions(options),
-                                      options.mutation, options.storage);
-  } else {
-    exact_ = std::make_unique<KnnIndex>(rows.data(), n, dim,
-                                        options.mutation, options.storage);
-  }
-}
+    : BlockingIndex(FlattenRows(items).data(), static_cast<int>(items.size()),
+                    items.empty() ? 0 : static_cast<int>(items[0].size()),
+                    options) {}
 
 Result<std::unique_ptr<BlockingIndex>> BlockingIndex::Create(
     const float* rows, int n, int dim, const BlockingIndexOptions& options) {
@@ -686,31 +491,20 @@ Result<std::unique_ptr<BlockingIndex>> BlockingIndex::Create(
   return std::make_unique<BlockingIndex>(rows, n, dim, options);
 }
 
-void BlockingIndex::MigrateToIvf() {
-  // Migration moves the row store verbatim - under int8 storage the
-  // (codes, scale) pairs cross as-is, never re-quantized, so post-
-  // migration queries match an IVF index built from the same rows.
-  QuantRowStore staging;
-  std::vector<int> ids;
-  exact_->ExportLiveStore(&staging, &ids);
-  ivf_ = std::make_unique<IvfIndex>(
-      staging, ids.data(), static_cast<int>(ids.size()),
-      ResolveIvfOptions(options_), options_.mutation, exact_->storage(),
-      exact_->next_id());
-  exact_.reset();
-}
-
 Status BlockingIndex::Insert(const float* rows, int n, int dim) {
   if (ivf_ != nullptr) return ivf_->Insert(rows, n, dim);
   SUDO_RETURN_IF_ERROR(exact_->Insert(rows, n, dim));
   // kAuto re-evaluates on growth: once the live corpus crosses the
   // threshold the exact oracle's O(N) sweep stops being the right
-  // default, so the live rows migrate (ids preserved) into a freshly
-  // trained IVF index. Growth only - a corpus that shrinks back keeps
-  // its trained cells.
+  // default, so its rows are partitioned (ids preserved, (codes, scale)
+  // pairs moved verbatim) into a freshly trained IVF index. Growth only -
+  // a corpus that shrinks back keeps its trained cells.
   if (options_.kind == BlockingIndexKind::kAuto &&
       exact_->size() >= options_.exact_threshold) {
-    MigrateToIvf();
+    ivf_ = std::make_unique<IvfIndex>(exact_->rows(),
+                                      ResolveIvfOptions(options_),
+                                      options_.mutation, exact_->storage());
+    exact_.reset();
   }
   return Status::OK();
 }
@@ -727,23 +521,6 @@ Status BlockingIndex::QueryBatch(const float* queries, int n_queries, int dim,
              ? ivf_->QueryBatch(queries, n_queries, dim, k, out, num_threads)
              : exact_->QueryBatch(queries, n_queries, dim, k, out,
                                   num_threads);
-}
-
-std::vector<std::vector<Neighbor>> BlockingIndex::QueryBatch(
-    const std::vector<std::vector<float>>& queries, int k,
-    int num_threads) const {
-  return ivf_ != nullptr
-             ? ivf_->QueryBatch(queries, k, options_.nprobe, num_threads)
-             : exact_->QueryBatch(queries, k, num_threads);
-}
-
-std::vector<std::vector<Neighbor>> BlockingIndex::QueryBatch(
-    const float* queries, int n_queries, int dim, int k,
-    int num_threads) const {
-  return ivf_ != nullptr
-             ? ivf_->QueryBatch(queries, n_queries, dim, k, options_.nprobe,
-                                num_threads)
-             : exact_->QueryBatch(queries, n_queries, dim, k, num_threads);
 }
 
 int BlockingIndex::size() const {

@@ -26,9 +26,10 @@
 // bit-identical to KnnIndex on the same tier - including after any
 // insert/remove sequence.
 //
-// Mutation (VectorIndex): each cell owns its rows, so Insert appends each
-// arriving row to its nearest cell (deterministic centroid argmax) at
-// O(cells * dim) per row - no other row moves. Remove tombstones in
+// Mutation (VectorIndex): each cell is one table of the index's RowSet
+// (quant_store.h), so Insert appends each arriving row to its nearest
+// cell (deterministic centroid argmax) at O(cells * dim) per row - no
+// other row moves. Remove tombstones in
 // place, and a cell compacts once its tombstones exceed the configured
 // fraction of its stored rows. The cells themselves re-train - a fresh
 // seeded k-means over the live rows - when insert volume since the last
@@ -41,7 +42,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "index/knn_index.h"
@@ -63,8 +63,8 @@ struct IvfOptions {
   /// k-means refinement iterations over the full item set.
   int train_iters = 8;
   uint64_t seed = 7;
-  /// Cells probed by the VectorIndex Query/QueryBatch interface (the
-  /// explicit-nprobe overloads below override it per call).
+  /// Cells probed by the VectorIndex QueryBatch interface (the
+  /// explicit-nprobe QueryBatch overrides it per call). Must be > 0.
   int nprobe = 16;
   /// Worker threads / pool for cell training (bit-identical results for
   /// any value; see cluster/dense_kmeans.h). The pool pointer is retained
@@ -74,45 +74,39 @@ struct IvfOptions {
 };
 
 /// Inverted-file index over L2-normalized vectors (inner product =
-/// cosine). Each cell keeps its rows in its own contiguous, growable
-/// store, so probing a cell scores a stride-1 panel and an insert
-/// appends to one cell; within a cell, live rows stay in ascending-id
-/// order across every mutation.
+/// cosine): centroids and probing over a RowSet (quant_store.h) with one
+/// table per cell. Each cell's rows sit in their own contiguous, growable
+/// store, so probing a cell scores a stride-1 panel and an insert appends
+/// to one cell; within a cell, live rows stay in ascending-id order across
+/// every mutation. Every constructor, every re-training and the facade's
+/// kAuto migration go through one Partition: k-means over the live rows'
+/// fp32 image in ascending-id order, then the stored (codes, scale) rows
+/// laid out into the cells verbatim.
 class IvfIndex : public VectorIndex {
  public:
   /// Trains cells over `rows` ([n, dim] row-major), assigning ids
-  /// 0..n-1, and copies the vectors into their cells' stores. With
-  /// StorageOptions::kInt8 the rows quantize once here; cell training
-  /// and every re-training run on the DEQUANTIZED rows (so a retrain is
-  /// a pure function of the stored (codes, scale) pairs, and a mutated
-  /// index stays reproducible from a from-scratch int8 rebuild on the
-  /// surviving rows), while centroids themselves stay fp32.
+  /// 0..n-1. With StorageOptions::kInt8 the rows quantize once here;
+  /// cell training and every re-training run on the DEQUANTIZED rows (so
+  /// a retrain is a pure function of the stored (codes, scale) pairs, and
+  /// a mutated index stays reproducible from a from-scratch int8 rebuild
+  /// on the surviving rows), while centroids themselves stay fp32.
   IvfIndex(const float* rows, int n, int dim, const IvfOptions& options = {},
            const MutationOptions& mutation = {},
            const StorageOptions& storage = {});
 
-  /// Rebuild/migration construction with explicit external ids (strictly
-  /// ascending). `next_id_hint` > the largest id continues the id
-  /// sequence past removed items (the BlockingIndex facade passes the
-  /// exact index's next_id() on migration); -1 derives ids[n-1] + 1.
+  /// Rebuild construction with explicit external ids (strictly
+  /// ascending; next_id() continues from ids[n-1] + 1).
   IvfIndex(const float* rows, const int* ids, int n, int dim,
            const IvfOptions& options = {},
            const MutationOptions& mutation = {},
-           const StorageOptions& storage = {}, int next_id_hint = -1);
+           const StorageOptions& storage = {});
 
-  /// Exact-migration construction: takes already-quantized (or fp32)
-  /// rows from `staging` verbatim - no re-quantization - so a facade
-  /// migrating an int8 exact index to IVF preserves every (codes,
-  /// scale) pair bit-exactly. `staging.mode()` must match
+  /// Partitions the live rows of `rows` into freshly trained cells, ids
+  /// and next_id() preserved and (codes, scale) pairs moved verbatim -
+  /// the kAuto migration from KnnIndex::rows(). `rows.mode()` must match
   /// `storage.storage`.
-  IvfIndex(const QuantRowStore& staging, const int* ids, int n,
-           const IvfOptions& options, const MutationOptions& mutation,
-           const StorageOptions& storage, int next_id_hint = -1);
-
-  /// Convenience: per-item vectors (all the same width); flattens and
-  /// delegates to the canonical flat constructor.
-  explicit IvfIndex(const std::vector<std::vector<float>>& items,
-                    const IvfOptions& options = {});
+  IvfIndex(const RowSet& rows, const IvfOptions& options,
+           const MutationOptions& mutation, const StorageOptions& storage);
 
   /// Status-reporting construction: rejects bad shapes and invalid
   /// options instead of aborting.
@@ -130,92 +124,50 @@ class IvfIndex : public VectorIndex {
   Status Insert(const float* rows, int n, int dim) override;
   Status Remove(const int* ids, int n) override;
   /// Live (non-tombstoned) items.
-  int size() const override { return n_ - n_tombstones_; }
-  int dim() const override { return dim_; }
-  int next_id() const override { return next_id_; }
-  /// Row storage + id map + centroids + per-cell live counts (see
+  int size() const override { return rows_.size(); }
+  int dim() const override { return rows_.dim(); }
+  int next_id() const override { return rows_.next_id(); }
+  /// Row storage + id lists + centroids + per-cell live counts (see
   /// VectorIndex).
   size_t bytes_resident() const override;
 
-  // --- historical clamp-style wrappers (explicit nprobe per call) ---
-
-  /// Approximate top-k, most similar first, probing the `nprobe`
-  /// best-scoring cells (clamped to [1, num_cells]). May return fewer
-  /// than k neighbours when the probed cells hold fewer than k live
-  /// items.
-  std::vector<Neighbor> Query(const std::vector<float>& query, int k,
-                              int nprobe) const;
-
-  /// Batch version: queries are processed in fixed blocks; centroid
-  /// scoring runs one (query-block x cells) GemmBT panel per block, and
-  /// candidate scoring batches the block's queries that probe the same
-  /// cell into one (sub-block x cell-rows) panel. Blocks are sharded
-  /// across workers in fixed contiguous ranges, so results are
-  /// bit-identical for any num_threads.
-  std::vector<std::vector<Neighbor>> QueryBatch(
-      const std::vector<std::vector<float>>& queries, int k, int nprobe,
-      int num_threads = 1) const;
-
-  /// Flat-buffer batch query over `queries` ([n_queries, dim] row-major).
-  std::vector<std::vector<Neighbor>> QueryBatch(const float* queries,
-                                                int n_queries, int dim, int k,
-                                                int nprobe,
-                                                int num_threads = 1) const;
+  /// Approximate top-k probing the `nprobe` best-scoring cells (more
+  /// than the cell count probes them all); may return fewer than k
+  /// neighbours when the probed cells hold fewer than k live items.
+  /// InvalidArgument for nprobe <= 0, otherwise as the VectorIndex
+  /// QueryBatch. Queries are processed in fixed blocks: centroid scoring
+  /// runs one (query-block x cells) GemmBT panel per block, and candidate
+  /// scoring batches the block's queries that probe the same cell into
+  /// one (sub-block x cell-rows) panel. Blocks are sharded across workers
+  /// in fixed contiguous ranges, so results are bit-identical for any
+  /// num_threads.
+  Status QueryBatch(const float* queries, int n_queries, int dim, int k,
+                    int nprobe, std::vector<std::vector<Neighbor>>* out,
+                    int num_threads = 1) const;
 
   // --- introspection ---
 
   /// Non-empty cells after the most recent (re-)training.
-  int num_cells() const { return static_cast<int>(cells_.size()); }
+  int num_cells() const { return rows_.num_tables(); }
   /// Cell re-trainings performed by mutations since construction.
   int retrain_count() const { return retrains_; }
   /// Stored rows including tombstones.
-  int stored_size() const { return n_; }
-  int tombstones() const { return n_tombstones_; }
+  int stored_size() const { return rows_.stored_size(); }
+  int tombstones() const { return rows_.tombstones(); }
   /// The storage mode and re-rank knobs this index was built with.
   const StorageOptions& storage() const { return storage_; }
 
  private:
-  /// One cell's rows: appended in ascending-id order, tombstones kept
-  /// until the cell compacts.
-  struct Cell {
-    QuantRowStore store;   // [ids.size(), dim] rows
-    std::vector<int> ids;  // position -> id, -1 = tombstoned
-    int live = 0;
-  };
-  /// Where a live id's row is stored.
-  struct RowRef {
-    int cell;
-    int pos;
-  };
-
-  /// Lays out the staging store's rows into freshly trained cells,
-  /// moving each (codes, scale) row verbatim; shared by every
-  /// constructor and by mutation-triggered re-training. Cell training
-  /// input is the staged rows as fp32 (dequantized under int8).
-  void BuildFromStore(const QuantRowStore& staging, const int* ids, int n,
-                      int dim);
-  /// Quantize-on-ingest wrapper over BuildFromStore for fp32 row input.
-  void Build(const float* rows, const int* ids, int n, int dim);
-  /// Copies the live (codes, scale) rows and ids in ascending-id order.
-  void GatherLiveStore(QuantRowStore* staging, std::vector<int>* ids) const;
+  /// Trains cells over `src`'s live rows and lays them out into rows_
+  /// (see the class comment); shared by every constructor and by
+  /// mutation-triggered re-training. `src` may be rows_ itself.
+  void Partition(const RowSet& src);
   /// Re-trains cells over the live rows when the volume or imbalance
   /// trigger fires (no-op otherwise).
   void MaybeRetrain();
-  /// Physically drops cell `c`'s tombstoned rows (centroids unchanged)
-  /// once they exceed the configured fraction of its stored rows.
-  void CompactCellIfNeeded(int c);
-  /// The unvalidated query core (k/nprobe already clamped, dims checked).
-  void QueryBatchImpl(const float* queries, int n_queries, int k, int nprobe,
-                      int num_threads,
-                      std::vector<std::vector<Neighbor>>* out) const;
 
-  std::vector<Cell> cells_;
-  std::unordered_map<int, RowRef> pos_by_id_;  // live ids only
+  RowSet rows_;                   // one table per cell
   std::vector<float> centroids_;  // [cells, dim], L2-normalized
-  int n_ = 0;                     // stored rows (incl. tombstones)
-  int dim_ = 0;
-  int n_tombstones_ = 0;
-  int next_id_ = 0;
   int n_at_last_train_ = 0;       // live count when cells were trained
   int inserts_since_train_ = 0;
   int retrains_ = 0;
@@ -259,8 +211,8 @@ struct BlockingIndexOptions {
 /// The facade the pipelines block through: builds either the exact oracle
 /// or an IVF index per `options` and serves batch queries and mutations
 /// uniformly. Under kAuto, an Insert that grows the corpus across
-/// `exact_threshold` migrates the live rows (ids preserved) from the
-/// exact oracle into a freshly trained IVF index.
+/// `exact_threshold` partitions the exact oracle's RowSet into a freshly
+/// trained IVF index (ids, next_id and stored rows carried over verbatim).
 class BlockingIndex : public VectorIndex {
  public:
   BlockingIndex(const std::vector<std::vector<float>>& items,
@@ -285,21 +237,11 @@ class BlockingIndex : public VectorIndex {
   int next_id() const override;
   size_t bytes_resident() const override;
 
-  // --- historical clamp-style wrappers ---
-  std::vector<std::vector<Neighbor>> QueryBatch(
-      const std::vector<std::vector<float>>& queries, int k,
-      int num_threads = 1) const;
-  std::vector<std::vector<Neighbor>> QueryBatch(const float* queries,
-                                                int n_queries, int dim, int k,
-                                                int num_threads = 1) const;
-
   bool using_ivf() const { return ivf_ != nullptr; }
   /// IVF cell re-trainings (0 while on the exact oracle).
   int retrain_count() const { return ivf_ ? ivf_->retrain_count() : 0; }
 
  private:
-  void MigrateToIvf();
-
   BlockingIndexOptions options_;
   std::unique_ptr<KnnIndex> exact_;
   std::unique_ptr<IvfIndex> ivf_;

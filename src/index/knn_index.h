@@ -6,14 +6,13 @@
 // This is the exact oracle; the sub-linear IVF variant and the
 // exact-vs-approximate selection facade live in index/ivf_index.h. All
 // three implement the unified index::VectorIndex mutation surface
-// (vector_index.h).
+// (vector_index.h), and the two concrete indexes share their row
+// bookkeeping (index::RowSet, quant_store.h) but not their scoring.
 
 #ifndef SUDOWOODO_INDEX_KNN_INDEX_H_
 #define SUDOWOODO_INDEX_KNN_INDEX_H_
 
 #include <memory>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -74,24 +73,26 @@ inline int QuantRerankDepth(const StorageOptions& s, int k) {
                                               : s.rerank_multiple * k;
 }
 
-/// Brute-force inner-product index. Vectors are expected to be
-/// L2-normalized so inner product equals cosine similarity. Items are
-/// stored in one contiguous row-major buffer; all scoring goes through
-/// the GemmBT micro-kernel (tensor/kernels.h) as (query-block x items)
-/// panels, so batch scoring rides the register-blocked SIMD path and a
-/// single Query is the m = 1 edge of the same fixed accumulation chain -
-/// Query and QueryBatch are bit-identical on whatever kernel tier is
+/// Brute-force inner-product index - the exact oracle the IVF index, the
+/// facade and the int8 path are tested against. Vectors are expected to
+/// be L2-normalized so inner product equals cosine similarity. Items live
+/// in a one-table RowSet (quant_store.h), one contiguous row-major
+/// buffer; all scoring goes through the GemmBT micro-kernel
+/// (tensor/kernels.h) as (query-block x items) panels, so batch scoring
+/// rides the register-blocked SIMD path and a single-query batch is the
+/// m = 1 edge of the same fixed accumulation chain - every query result
+/// is independent of batch composition on whatever kernel tier is
 /// active.
 ///
-/// Mutation (VectorIndex): Insert appends rows to the contiguous buffer
-/// (ids assigned monotonically), Remove tombstones in place, and the
-/// buffer compacts - a stable, order-preserving erase - once tombstones
-/// exceed MutationOptions::compact_tombstone_fraction. Since each
-/// query-item score is an independent fixed k-increasing GemmBT chain and
-/// live rows always sit in ascending-id order, queries after ANY
-/// insert/remove sequence are bitwise identical to a from-scratch index
-/// on the surviving rows (same ids, same order), at any thread count and
-/// kernel tier - asserted in tests/live_index_test.cc.
+/// Mutation (VectorIndex): Insert appends rows to the table (ids assigned
+/// monotonically), Remove tombstones in place, and the table compacts -
+/// a stable, order-preserving erase - once tombstones exceed
+/// MutationOptions::compact_tombstone_fraction. Since each query-item
+/// score is an independent fixed k-increasing GemmBT chain and live rows
+/// always sit in ascending-id order, queries after ANY insert/remove
+/// sequence are bitwise identical to a from-scratch index on the
+/// surviving rows (same ids, same order), at any thread count and kernel
+/// tier - asserted in tests/live_index_test.cc.
 ///
 /// Int8 storage (StorageOptions::kInt8): rows quantize once on ingest
 /// (per-row symmetric scale, QuantRowStore) and queries score every row
@@ -103,15 +104,11 @@ inline int QuantRerankDepth(const StorageOptions& s, int k) {
 /// identical across ALL kernel tiers, not just within one.
 class KnnIndex : public VectorIndex {
  public:
-  /// Nested-vector convenience: flattens (all rows the same width) and
-  /// delegates to the canonical flat constructor.
-  explicit KnnIndex(const std::vector<std::vector<float>>& items);
-
-  /// Canonical construction: copies `rows` ([n, dim] row-major) and
-  /// assigns ids 0..n-1. With StorageOptions::kInt8 the rows quantize on
-  /// ingest and queries run the int8 candidate + fp32 re-rank path (see
-  /// IndexStorage). Invalid shapes abort (SUDO_CHECK); use Create for
-  /// Status-reporting validation.
+  /// Copies `rows` ([n, dim] row-major) and assigns ids 0..n-1. With
+  /// StorageOptions::kInt8 the rows quantize on ingest and queries run
+  /// the int8 candidate + fp32 re-rank path (see IndexStorage). Invalid
+  /// shapes abort (SUDO_CHECK); use Create for Status-reporting
+  /// validation.
   KnnIndex(const float* rows, int n, int dim,
            const MutationOptions& mutation = {},
            const StorageOptions& storage = {});
@@ -119,7 +116,7 @@ class KnnIndex : public VectorIndex {
   /// Rebuild/oracle construction with explicit external ids (strictly
   /// ascending; next_id() continues from ids[n-1] + 1). This is how a
   /// from-scratch rebuild on surviving rows reproduces a mutated index
-  /// exactly, and how the BlockingIndex facade migrates storage.
+  /// exactly.
   KnnIndex(const float* rows, const int* ids, int n, int dim,
            const MutationOptions& mutation = {},
            const StorageOptions& storage = {});
@@ -133,84 +130,39 @@ class KnnIndex : public VectorIndex {
       const StorageOptions& storage = {});
 
   // --- VectorIndex ---
-  // (The using-declarations keep the base conveniences - Status Query,
-  // nested-vector Status QueryBatch - visible next to the historical
-  // same-name wrappers below.)
   using VectorIndex::Query;
   using VectorIndex::QueryBatch;
+  /// Queries are scored in fixed blocks through GemmBT; with num_threads
+  /// > 1 the blocks are sharded across workers in fixed contiguous
+  /// ranges and each query's result is written to its own output slot.
   Status QueryBatch(const float* queries, int n_queries, int dim, int k,
                     std::vector<std::vector<Neighbor>>* out,
                     int num_threads = 1) const override;
   Status Insert(const float* rows, int n, int dim) override;
   Status Remove(const int* ids, int n) override;
   /// Live (non-tombstoned) items.
-  int size() const override { return n_ - n_tombstones_; }
-  int dim() const override { return dim_; }
-  int next_id() const override { return next_id_; }
-  /// Row storage + the position->id map (see VectorIndex).
-  size_t bytes_resident() const override {
-    return store_.bytes_resident() + ids_.size() * sizeof(int);
-  }
-
-  // --- historical clamp-style wrappers (thin, over the Status API) ---
-
-  /// Top-k most similar items, most similar first; ties break toward the
-  /// lower item id. k < 0 clamps to an empty result and a width mismatch
-  /// aborts (the historical contract). Scoring and selection scratch is
-  /// per-thread and reused across calls (zero steady-state heap
-  /// allocations beyond the returned vector).
-  std::vector<Neighbor> Query(const std::vector<float>& query, int k) const;
-
-  /// Top-k for every query vector. Queries are scored in fixed blocks
-  /// through GemmBT; with num_threads > 1 the blocks are sharded across
-  /// workers in fixed contiguous ranges and each query's result is
-  /// written to its own output slot, so the batch is bit-identical to
-  /// the serial (num_threads = 1) path and to per-query Query calls.
-  std::vector<std::vector<Neighbor>> QueryBatch(
-      const std::vector<std::vector<float>>& queries, int k,
-      int num_threads = 1) const;
-
-  /// Flat-buffer batch query over `queries` ([n_queries, dim] row-major).
-  std::vector<std::vector<Neighbor>> QueryBatch(const float* queries,
-                                                int n_queries, int dim, int k,
-                                                int num_threads = 1) const;
+  int size() const override { return rows_.size(); }
+  int dim() const override { return rows_.dim(); }
+  int next_id() const override { return rows_.next_id(); }
+  /// Row storage + the position->id list (see VectorIndex).
+  size_t bytes_resident() const override { return rows_.bytes_resident(); }
 
   // --- introspection ---
 
   /// Stored rows including tombstones (tests; the scored panel width).
-  int stored_size() const { return n_; }
-  int tombstones() const { return n_tombstones_; }
+  int stored_size() const { return rows_.stored_size(); }
+  int tombstones() const { return rows_.tombstones(); }
   /// The storage mode and re-rank knobs this index was built with.
   const StorageOptions& storage() const { return storage_; }
-  /// The contiguous [stored_size, dim] fp32 row buffer (fp32 storage
-  /// only; aborts under int8 - use row_store()). After removals it may
-  /// contain tombstoned rows; pair with ids() to identify them.
-  const float* data() const { return store_.fp32_data(); }
-  /// The underlying row store (either mode).
-  const QuantRowStore& row_store() const { return store_; }
-  /// Storage position -> item id; -1 marks a tombstoned row.
-  const int* ids() const { return ids_.data(); }
-  /// Copies the live rows and their ids in storage (ascending-id) order.
-  /// Under fp32 the rows are verbatim, so feeding them into the
-  /// explicit-id constructor reproduces this index's query results
-  /// bitwise; under int8 the rows are dequantized (re-building from them
-  /// would re-quantize - use ExportLiveStore for exact migration).
-  void ExportLive(std::vector<float>* rows, std::vector<int>* ids) const;
-  /// Copies the live (codes, scale) rows and ids in ascending-id order
-  /// into `*store` (reset to this index's dim and mode) - the exact
-  /// migration path: no re-quantization, so an index built from the
-  /// exported store reproduces this one's query results bitwise in both
-  /// storage modes.
-  void ExportLiveStore(QuantRowStore* store, std::vector<int>* ids) const;
+  /// The one-table row set: what the kAuto facade migration partitions
+  /// into IVF cells, and what rebuild oracles export the survivors from.
+  const RowSet& rows() const { return rows_; }
 
  private:
-  void BuildFrom(const float* rows, const int* ids, int n, int dim);
-  void CompactIfNeeded();
   /// The int8 query path for queries [q0, q0+m): quantizes the query
   /// block, scores it through GemmBTI8, keeps the top
   /// QuantRerankDepth(storage_, k) candidates per query, and re-ranks
-  /// them exactly in fp32. Scratch vectors are caller-owned (per-shard
-  /// or thread_local).
+  /// them exactly in fp32. Scratch vectors are caller-owned (per-shard).
   struct QuantQueryScratch {
     std::vector<int8_t> qcodes;
     std::vector<float> qscales;
@@ -226,13 +178,7 @@ class KnnIndex : public VectorIndex {
                        QuantQueryScratch* scratch,
                        std::vector<std::vector<Neighbor>>* out) const;
 
-  QuantRowStore store_;  // [n_, dim] rows, tombstones included
-  std::vector<int> ids_;     // storage position -> id, -1 = tombstoned
-  std::unordered_map<int, int> pos_by_id_;  // live ids only
-  int n_ = 0;                // stored rows (incl. tombstones)
-  int dim_ = 0;
-  int n_tombstones_ = 0;
-  int next_id_ = 0;
+  RowSet rows_;  // one table: [stored_size, dim] rows, tombstones included
   MutationOptions mutation_;
   StorageOptions storage_;
 };

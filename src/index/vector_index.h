@@ -9,19 +9,19 @@
 // only as thin flattening conveniences. All fallible operations report
 // through Status (common/status.h): dimension mismatches, negative k,
 // inserting into a dimensionless index, or removing an unknown id are
-// errors, not silent clamps. (The concrete classes keep their historical
-// clamp-style overloads as documented wrappers over these.)
+// errors, not silent clamps.
 //
 // Mutation model. Items carry dense integer ids: construction assigns
 // 0..n-1 in row order and Insert appends ids monotonically from there
 // (`next_id()` before an Insert tells the caller which ids the batch
 // will receive). Remove tombstones by id; storage is compacted when
 // tombstones exceed MutationOptions::compact_tombstone_fraction of the
-// stored rows. Because ids are assigned monotonically and compaction
-// preserves storage order, live rows are always stored in ascending-id
-// order - which is what keeps the exact index's post-mutation results
-// bitwise identical to an index rebuilt from scratch on the surviving
-// rows (see knn_index.h).
+// stored rows. Both concrete indexes keep this bookkeeping in one shared
+// index::RowSet (quant_store.h). Because ids are assigned monotonically
+// and compaction preserves storage order, live rows are always stored in
+// ascending-id order - which is what keeps the exact index's
+// post-mutation results bitwise identical to an index rebuilt from
+// scratch on the surviving rows (see knn_index.h).
 
 #ifndef SUDOWOODO_INDEX_VECTOR_INDEX_H_
 #define SUDOWOODO_INDEX_VECTOR_INDEX_H_

@@ -83,6 +83,9 @@ class PairMatcher {
   /// Hard 0/1 predictions at threshold 0.5.
   std::vector<int> Predict(const std::vector<PairExample>& pairs);
 
+  /// Width every PairExample::side must have (FinetuneOptions::side_dim);
+  /// 0 = side features are ignored.
+  int side_dim() const { return options_.side_dim; }
   double best_valid_f1() const { return best_valid_f1_; }
   double train_seconds() const { return train_seconds_; }
 

@@ -99,11 +99,10 @@ ColumnRunResult ColumnPipeline::Run(const data::ColumnCorpus& corpus) {
   bopts.ivf.num_threads = options_.num_threads;
   bopts.ivf.pool = options_.pool;
   index::BlockingIndex index(emb, bopts);
-  const index::VectorIndex& block_index = index;
   std::set<std::pair<int, int>> candidate_set;
   std::vector<std::vector<index::Neighbor>> col_topk;
-  SUDO_CHECK_OK(block_index.QueryBatch(emb, options_.blocking_k + 1,
-                                       &col_topk, options_.num_threads));
+  SUDO_CHECK_OK(index.QueryBatch(emb, options_.blocking_k + 1, &col_topk,
+                                 options_.num_threads));
   for (int i = 0; i < n; ++i) {
     for (const auto& nb : col_topk[static_cast<size_t>(i)]) {
       if (nb.id == i) continue;

@@ -132,13 +132,10 @@ EmRunResult EmPipeline::Run(const data::EmDataset& ds) {
   auto emb_a = prep.encoder->EmbedNormalized(ids_a);
   auto emb_b = prep.encoder->EmbedNormalized(ids_b);
   index::BlockingIndex index_b(emb_b, ResolveBlockingIndexOptions(options_));
-  // Everything below the construction point sees only the VectorIndex
-  // interface - the pipeline does not care which concrete index blocks.
-  const index::VectorIndex& block_index = index_b;
   std::vector<matcher::ScoredPair> candidates;
   std::vector<std::vector<index::Neighbor>> topk;
-  SUDO_CHECK_OK(block_index.QueryBatch(emb_a, options_.blocking_k, &topk,
-                                       options_.num_threads));
+  SUDO_CHECK_OK(index_b.QueryBatch(emb_a, options_.blocking_k, &topk,
+                                   options_.num_threads));
   for (int a = 0; a < ds.table_a.num_rows(); ++a) {
     for (const auto& nb : topk[static_cast<size_t>(a)]) {
       candidates.push_back({a, nb.id, nb.sim});
@@ -262,12 +259,10 @@ std::vector<BlockingPoint> EmPipeline::BlockingSweep(const data::EmDataset& ds,
   auto emb_a = prep.encoder->EmbedNormalized(ids_a);
   auto emb_b = prep.encoder->EmbedNormalized(ids_b);
   index::BlockingIndex index_b(emb_b, ResolveBlockingIndexOptions(options_));
-  const index::VectorIndex& block_index = index_b;
 
   // One query at k_max; prefixes give every smaller k.
   std::vector<std::vector<index::Neighbor>> topk;
-  SUDO_CHECK_OK(
-      block_index.QueryBatch(emb_a, k_max, &topk, options_.num_threads));
+  SUDO_CHECK_OK(index_b.QueryBatch(emb_a, k_max, &topk, options_.num_threads));
 
   std::set<std::pair<int, int>> gold(ds.gold_matches.begin(),
                                      ds.gold_matches.end());

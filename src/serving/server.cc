@@ -1,6 +1,5 @@
 #include "serving/server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -22,10 +21,13 @@ Server::Server(std::vector<ModelReplica> replicas,
                replicas_.front().encoder->vocab_size());
     SUDO_CHECK(options_.live_index == nullptr ||
                options_.live_index->dim() == r.encoder->dim());
-    // All-or-nothing matchers: Submit-time validation checks one replica
-    // and must speak for every worker.
+    // All-or-nothing matchers of one side-feature width: Submit-time
+    // validation checks one replica and must speak for every worker.
     SUDO_CHECK((r.matcher != nullptr) ==
                (replicas_.front().matcher != nullptr));
+    SUDO_CHECK(r.matcher == nullptr ||
+               r.matcher->side_dim() ==
+                   replicas_.front().matcher->side_dim());
   }
   workers_.reserve(replicas_.size());
   for (const ModelReplica& r : replicas_) {
@@ -58,6 +60,20 @@ Status Server::ValidateTokenIds(const std::vector<int>& ids) const {
   return Status::OK();
 }
 
+Status Server::ValidateSide(const matcher::PairExample& pair) const {
+  // The matcher aborts on a side-feature width other than its own (a
+  // SUDO_CHECK a worker's try/catch cannot intercept). With side_dim 0 it
+  // ignores `side`, so any width passes. All replicas share one width
+  // (checked at construction).
+  const int side_dim = replicas_.front().matcher->side_dim();
+  if (side_dim > 0 && static_cast<int>(pair.side.size()) != side_dim) {
+    return Status::InvalidArgument(
+        "side feature width " + std::to_string(pair.side.size()) +
+        " != matcher side_dim " + std::to_string(side_dim));
+  }
+  return Status::OK();
+}
+
 Status Server::Validate(const Request& request) const {
   switch (request.kind) {
     case RequestKind::kEncode:
@@ -68,9 +84,14 @@ Status Server::Validate(const Request& request) const {
         return Status::FailedPrecondition(
             "server has no matcher; match/clean requests unsupported");
       }
-      if (request.kind == RequestKind::kClean &&
-          request.candidates.empty()) {
+      if (request.kind == RequestKind::kMatch) {
+        return ValidateSide(request.pair);
+      }
+      if (request.candidates.empty()) {
         return Status::InvalidArgument("clean request has no candidates");
+      }
+      for (const matcher::PairExample& candidate : request.candidates) {
+        SUDO_RETURN_IF_ERROR(ValidateSide(candidate));
       }
       return Status::OK();
     case RequestKind::kQuery:
@@ -315,11 +336,14 @@ void Server::ServeBatch(const ModelReplica& replica,
         } else {
           r.candidate_probs.assign(probs.begin() + span.begin,
                                    probs.begin() + span.begin + span.count);
-          r.best_candidate = static_cast<int>(
-              std::max_element(r.candidate_probs.begin(),
-                               r.candidate_probs.end()) -
-              r.candidate_probs.begin());
-          r.prob = r.candidate_probs[static_cast<size_t>(r.best_candidate)];
+          // Highest probability, NaN last, ties to the lower index.
+          std::vector<int> sel_idx;
+          std::vector<index::Neighbor> best;
+          index::SelectTopKNeighbors(r.candidate_probs.data(), nullptr,
+                                     static_cast<int>(span.count), 1,
+                                     &sel_idx, &best);
+          r.best_candidate = best[0].id;
+          r.prob = best[0].sim;
         }
         completed_.fetch_add(1, std::memory_order_relaxed);
         (*batch)[span.owner].promise.set_value(std::move(r));

@@ -66,10 +66,13 @@ struct Request {
   int item_id = -1;
   /// kQuery: neighbours requested.
   int k = 10;
-  /// kMatch: the pair to score.
+  /// kMatch: the pair to score. When the matcher has side features
+  /// (PairMatcher::side_dim() > 0), `pair.side` must be exactly that
+  /// wide, or Submit answers kInvalidArgument; values are not checked.
   matcher::PairExample pair;
   /// kClean: the cell serialized against each candidate correction (the
-  /// cleaning pipeline's per-cell contest); must be non-empty.
+  /// cleaning pipeline's per-cell contest); must be non-empty, and each
+  /// candidate's `side` obeys the kMatch width rule.
   std::vector<matcher::PairExample> candidates;
   /// Per-request deadline, measured from Submit. A request still queued
   /// when it expires is answered with StatusCode::kDeadlineExceeded
@@ -85,7 +88,8 @@ struct Response {
   std::vector<index::Neighbor> neighbors;
   /// kMatch: P(match).
   float prob = 0.0f;
-  /// kClean: index of the highest-probability candidate, plus all probs.
+  /// kClean: index of the highest-probability candidate (NaN ranks
+  /// last, ties go to the lower index), plus all probs.
   int best_candidate = -1;
   std::vector<float> candidate_probs;
   /// Observability: how many requests shared this response's flush.
@@ -171,6 +175,9 @@ class Server {
   Status Validate(const Request& request) const;
   /// InvalidArgument unless every id is in [0, encoder vocab_size()).
   Status ValidateTokenIds(const std::vector<int>& ids) const;
+  /// InvalidArgument unless `pair.side` has the matcher's side_dim (any
+  /// width passes when side_dim is 0).
+  Status ValidateSide(const matcher::PairExample& pair) const;
   void WorkerLoop(ModelReplica replica);
   /// `encode_scratch` is the worker's reusable [rows, dim] encode buffer
   /// (per-worker, so flushes on different replicas never share it).

@@ -18,6 +18,7 @@ using cluster::BatchScheduler;
 using cluster::KMeans;
 using cluster::KMeansOptions;
 using index::KnnIndex;
+using index::Neighbor;
 using sparse::SparseVector;
 
 // Two clearly separable groups in disjoint term spaces.
@@ -128,6 +129,13 @@ TEST(BatchSchedulerTest, ClusterModeGroupsSimilarItems) {
   EXPECT_GE(static_cast<double>(pure) / total, 0.9);
 }
 
+/// Per-item vectors (all the same width) as one row-major buffer.
+std::vector<float> Flatten(const std::vector<std::vector<float>>& items) {
+  std::vector<float> rows;
+  for (const auto& v : items) rows.insert(rows.end(), v.begin(), v.end());
+  return rows;
+}
+
 TEST(KnnIndexTest, ExactTopKAgainstBruteForce) {
   Rng rng(8);
   std::vector<std::vector<float>> items;
@@ -141,9 +149,11 @@ TEST(KnnIndexTest, ExactTopKAgainstBruteForce) {
     for (auto& x : v) x /= std::sqrt(norm);
     items.push_back(v);
   }
-  KnnIndex index(items);
+  const std::vector<float> rows = Flatten(items);
+  KnnIndex index(rows.data(), 50, 8);
   std::vector<float> q = items[7];
-  auto result = index.Query(q, 5);
+  std::vector<Neighbor> result;
+  ASSERT_TRUE(index.Query(q.data(), 8, 5, &result).ok());
   ASSERT_EQ(result.size(), 5u);
   // The item itself must come first with similarity ~1.
   EXPECT_EQ(result[0].id, 7);
@@ -183,14 +193,17 @@ TEST(KnnIndexTest, SmallKOverLargeNMatchesFullSort) {
     items.push_back(v);
     items.push_back(v);  // exact duplicate -> guaranteed score tie
   }
-  KnnIndex index(items);
+  const std::vector<float> rows = Flatten(items);
+  KnnIndex index(rows.data(), n, dim);
   const std::vector<float> q = items[42];
-  auto result = index.Query(q, k);
+  std::vector<Neighbor> result;
+  ASSERT_TRUE(index.Query(q.data(), dim, k, &result).ok());
   ASSERT_EQ(result.size(), static_cast<size_t>(k));
 
   // Full-sort reference over the index's own scores (same Query call with
   // k = N returns every item ranked).
-  auto full = index.Query(q, n);
+  std::vector<Neighbor> full;
+  ASSERT_TRUE(index.Query(q.data(), dim, n, &full).ok());
   ASSERT_EQ(full.size(), static_cast<size_t>(n));
   for (int i = 0; i < k; ++i) {
     EXPECT_EQ(result[static_cast<size_t>(i)].id, full[static_cast<size_t>(i)].id);
@@ -210,51 +223,52 @@ TEST(KnnIndexTest, NanScoresRankLastWithoutUndefinedBehavior) {
   // Degenerate (NaN) embeddings must not break the selection comparator's
   // strict weak ordering; they rank after every real score, id-ordered.
   const float nan = std::numeric_limits<float>::quiet_NaN();
-  std::vector<std::vector<float>> items = {
-      {0.5f, 0.5f}, {nan, nan}, {1.0f, 0.0f}, {nan, 0.0f}, {0.0f, 1.0f}};
-  KnnIndex index(items);
-  auto result = index.Query({1.0f, 0.0f}, 5);
+  const std::vector<float> rows = {0.5f, 0.5f, nan,  nan,  1.0f,
+                                   0.0f, nan,  0.0f, 0.0f, 1.0f};
+  KnnIndex index(rows.data(), 5, 2);
+  const float q[] = {1.0f, 0.0f};
+  std::vector<Neighbor> result;
+  ASSERT_TRUE(index.Query(q, 2, 5, &result).ok());
   ASSERT_EQ(result.size(), 5u);
   EXPECT_EQ(result[0].id, 2);
   EXPECT_EQ(result[1].id, 0);
   EXPECT_EQ(result[2].id, 4);
   EXPECT_EQ(result[3].id, 1);  // NaN items last, lower id first
   EXPECT_EQ(result[4].id, 3);
-  auto top2 = index.Query({1.0f, 0.0f}, 2);
+  std::vector<Neighbor> top2;
+  ASSERT_TRUE(index.Query(q, 2, 2, &top2).ok());
   ASSERT_EQ(top2.size(), 2u);
   EXPECT_EQ(top2[0].id, 2);
   EXPECT_EQ(top2[1].id, 0);
 }
 
 TEST(KnnIndexTest, KClampedToSize) {
-  KnnIndex index({{1.0f, 0.0f}, {0.0f, 1.0f}});
-  EXPECT_EQ(index.Query({1.0f, 0.0f}, 10).size(), 2u);
+  const std::vector<float> rows = {1.0f, 0.0f, 0.0f, 1.0f};
+  KnnIndex index(rows.data(), 2, 2);
+  std::vector<Neighbor> result;
+  ASSERT_TRUE(index.Query(rows.data(), 2, 10, &result).ok());
+  EXPECT_EQ(result.size(), 2u);
+  // After a removal k clamps to the live count...
+  const int doomed = 0;
+  ASSERT_TRUE(index.Remove(&doomed, 1).ok());
+  ASSERT_TRUE(index.Query(rows.data(), 2, 10, &result).ok());
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result[0].id, 1);
+  // ...and an empty index answers with no neighbours.
+  KnnIndex empty(nullptr, 0, 2);
+  ASSERT_TRUE(empty.Query(rows.data(), 2, 10, &result).ok());
+  EXPECT_TRUE(result.empty());
 }
 
 TEST(KnnIndexTest, QueryBatchMatchesSingleQueries) {
-  std::vector<std::vector<float>> items = {{1, 0}, {0, 1}, {0.7f, 0.7f}};
-  KnnIndex index(items);
-  auto batch = index.QueryBatch({{1, 0}, {0, 1}}, 2);
+  const std::vector<float> rows = {1, 0, 0, 1, 0.7f, 0.7f};
+  KnnIndex index(rows.data(), 3, 2);
+  std::vector<std::vector<Neighbor>> batch;
+  ASSERT_TRUE(index.QueryBatch({{1, 0}, {0, 1}}, 2, &batch).ok());
   ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0][0].id, index.Query({1, 0}, 2)[0].id);
-}
-
-TEST(KnnIndexTest, FlatBufferOverloadsMatchNested) {
-  std::vector<std::vector<float>> items = {{1, 0}, {0, 1}, {0.8f, 0.6f}};
-  std::vector<float> flat_items = {1, 0, 0, 1, 0.8f, 0.6f};
-  std::vector<float> flat_queries = {1, 0, 0.6f, 0.8f};
-  KnnIndex nested(items);
-  KnnIndex flat(flat_items.data(), 3, 2);
-  const auto a = nested.QueryBatch({{1, 0}, {0.6f, 0.8f}}, 2);
-  const auto b = flat.QueryBatch(flat_queries.data(), 2, 2, 2);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t q = 0; q < a.size(); ++q) {
-    ASSERT_EQ(a[q].size(), b[q].size());
-    for (size_t j = 0; j < a[q].size(); ++j) {
-      EXPECT_EQ(a[q][j].id, b[q][j].id);
-      EXPECT_EQ(a[q][j].sim, b[q][j].sim);  // bitwise: same GemmBT chains
-    }
-  }
+  std::vector<Neighbor> single;
+  ASSERT_TRUE(index.Query(rows.data(), 2, 2, &single).ok());
+  EXPECT_EQ(batch[0][0].id, single[0].id);
 }
 
 TEST(KnnIndexTest, QueryBatchBitIdenticalAcrossThreadCounts) {
@@ -270,10 +284,13 @@ TEST(KnnIndexTest, QueryBatchBitIdenticalAcrossThreadCounts) {
     const float t = 0.11f * static_cast<float>(q);
     queries.push_back({std::cos(t), std::sin(t)});
   }
-  KnnIndex index(items);
-  const auto ref = index.QueryBatch(queries, 5, /*num_threads=*/1);
+  const std::vector<float> rows = Flatten(items);
+  KnnIndex index(rows.data(), 70, 2);
+  std::vector<std::vector<Neighbor>> ref;
+  ASSERT_TRUE(index.QueryBatch(queries, 5, &ref, /*num_threads=*/1).ok());
   for (int threads : {2, 4}) {
-    const auto got = index.QueryBatch(queries, 5, threads);
+    std::vector<std::vector<Neighbor>> got;
+    ASSERT_TRUE(index.QueryBatch(queries, 5, &got, threads).ok());
     ASSERT_EQ(got.size(), ref.size());
     for (size_t q = 0; q < ref.size(); ++q) {
       ASSERT_EQ(got[q].size(), ref[q].size());

@@ -50,16 +50,6 @@ std::vector<float> ClusteredUnitRows(int n, int dim, int n_clusters,
   return rows;
 }
 
-std::vector<std::vector<float>> ToNested(const std::vector<float>& rows,
-                                         int dim) {
-  std::vector<std::vector<float>> out(rows.size() / static_cast<size_t>(dim));
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i].assign(rows.begin() + i * static_cast<size_t>(dim),
-                  rows.begin() + (i + 1) * static_cast<size_t>(dim));
-  }
-  return out;
-}
-
 void ExpectBitIdentical(const std::vector<std::vector<Neighbor>>& a,
                         const std::vector<std::vector<Neighbor>>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -71,6 +61,27 @@ void ExpectBitIdentical(const std::vector<std::vector<Neighbor>>& a,
       EXPECT_EQ(a[q][j].sim, b[q][j].sim) << "query " << q << " rank " << j;
     }
   }
+}
+
+/// Top-k of every row of `q` through the VectorIndex Status interface.
+std::vector<std::vector<Neighbor>> StatusQuery(const index::VectorIndex& idx,
+                                               const std::vector<float>& q,
+                                               int dim, int k) {
+  std::vector<std::vector<Neighbor>> out;
+  const int nq = static_cast<int>(q.size()) / dim;
+  EXPECT_TRUE(idx.QueryBatch(q.data(), nq, dim, k, &out).ok());
+  return out;
+}
+
+/// IVF top-k of every row of `q`, probing `nprobe` cells.
+std::vector<std::vector<Neighbor>> ProbeQuery(const IvfIndex& ivf,
+                                              const std::vector<float>& q,
+                                              int dim, int k, int nprobe,
+                                              int threads = 1) {
+  std::vector<std::vector<Neighbor>> out;
+  const int nq = static_cast<int>(q.size()) / dim;
+  EXPECT_TRUE(ivf.QueryBatch(q.data(), nq, dim, k, nprobe, &out, threads).ok());
+  return out;
 }
 
 double RecallAtK(const std::vector<std::vector<Neighbor>>& exact,
@@ -157,13 +168,13 @@ TEST(IvfIndexTest, RecallAtFixedNprobeBeatsFloor) {
   auto queries = ClusteredUnitRows(400, dim, 80, 0.08f, 43);
 
   KnnIndex exact(items.data(), n, dim);
-  const auto truth = exact.QueryBatch(queries.data(), 400, dim, k);
+  const auto truth = StatusQuery(exact, queries, dim, k);
 
   IvfOptions opts;
   opts.seed = 12;
   IvfIndex ivf(items.data(), n, dim, opts);
   EXPECT_GT(ivf.num_cells(), 16);  // ~sqrt(4000) = 64 cells, minus empties
-  const auto approx = ivf.QueryBatch(queries.data(), 400, dim, k, /*nprobe=*/8);
+  const auto approx = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/8);
   EXPECT_GE(RecallAtK(truth, approx), 0.9);
 }
 
@@ -174,11 +185,10 @@ TEST(IvfIndexTest, BitIdenticalAcrossThreadCounts) {
   IvfOptions opts;
   opts.seed = 5;
   IvfIndex ivf(items.data(), n, dim, opts);
-  const auto ref = ivf.QueryBatch(queries.data(), 130, dim, k, /*nprobe=*/4,
-                                  /*num_threads=*/1);
+  const auto ref = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/4,
+                              /*threads=*/1);
   for (int threads : {2, 4}) {
-    const auto got =
-        ivf.QueryBatch(queries.data(), 130, dim, k, /*nprobe=*/4, threads);
+    const auto got = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/4, threads);
     ExpectBitIdentical(ref, got);
   }
 }
@@ -192,27 +202,13 @@ TEST(IvfIndexTest, NprobeAtLeastCellCountMatchesExactBitwise) {
   // Probing every cell gathers every item; scores ride the same GemmBT
   // chains and selection tie-breaks on original ids, so the approximate
   // path degrades to the exact one bit for bit.
-  const auto got = ivf.QueryBatch(queries.data(), 65, dim, k,
-                                  /*nprobe=*/ivf.num_cells());
-  const auto want = exact.QueryBatch(queries.data(), 65, dim, k);
+  const auto got = ProbeQuery(ivf, queries, dim, k,
+                              /*nprobe=*/ivf.num_cells());
+  const auto want = StatusQuery(exact, queries, dim, k);
   ExpectBitIdentical(want, got);
   // Over-probing clamps: nprobe way past the cell count changes nothing.
-  const auto clamped = ivf.QueryBatch(queries.data(), 65, dim, k,
-                                      /*nprobe=*/1000000);
+  const auto clamped = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/1000000);
   ExpectBitIdentical(want, clamped);
-}
-
-TEST(IvfIndexTest, FlatAndNestedOverloadsAgree) {
-  const int n = 300, dim = 12, k = 5;
-  auto items = ClusteredUnitRows(n, dim, 10, 0.1f, 3);
-  auto queries = ClusteredUnitRows(40, dim, 10, 0.1f, 4);
-  IvfOptions opts;
-  opts.seed = 9;
-  IvfIndex flat(items.data(), n, dim, opts);
-  IvfIndex nested(ToNested(items, dim), opts);
-  const auto a = flat.QueryBatch(queries.data(), 40, dim, k, /*nprobe=*/3);
-  const auto b = nested.QueryBatch(ToNested(queries, dim), k, /*nprobe=*/3);
-  ExpectBitIdentical(a, b);
 }
 
 TEST(IvfIndexTest, SingleQueryMatchesBatchRow) {
@@ -220,14 +216,16 @@ TEST(IvfIndexTest, SingleQueryMatchesBatchRow) {
   auto items = ClusteredUnitRows(n, dim, 12, 0.1f, 31);
   auto queries = ClusteredUnitRows(50, dim, 12, 0.1f, 32);
   IvfIndex ivf(items.data(), n, dim);
-  const auto batch = ivf.QueryBatch(queries.data(), 50, dim, k, /*nprobe=*/3);
-  auto nested = ToNested(queries, dim);
+  const auto batch = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/3);
   for (int q = 0; q < 50; ++q) {
-    const auto one = ivf.Query(nested[static_cast<size_t>(q)], k, /*nprobe=*/3);
-    ASSERT_EQ(one.size(), batch[static_cast<size_t>(q)].size()) << q;
-    for (size_t j = 0; j < one.size(); ++j) {
-      EXPECT_EQ(one[j].id, batch[static_cast<size_t>(q)][j].id) << q;
-      EXPECT_EQ(one[j].sim, batch[static_cast<size_t>(q)][j].sim) << q;
+    std::vector<std::vector<Neighbor>> one;
+    ASSERT_TRUE(ivf.QueryBatch(queries.data() + static_cast<size_t>(q) * dim,
+                               1, dim, k, /*nprobe=*/3, &one)
+                    .ok());
+    ASSERT_EQ(one[0].size(), batch[static_cast<size_t>(q)].size()) << q;
+    for (size_t j = 0; j < one[0].size(); ++j) {
+      EXPECT_EQ(one[0][j].id, batch[static_cast<size_t>(q)][j].id) << q;
+      EXPECT_EQ(one[0][j].sim, batch[static_cast<size_t>(q)][j].sim) << q;
     }
   }
 }
@@ -235,36 +233,46 @@ TEST(IvfIndexTest, SingleQueryMatchesBatchRow) {
 TEST(IvfIndexTest, EdgeCases) {
   const int dim = 8;
   auto items = ClusteredUnitRows(20, dim, 4, 0.05f, 55);
-  auto qs = ToNested(ClusteredUnitRows(2, dim, 4, 0.05f, 56), dim);
+  auto qs = ClusteredUnitRows(2, dim, 4, 0.05f, 56);
   IvfIndex ivf(items.data(), 20, dim);
+  std::vector<std::vector<Neighbor>> out;
 
-  // k = 0 and negative k: empty per-query results, no crash.
-  EXPECT_TRUE(ivf.Query(qs[0], 0, 2).empty());
-  auto zero = ivf.QueryBatch(qs, 0, 2);
-  ASSERT_EQ(zero.size(), 2u);
-  EXPECT_TRUE(zero[0].empty() && zero[1].empty());
-  EXPECT_TRUE(ivf.Query(qs[0], -3, 2).empty());
+  // k = 0: empty per-query results, no crash.
+  ASSERT_TRUE(ivf.QueryBatch(qs.data(), 1, dim, 0, 2, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_TRUE(out[0].empty());
+  ASSERT_TRUE(ivf.QueryBatch(qs.data(), 2, dim, 0, 2, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(out[0].empty() && out[1].empty());
+  // Negative k is an error, not a clamp.
+  EXPECT_EQ(ivf.QueryBatch(qs.data(), 1, dim, -3, 2, &out).code(),
+            StatusCode::kInvalidArgument);
 
   // k >= N with every cell probed returns all items, exactly ranked.
-  auto all = ivf.Query(qs[0], 100, ivf.num_cells());
-  EXPECT_EQ(all.size(), 20u);
+  ASSERT_TRUE(
+      ivf.QueryBatch(qs.data(), 1, dim, 100, ivf.num_cells(), &out).ok());
+  EXPECT_EQ(out[0].size(), 20u);
   std::set<int> ids;
-  for (const auto& nb : all) ids.insert(nb.id);
+  for (const auto& nb : out[0]) ids.insert(nb.id);
   EXPECT_EQ(ids.size(), 20u);
 
-  // nprobe <= 0 clamps to 1: results come from the single best cell.
-  auto one_cell = ivf.Query(qs[0], 100, 0);
-  EXPECT_FALSE(one_cell.empty());
-  EXPECT_LE(one_cell.size(), 20u);
+  // nprobe <= 0 is an error, not a clamp to one cell...
+  EXPECT_EQ(ivf.QueryBatch(qs.data(), 1, dim, 100, 0, &out).code(),
+            StatusCode::kInvalidArgument);
+  // ...and nprobe = 1 answers from the single best cell.
+  ASSERT_TRUE(ivf.QueryBatch(qs.data(), 1, dim, 100, 1, &out).ok());
+  EXPECT_FALSE(out[0].empty());
+  EXPECT_LE(out[0].size(), 20u);
 
   // Empty index: empty results for every query.
   IvfIndex empty(nullptr, 0, 0);
   EXPECT_EQ(empty.size(), 0);
   EXPECT_EQ(empty.num_cells(), 0);
-  EXPECT_TRUE(empty.Query(qs[0], 5, 2).empty());
-  auto er = empty.QueryBatch(qs, 5, 2);
-  ASSERT_EQ(er.size(), 2u);
-  EXPECT_TRUE(er[0].empty() && er[1].empty());
+  ASSERT_TRUE(empty.QueryBatch(qs.data(), 1, dim, 5, 2, &out).ok());
+  EXPECT_TRUE(out[0].empty());
+  ASSERT_TRUE(empty.QueryBatch(qs.data(), 2, dim, 5, 2, &out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_TRUE(out[0].empty() && out[1].empty());
 }
 
 TEST(IvfIndexTest, ExplicitCellCountIsHonored) {
@@ -303,8 +311,8 @@ TEST(IvfBlockingIndexTest, ExactKindMatchesKnnIndexBitwise) {
   opts.kind = BlockingIndexKind::kExact;
   BlockingIndex facade(items.data(), n, dim, opts);
   KnnIndex exact(items.data(), n, dim);
-  ExpectBitIdentical(exact.QueryBatch(queries.data(), 30, dim, k),
-                     facade.QueryBatch(queries.data(), 30, dim, k));
+  ExpectBitIdentical(StatusQuery(exact, queries, dim, k),
+                     StatusQuery(facade, queries, dim, k));
   EXPECT_EQ(facade.size(), n);
 }
 
@@ -318,8 +326,8 @@ TEST(IvfBlockingIndexTest, IvfKindRoutesNprobe) {
   opts.ivf.seed = 21;
   BlockingIndex facade(items.data(), n, dim, opts);
   IvfIndex direct(items.data(), n, dim, opts.ivf);
-  ExpectBitIdentical(direct.QueryBatch(queries.data(), 40, dim, k, 5),
-                     facade.QueryBatch(queries.data(), 40, dim, k));
+  ExpectBitIdentical(ProbeQuery(direct, queries, dim, k, 5),
+                     StatusQuery(facade, queries, dim, k));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -27,6 +28,7 @@
 #include "index/ivf_index.h"
 #include "index/knn_index.h"
 #include "index/live_index.h"
+#include "tensor/kernels.h"
 
 namespace sudowoodo {
 namespace {
@@ -107,11 +109,12 @@ std::vector<std::vector<Neighbor>> StatusQuery(const VectorIndex& idx,
 }
 
 /// The rebuild oracle: a fresh exact index over `mutated`'s surviving
-/// rows with the same ids, via ExportLive + the explicit-id constructor.
+/// rows with the same ids, via RowSet::ExportLive + the explicit-id
+/// constructor.
 std::unique_ptr<KnnIndex> RebuildFromSurvivors(const KnnIndex& mutated) {
   std::vector<float> rows;
   std::vector<int> ids;
-  mutated.ExportLive(&rows, &ids);
+  mutated.rows().ExportLive(&rows, &ids);
   return std::make_unique<KnnIndex>(rows.data(), ids.data(),
                                     static_cast<int>(ids.size()),
                                     mutated.dim());
@@ -294,28 +297,6 @@ TEST(KnnIndexMutationTest, StatusErrorsOnBadMutations) {
   auto ok = KnnIndex::Create(rows.data(), 20, dim);
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.value()->size(), 20);
-}
-
-TEST(KnnIndexMutationTest, LegacyClampWrappersKeepOldBehavior) {
-  const int dim = 8;
-  auto rows = ClusteredUnitRows(10, dim, 2, 0.2f, 40);
-  KnnIndex idx(rows.data(), 10, dim);
-  std::vector<float> q(rows.begin(), rows.begin() + dim);
-
-  // k < 0 clamps to empty instead of erroring.
-  EXPECT_TRUE(idx.Query(q, -3).empty());
-  // k > size clamps to size.
-  EXPECT_EQ(idx.Query(q, 99).size(), 10u);
-  // An empty index yields empty results without a width check.
-  KnnIndex empty(nullptr, 0, 0);
-  EXPECT_TRUE(empty.Query(q, 5).empty());
-  const auto batch = empty.QueryBatch(q.data(), 1, dim, 5);
-  ASSERT_EQ(batch.size(), 1u);
-  EXPECT_TRUE(batch[0].empty());
-  // Post-mutation, the wrappers see the live view.
-  const int doomed = 0;
-  ASSERT_TRUE(idx.Remove(&doomed, 1).ok());
-  EXPECT_EQ(idx.Query(q, 99).size(), 9u);
 }
 
 // --- IvfIndex mutation -------------------------------------------------------
@@ -685,6 +666,115 @@ TEST(IvfBlockingIndexMutationTest, CreateValidatesOptions) {
   auto ok = BlockingIndex::Create(rows.data(), 20, dim, {});
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.value()->size(), 20);
+}
+
+// --- Model-based check across the kAuto migration ---------------------------
+//
+// Every mutation oracle above is a KnnIndex, which shares its row
+// bookkeeping (index::RowSet) with IvfIndex. This reference shares no
+// index code: a std::map of id -> row, scored with one GemmBT panel over
+// the survivors in ascending-id order and ranked by (score desc, id asc).
+
+/// Top-k of every query over `live`, by the reference's own ranking.
+std::vector<std::vector<Neighbor>> ReferenceTopK(
+    const std::map<int, std::vector<float>>& live,
+    const std::vector<float>& queries, int dim, int k) {
+  std::vector<float> rows;
+  std::vector<int> ids;
+  for (const auto& [id, row] : live) {
+    ids.push_back(id);
+    rows.insert(rows.end(), row.begin(), row.end());
+  }
+  const int n = static_cast<int>(ids.size());
+  const int nq = static_cast<int>(queries.size()) / dim;
+  std::vector<float> scores(static_cast<size_t>(nq) * n, 0.0f);
+  if (n > 0) {
+    tensor::kernels::GemmBT(nq, n, dim, queries.data(), rows.data(),
+                            scores.data());
+  }
+  std::vector<std::vector<Neighbor>> out(static_cast<size_t>(nq));
+  for (int q = 0; q < nq; ++q) {
+    const float* s = scores.data() + static_cast<size_t>(q) * n;
+    std::vector<int> order(static_cast<size_t>(n));
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      if (s[a] != s[b]) return s[a] > s[b];
+      return ids[static_cast<size_t>(a)] < ids[static_cast<size_t>(b)];
+    });
+    for (int j = 0; j < std::min(k, n); ++j) {
+      const int at = order[static_cast<size_t>(j)];
+      out[static_cast<size_t>(q)].push_back(
+          {ids[static_cast<size_t>(at)], s[at]});
+    }
+  }
+  return out;
+}
+
+TEST(LiveIndexModelTest, RandomHistoriesMatchReference) {
+  const int dim = 12, k = 7, pool = 700, n0 = 40, threshold = 96;
+  const auto rows = ClusteredUnitRows(pool, dim, 9, 0.2f, 81);
+  const auto queries = ClusteredUnitRows(9, dim, 9, 0.3f, 82);
+  auto row = [&](int i) {
+    const auto at = rows.begin() + static_cast<ptrdiff_t>(i) * dim;
+    return std::vector<float>(at, at + dim);
+  };
+  for (float fraction : {0.0f, 0.25f, 1.0f}) {
+    SCOPED_TRACE(fraction);
+    BlockingIndexOptions opts;
+    opts.kind = BlockingIndexKind::kAuto;
+    opts.exact_threshold = threshold;
+    opts.nprobe = 1 << 20;  // >= any cell count: IVF answers exactly
+    opts.ivf.train_iters = 4;
+    opts.mutation.compact_tombstone_fraction = fraction;
+    BlockingIndex idx(rows.data(), n0, dim, opts);
+    // Row i of the pool is always item id i: ids are handed out in
+    // arrival order and never reused.
+    std::map<int, std::vector<float>> live;
+    for (int i = 0; i < n0; ++i) live[i] = row(i);
+    int next = n0;
+    bool reached = false;  // the live count has reached the threshold
+    Rng rng(83);
+    for (int step = 0; step < 160 && next < pool; ++step) {
+      const int roll = rng.UniformInt(10);
+      if (roll < 5) {
+        const int b =
+            std::min(roll < 3 ? 1 : 2 + rng.UniformInt(20), pool - next);
+        ASSERT_TRUE(
+            idx.Insert(rows.data() + static_cast<size_t>(next) * dim, b, dim)
+                .ok());
+        for (int j = 0; j < b; ++j) live[next + j] = row(next + j);
+        next += b;
+        reached = reached || static_cast<int>(live.size()) >= threshold;
+      } else if (roll < 8 && !live.empty()) {
+        std::vector<int> pick;
+        for (const auto& entry : live) pick.push_back(entry.first);
+        std::vector<int> doomed;
+        if (rng.UniformInt(3) == 0) {  // the current top id
+          doomed.push_back(pick.back());
+          pick.pop_back();
+        }
+        for (int j = rng.UniformInt(5); j > 0 && !pick.empty(); --j) {
+          const size_t at = static_cast<size_t>(
+              rng.UniformInt(static_cast<int>(pick.size())));
+          doomed.push_back(pick[at]);
+          pick[at] = pick.back();
+          pick.pop_back();
+        }
+        ASSERT_TRUE(
+            idx.Remove(doomed.data(), static_cast<int>(doomed.size())).ok());
+        for (int id : doomed) live.erase(id);
+      }  // else: a query-only step
+      ASSERT_EQ(idx.size(), static_cast<int>(live.size())) << step;
+      ASSERT_EQ(idx.next_id(), next) << step;
+      ASSERT_EQ(idx.using_ivf(), reached) << step;
+      const auto want = ReferenceTopK(live, queries, dim, k);
+      for (int threads : {1, 3}) {
+        ExpectBitIdentical(StatusQuery(idx, queries, dim, k, threads), want);
+      }
+    }
+    EXPECT_TRUE(reached);
+    EXPECT_GE(idx.retrain_count(), 1);
+  }
 }
 
 // --- LiveBlockingIndex -------------------------------------------------------

@@ -236,10 +236,14 @@ TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
 TEST(ParallelDeterminismTest, KnnQueryBatchBitIdenticalToSerial) {
   const auto items = RandomUnitVectors(400, 16, 7);
   const auto queries = RandomUnitVectors(123, 16, 11);
-  index::KnnIndex index(items);
-  const auto serial = index.QueryBatch(queries, 10, /*num_threads=*/1);
+  std::vector<float> rows;
+  for (const auto& v : items) rows.insert(rows.end(), v.begin(), v.end());
+  index::KnnIndex index(rows.data(), 400, 16);
+  std::vector<std::vector<index::Neighbor>> serial;
+  ASSERT_TRUE(index.QueryBatch(queries, 10, &serial, /*num_threads=*/1).ok());
   for (int num_threads : {2, 4, 8}) {
-    const auto parallel = index.QueryBatch(queries, 10, num_threads);
+    std::vector<std::vector<index::Neighbor>> parallel;
+    ASSERT_TRUE(index.QueryBatch(queries, 10, &parallel, num_threads).ok());
     ASSERT_EQ(parallel.size(), serial.size());
     for (size_t q = 0; q < serial.size(); ++q) {
       ASSERT_EQ(parallel[q].size(), serial[q].size());

@@ -108,6 +108,28 @@ void ExpectSameNeighbors(const std::vector<std::vector<Neighbor>>& a,
   }
 }
 
+/// Top-k of every row of `q` through the VectorIndex Status interface.
+std::vector<std::vector<Neighbor>> StatusQuery(const index::VectorIndex& idx,
+                                               const std::vector<float>& q,
+                                               int dim, int k,
+                                               int threads = 1) {
+  std::vector<std::vector<Neighbor>> out;
+  const int nq = static_cast<int>(q.size()) / dim;
+  EXPECT_TRUE(idx.QueryBatch(q.data(), nq, dim, k, &out, threads).ok());
+  return out;
+}
+
+/// IVF top-k of every row of `q`, probing `nprobe` cells.
+std::vector<std::vector<Neighbor>> ProbeQuery(const IvfIndex& ivf,
+                                              const std::vector<float>& q,
+                                              int dim, int k, int nprobe,
+                                              int threads = 1) {
+  std::vector<std::vector<Neighbor>> out;
+  const int nq = static_cast<int>(q.size()) / dim;
+  EXPECT_TRUE(ivf.QueryBatch(q.data(), nq, dim, k, nprobe, &out, threads).ok());
+  return out;
+}
+
 double RecallAtK(const std::vector<std::vector<Neighbor>>& truth,
                  const std::vector<std::vector<Neighbor>>& got) {
   size_t hit = 0, total = 0;
@@ -283,11 +305,11 @@ TEST(KnnIndexInt8Test, RerankDepthLosesAlmostNothing) {
   StorageOptions exhaustive = so;
   exhaustive.rerank_min = n;  // preselect everything: the depth oracle
   KnnIndex int8_full(rows.data(), n, dim, MutationOptions{}, exhaustive);
-  const auto truth = fp32.QueryBatch(queries.data(), nq, dim, k, 4);
+  const auto truth = StatusQuery(fp32, queries, dim, k, 4);
   const double r_depth =
-      RecallAtK(truth, int8.QueryBatch(queries.data(), nq, dim, k, 4));
+      RecallAtK(truth, StatusQuery(int8, queries, dim, k, 4));
   const double r_full =
-      RecallAtK(truth, int8_full.QueryBatch(queries.data(), nq, dim, k, 4));
+      RecallAtK(truth, StatusQuery(int8_full, queries, dim, k, 4));
   EXPECT_LE(r_full - r_depth, 0.005);
   EXPECT_GE(r_depth, 0.9);
 }
@@ -302,17 +324,17 @@ TEST(KnnIndexInt8Test, BitwiseAcrossTiersThreadsAndSingleQuery) {
   std::vector<std::vector<Neighbor>> ref;
   {
     ScopedTier tier(KernelTier::kScalar);
-    ref = idx.QueryBatch(queries.data(), nq, dim, k, 1);
+    ref = StatusQuery(idx, queries, dim, k, 1);
   }
   for (KernelTier t : AvailableTiers()) {
     ScopedTier tier(t);
     for (int threads : {1, 2, 4}) {
-      ExpectSameNeighbors(idx.QueryBatch(queries.data(), nq, dim, k, threads),
-                          ref);
+      ExpectSameNeighbors(StatusQuery(idx, queries, dim, k, threads), ref);
     }
     // Single Query is the m = 1 edge of the same path.
-    std::vector<float> q(queries.begin(), queries.begin() + dim);
-    ExpectSameNeighbors({idx.Query(q, k)}, {ref[0]});
+    std::vector<Neighbor> one;
+    ASSERT_TRUE(idx.Query(queries.data(), dim, k, &one).ok());
+    ExpectSameNeighbors({one}, {ref[0]});
   }
 }
 
@@ -362,9 +384,8 @@ TEST(KnnIndexInt8Test, MutationsMatchRebuildOracle) {
     for (KernelTier t : AvailableTiers()) {
       ScopedTier tier(t);
       for (int threads : {1, 4}) {
-        ExpectSameNeighbors(
-            idx.QueryBatch(queries.data(), nq, dim, k, threads),
-            rebuilt.QueryBatch(queries.data(), nq, dim, k, threads));
+        ExpectSameNeighbors(StatusQuery(idx, queries, dim, k, threads),
+                            StatusQuery(rebuilt, queries, dim, k, threads));
       }
     }
   }
@@ -381,17 +402,15 @@ TEST(KnnIndexInt8Test, ExportLiveStoreMigratesBitwise) {
   std::vector<int> doomed = {3, 77, 150, 299};
   ASSERT_TRUE(idx.Remove(doomed.data(), 4).ok());
 
-  index::QuantRowStore store;
-  std::vector<int> ids;
-  idx.ExportLiveStore(&store, &ids);
-  EXPECT_EQ(store.size(), idx.size());
+  // The kAuto migration path: the exact index's row set partitioned into
+  // IVF cells, ids and next_id kept, (codes, scale) pairs moved verbatim.
   IvfOptions io;
   io.nprobe = 1 << 20;  // probe everything: exact over the same rows
-  IvfIndex ivf(store, ids.data(), static_cast<int>(ids.size()), io,
-               MutationOptions{}, so, idx.next_id());
-  ExpectSameNeighbors(
-      ivf.QueryBatch(queries.data(), nq, dim, k, ivf.num_cells(), 1),
-      idx.QueryBatch(queries.data(), nq, dim, k, 1));
+  IvfIndex ivf(idx.rows(), io, MutationOptions{}, so);
+  EXPECT_EQ(ivf.size(), idx.size());
+  EXPECT_EQ(ivf.next_id(), idx.next_id());
+  ExpectSameNeighbors(ProbeQuery(ivf, queries, dim, k, ivf.num_cells()),
+                      StatusQuery(idx, queries, dim, k));
 }
 
 // ---------------------------------------------------------------------
@@ -410,15 +429,14 @@ TEST(IvfIndexInt8Test, AllCellsProbedEqualsExactAndNprobeRecall) {
   // nprobe >= cells probes every cell: the candidate set is every live
   // row regardless of the trained layout, so results must equal the
   // int8 exact index bitwise.
-  ExpectSameNeighbors(
-      ivf.QueryBatch(queries.data(), nq, dim, k, ivf.num_cells(), 2),
-      exact.QueryBatch(queries.data(), nq, dim, k, 2));
+  ExpectSameNeighbors(ProbeQuery(ivf, queries, dim, k, ivf.num_cells(), 2),
+                      StatusQuery(exact, queries, dim, k, 2));
 
   // And at the default probe budget, recall against the fp32 oracle
   // stays in the same band the fp32 IVF path promises.
   KnnIndex fp32(rows.data(), n, dim);
-  const auto truth = fp32.QueryBatch(queries.data(), nq, dim, k, 2);
-  const auto got = ivf.QueryBatch(queries.data(), nq, dim, k, /*nprobe=*/16, 2);
+  const auto truth = StatusQuery(fp32, queries, dim, k, 2);
+  const auto got = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/16, 2);
   EXPECT_GE(RecallAtK(truth, got), 0.95);
 }
 
@@ -470,9 +488,8 @@ TEST(IvfIndexInt8Test, MutationsMatchRebuildOracle) {
     // rebuild bitwise even though their trained cell layouts differ.
     const int p = std::max(ivf.num_cells(), rebuilt.num_cells());
     for (int threads : {1, 4}) {
-      ExpectSameNeighbors(
-          ivf.QueryBatch(queries.data(), nq, dim, k, p, threads),
-          rebuilt.QueryBatch(queries.data(), nq, dim, k, p, threads));
+      ExpectSameNeighbors(ProbeQuery(ivf, queries, dim, k, p, threads),
+                          ProbeQuery(rebuilt, queries, dim, k, p, threads));
     }
   }
   EXPECT_GT(ivf.retrain_count(), 0);
@@ -500,8 +517,8 @@ TEST(BlockingIndexInt8Test, AutoMigrationPreservesResults) {
   // facade equals a from-scratch facade over the same 1400 rows (same
   // ids 0..1399, same quantization, same k-means input).
   BlockingIndex fresh(all.data(), 1400, dim, o);
-  ExpectSameNeighbors(idx.QueryBatch(queries.data(), nq, dim, k, 2),
-                      fresh.QueryBatch(queries.data(), nq, dim, k, 2));
+  ExpectSameNeighbors(StatusQuery(idx, queries, dim, k, 2),
+                      StatusQuery(fresh, queries, dim, k, 2));
 }
 
 TEST(BlockingIndexInt8Test, BytesResidentShrinksBelowThirtyPercent) {

@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -470,6 +472,87 @@ TEST(ServingTest, InvalidRequestsRejectedUpFront) {
   clean.kind = RequestKind::kClean;  // no candidates
   EXPECT_EQ(server2.Submit(std::move(clean)).get().status.code(),
             StatusCode::kInvalidArgument);
+}
+
+/// A pair of vocabulary words carrying `side` features.
+matcher::PairExample SidePair(int word, std::vector<float> side) {
+  matcher::PairExample ex;
+  ex.x = {"w1", "w2"};
+  ex.y = {"w" + std::to_string(word)};
+  ex.side = std::move(side);
+  return ex;
+}
+
+// The matcher aborts on a side-feature width other than its side_dim,
+// which would kill every in-flight request; Submit must reject it instead
+// - on a kMatch pair and on any kClean candidate - and keep serving.
+TEST(ServingTest, SideFeatureWidthRejectedUpFront) {
+  text::Vocab vocab = TestVocab();
+  auto enc = MakeServingEncoder(vocab);
+  matcher::FinetuneOptions fopts;
+  fopts.side_dim = 3;
+  matcher::PairMatcher m(enc.get(), &vocab, fopts);
+  ASSERT_EQ(m.side_dim(), 3);
+  Server server({{enc.get(), &m}}, ServerOptions{});
+
+  Request match;
+  match.kind = RequestKind::kMatch;
+  match.pair = SidePair(3, {0.5f, 0.5f});
+  EXPECT_EQ(server.Submit(match).get().status.code(),
+            StatusCode::kInvalidArgument);
+  Request clean;
+  clean.kind = RequestKind::kClean;
+  clean.candidates = {SidePair(3, {0.1f, 0.2f, 0.3f}),
+                      SidePair(4, {0.1f, 0.2f, 0.3f, 0.4f})};
+  EXPECT_EQ(server.Submit(clean).get().status.code(),
+            StatusCode::kInvalidArgument);
+
+  // Valid widths are still served.
+  match.pair.side.push_back(0.5f);
+  const Response matched = server.Submit(match).get();
+  ASSERT_TRUE(matched.status.ok()) << matched.status.ToString();
+  EXPECT_GE(matched.prob, 0.0f);
+  EXPECT_LE(matched.prob, 1.0f);
+  clean.candidates[1].side.pop_back();
+  const Response cleaned = server.Submit(clean).get();
+  ASSERT_TRUE(cleaned.status.ok()) << cleaned.status.ToString();
+  EXPECT_EQ(cleaned.candidate_probs.size(), 2u);
+  EXPECT_GE(cleaned.best_candidate, 0);
+
+  // A matcher without side features ignores `side`, so any width passes.
+  auto enc0 = MakeServingEncoder(vocab);
+  matcher::PairMatcher m0(enc0.get(), &vocab, matcher::FinetuneOptions{});
+  Server server0({{enc0.get(), &m0}}, ServerOptions{});
+  match.pair.side = {0.5f, 0.5f};
+  EXPECT_TRUE(server0.Submit(match).get().status.ok());
+}
+
+// kClean's argmax must rank a NaN probability last, not let it win from
+// slot 0. Non-finite side values are accepted (only the width is
+// validated), and a NaN one makes candidate 0's probability NaN.
+TEST(ServingTest, CleanArgmaxSkipsNaNCandidate) {
+  text::Vocab vocab = TestVocab();
+  auto enc = MakeServingEncoder(vocab);
+  matcher::FinetuneOptions fopts;
+  fopts.side_dim = 3;
+  matcher::PairMatcher m(enc.get(), &vocab, fopts);
+  Server server({{enc.get(), &m}}, ServerOptions{});
+
+  Request clean;
+  clean.kind = RequestKind::kClean;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  clean.candidates = {SidePair(3, {nan, 0.2f, 0.3f}),
+                      SidePair(4, {0.1f, 0.2f, 0.3f}),
+                      SidePair(5, {0.2f, 0.2f, 0.3f})};
+  const Response r = server.Submit(clean).get();
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_EQ(r.candidate_probs.size(), 3u);
+  ASSERT_TRUE(std::isnan(r.candidate_probs[0]));
+  ASSERT_FALSE(std::isnan(r.candidate_probs[1]));
+  ASSERT_FALSE(std::isnan(r.candidate_probs[2]));
+  const int want = r.candidate_probs[2] > r.candidate_probs[1] ? 2 : 1;
+  EXPECT_EQ(r.best_candidate, want);
+  EXPECT_EQ(r.prob, r.candidate_probs[static_cast<size_t>(want)]);
 }
 
 // Warm restart: a replica built from a *different* seed, then restored
