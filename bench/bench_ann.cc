@@ -4,9 +4,12 @@
 // recall@k against the exact top-k; at 25k and 100k also the cost of
 // batch and single-row inserts into a live index. The 2.5k point is
 // paper scale (where the pipelines default to the exact path); the 100k
-// point is where the sub-linear flop count pays. scripts/bench_compare.py
-// treats recall_at_k as a correctness metric: a drop beyond tolerance
-// FAILs the comparison.
+// point is where the sub-linear flop count pays. A single-query series
+// at N in {10k, 25k, 100k} times one VectorIndex::Query at a time - the
+// serving shape - with its heap allocations per call.
+// scripts/bench_compare.py treats recall_at_k as a correctness metric: a
+// drop beyond tolerance FAILs the comparison, and so does any allocation
+// in a series whose baseline allocates nothing.
 
 #include <cmath>
 #include <cstdio>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "bench/json_out.h"
+#include "common/alloc_count.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -93,9 +97,88 @@ std::vector<std::vector<index::Neighbor>> ProbeTopK(
   return out;
 }
 
+/// One single-query record: every query once through VectorIndex::Query
+/// into one retained output vector (warm-up, and the results the recall
+/// is computed from), then the same queries again, timed and with heap
+/// allocations counted. `seconds` is the mean per call.
+void SingleQueryRecord(const char* bench_name, const char* storage,
+                       const index::VectorIndex& idx,
+                       const std::vector<float>& queries, int n_queries,
+                       int dim, int k,
+                       const std::vector<std::vector<index::Neighbor>>& truth,
+                       TablePrinter* table, bench::JsonRecords* records) {
+  std::vector<std::vector<index::Neighbor>> got(
+      static_cast<size_t>(n_queries));
+  std::vector<index::Neighbor> out;
+  for (int q = 0; q < n_queries; ++q) {
+    SUDO_CHECK_OK(
+        idx.Query(queries.data() + static_cast<size_t>(q) * dim, dim, k, &out));
+    got[static_cast<size_t>(q)] = out;
+  }
+  AllocCounterStart();
+  WallTimer timer;
+  for (int q = 0; q < n_queries; ++q) {
+    SUDO_CHECK_OK(
+        idx.Query(queries.data() + static_cast<size_t>(q) * dim, dim, k, &out));
+  }
+  const double seconds = timer.ElapsedSeconds() / n_queries;
+  const AllocCounts allocs = AllocCounterStop();
+  const double allocs_per_call =
+      static_cast<double>(allocs.count) / n_queries;
+  const double recall = RecallAtK(truth, got);
+  table->AddRow({bench_name, storage, StrFormat("%.2f", seconds * 1e6),
+                 StrFormat("%.4f", recall), StrFormat("%.2f", allocs_per_call),
+                 StrFormat("%zu", idx.bytes_resident())});
+  auto& r = records->Add();
+  r.Str("bench", bench_name);
+  r.Str("storage", storage);
+  r.Int("n_items", idx.size());
+  r.Int("n_queries", n_queries);
+  r.Int("dim", dim);
+  r.Int("k", k);
+  r.Num("seconds", seconds);
+  r.Num("recall_at_k", recall);
+  r.Int("bytes_resident", static_cast<int64_t>(idx.bytes_resident()));
+  r.Num("allocs_per_call", allocs_per_call);
+}
+
 void Run(const std::string& json_path) {
   bench::JsonRecords records;
   const int dim = 64, n_queries = 1000, k = 10;
+
+  // Single-query series: the serving shape, one query per call. Recall
+  // is against the fp32 exact truth; the IVF index probes its default
+  // nprobe (16).
+  for (int n_items : {10000, 25000, 100000}) {
+    const int n_clusters = std::max(20, n_items / 100);
+    const auto centers = SharedClusterCenters(n_clusters, dim, 7);
+    const auto items = ClusteredUnitRows(centers, n_items, dim, 0.25f, 9);
+    const auto queries = ClusteredUnitRows(centers, n_queries, dim, 0.25f, 11);
+    const auto truth =
+        TopK(index::KnnIndex(items.data(), n_items, dim), queries, n_queries,
+             dim, k);
+    TablePrinter table(StrFormat(
+        "Single queries: N=%d, dim=%d, Q=%d, k=%d, one Query call each",
+        n_items, dim, n_queries, k));
+    table.SetHeader({"series", "storage", "us/query", "recall@10",
+                     "allocs/call", "bytes"});
+    for (index::IndexStorage storage :
+         {index::IndexStorage::kFp32, index::IndexStorage::kInt8}) {
+      index::StorageOptions so;
+      so.storage = storage;
+      const char* name =
+          storage == index::IndexStorage::kFp32 ? "fp32" : "int8";
+      const index::KnnIndex exact(items.data(), n_items, dim,
+                                  index::MutationOptions{}, so);
+      SingleQueryRecord("ann_exact_query_single", name, exact, queries,
+                        n_queries, dim, k, truth, &table, &records);
+      const index::IvfIndex ivf(items.data(), n_items, dim, index::IvfOptions{},
+                                index::MutationOptions{}, so);
+      SingleQueryRecord("ann_ivf_query_single", name, ivf, queries, n_queries,
+                        dim, k, truth, &table, &records);
+    }
+    table.Print();
+  }
 
   for (int n_items : {2500, 25000, 100000}) {
     // Cluster count scales with N so cells stay meaningfully populated.

@@ -16,14 +16,11 @@ Two enforcement tiers:
   normalizing by the file's *median* strict ratio, so a uniformly
   slower/faster machine (CI runners vs the dev container) shifts every
   record together and passes, while any single kernel or serving path
-  that regressed relative to its peers fails. A steady state whose
-  baseline performs zero allocations per call also FAILS if the fresh
-  run starts allocating (the allocation-free serving contract; this
-  check is machine-independent), and a strict baseline record that goes
-  missing from the fresh run FAILS too (otherwise renaming a series
-  would silently disarm the gate). Single-call cold-phase records and
-  baselines under 5 ms are exempt from the strict *seconds* band (too
-  noisy at 15% on shared runners) but keep the allocation and
+  that regressed relative to its peers fails. A strict baseline record
+  that goes missing from the fresh run FAILS too (otherwise renaming a
+  series would silently disarm the gate). Single-call cold-phase
+  records and baselines under 5 ms are exempt from the strict *seconds*
+  band (too noisy at 15% on shared runners) but keep the allocation and
   correctness checks. Set the environment variable
   ``BENCH_COMPARE_WARN_ONLY=1`` to demote strict failures to warnings
   (e.g. while rebaselining with scripts/bench.sh).
@@ -31,6 +28,12 @@ Two enforcement tiers:
 * Everything else stays warn-only with a wide ``--tolerance`` band
   (default 4x): shared 1-2 core CI runners make end-to-end timings
   noisy, so those catch order-of-magnitude regressions without failing.
+
+Allocation counts are deterministic, so their gate applies to EVERY
+record, strict or not: a record whose baseline ``allocs_per_call`` is 0
+FAILS if the fresh run starts allocating (the allocation-free contract
+of the serving steady states and of single index queries; demoted to a
+warning only by ``BENCH_COMPARE_WARN_ONLY=1``).
 
 The ``tier`` field (which SIMD dispatch tier ran the kernel) is
 machine-dependent metadata: it is excluded from record identity, and a
@@ -347,11 +350,12 @@ def main():
                         status = f"warn: qps {fq:.0f} below baseline " \
                                  f"{bq:.0f} / {band:.2f}x band"
                         warnings += 1
-            # Allocation-free contract: a steady state whose committed
-            # baseline allocates nothing must stay at zero.
+            # Allocation-free contract: a record whose committed baseline
+            # allocates nothing must stay at zero. Counts are
+            # deterministic, so this holds for every series.
             ba = base.get("allocs_per_call")
             fa = record.get("allocs_per_call")
-            if strict and isinstance(ba, (int, float)) and \
+            if isinstance(ba, (int, float)) and \
                     isinstance(fa, (int, float)) and ba == 0 and fa > 0:
                 if warn_only:
                     status = f"warn: {fa:.0f} allocs/call (baseline 0)"

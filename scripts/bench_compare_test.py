@@ -6,8 +6,9 @@ files and asserts on exit status and output - the same way CI invokes
 it. Covers the degenerate-input contract (empty file, invalid JSON,
 all-zero seconds must FAIL cleanly with no traceback), the strict-band
 semantics (regression fails, uniform machine shift passes, missing
-strict baseline fails), and the tier metadata rules (tier is not
-identity; a tier change downgrades the strict seconds band to warn).
+strict baseline fails), the zero-allocation gate on every series, and
+the tier metadata rules (tier is not identity; a tier change downgrades
+the strict seconds band to warn).
 
 Registered with ctest as ``bench_compare_test``; also runnable
 directly: ``python3 scripts/bench_compare_test.py``.
@@ -314,6 +315,25 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("matches_reference=false", proc.stdout)
 
     # ---- int8 footprint and blocking-delta gates ----------------------
+
+    def test_allocation_gate_covers_non_strict_series(self):
+        # Allocation counts are deterministic: a zero-alloc baseline fails
+        # on any series, not only the strict ones.
+        base = {"bench": "ann_ivf_query_single", "storage": "fp32",
+                "n_items": 10000, "seconds": 3e-5, "recall_at_k": 1.0,
+                "allocs_per_call": 0}
+        self.write("baseline/BENCH_ann.json", [base])
+        fresh = self.write("BENCH_ann.json", [dict(base, allocs_per_call=2)])
+        proc = self.run_compare(fresh)
+        self.assert_clean(proc)
+        self.assertEqual(proc.returncode, 1, msg=proc.stdout)
+        self.assertIn("FAIL 2 allocs/call (baseline 0)", proc.stdout)
+        # A non-zero baseline is not the zero-alloc contract: no gate.
+        self.write("baseline/BENCH_ann.json", [dict(base, allocs_per_call=3)])
+        fresh = self.write("BENCH_ann.json", [dict(base, allocs_per_call=4)])
+        proc = self.run_compare(fresh)
+        self.assert_clean(proc)
+        self.assertEqual(proc.returncode, 0, msg=proc.stdout)
 
     def test_bytes_resident_growth_fails(self):
         self.write("baseline/BENCH_ann.json",

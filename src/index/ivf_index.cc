@@ -1,7 +1,6 @@
 #include "index/ivf_index.h"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <utility>
 
@@ -15,13 +14,33 @@ namespace ks = sudowoodo::tensor::kernels;
 
 namespace {
 
-/// Queries are processed in fixed blocks: one (block x cells) GemmBT
-/// panel scores the centroids, and the block's queries probing the same
-/// cell share one (sub-block x cell-rows) candidate panel. Boundaries
-/// depend only on the query count, never on the thread count, and every
-/// score is a fixed accumulation chain regardless of panel grouping, so
+/// Queries are processed in fixed blocks: one (block x cells) panel
+/// scores the centroids, and the block's queries probing the same cell
+/// share one (sub-block x cell-rows) candidate panel. Boundaries depend
+/// only on the query count, never on the thread count, and every score
+/// is a fixed accumulation chain regardless of panel grouping, so
 /// blocking is invisible in the results.
 constexpr int kQueryBlock = 32;
+
+/// Per-thread query scratch. Retained across calls, so once a thread has
+/// served the largest block shape it queries without allocating.
+struct QueryScratch {
+  std::vector<float> cell_scores;           // [m, cells]
+  TopKSelector probe;                       // one query's probed cells
+  std::vector<std::pair<int, int>> probes;  // (cell, local query)
+  std::vector<float> gpanel;                // fp32: gathered queries
+  std::vector<int8_t> qcodes, gcodes;       // int8: block / gathered codes
+  std::vector<float> qscales, gscales;
+  std::vector<float> gscores;               // [sub-block, cell rows]
+  std::vector<TopKSelector> sel;            // per local query
+  std::vector<float> row;                   // int8: one dequantized row
+  TopKSelector rerank;                      // int8: the final top-k
+};
+
+QueryScratch& ThreadScratch() {
+  thread_local QueryScratch scratch;
+  return scratch;
+}
 
 }  // namespace
 
@@ -65,18 +84,23 @@ void IvfIndex::Partition(const RowSet& src) {
   }
 
   // Drop empty cells (keeping relative centroid order); each row then
-  // moves to its cell in ascending-id order, so every cell holds one
-  // contiguous stride-1 panel in ascending id.
+  // moves to its cell in ascending-id order, so every cell holds its rows
+  // in ascending id. The kept centroids are packed as GemmBT panels.
   std::vector<int> counts(static_cast<size_t>(km.num_centroids), 0);
   for (int a : km.assignments) ++counts[static_cast<size_t>(a)];
   std::vector<int> new_cell(static_cast<size_t>(km.num_centroids), -1);
   int kept = 0;
   for (int c = 0; c < km.num_centroids; ++c) {
-    if (counts[static_cast<size_t>(c)] == 0) continue;
-    new_cell[static_cast<size_t>(c)] = kept++;
-    centroids_.insert(centroids_.end(),
-                      km.centroids.begin() + static_cast<size_t>(c) * dim,
-                      km.centroids.begin() + static_cast<size_t>(c + 1) * dim);
+    if (counts[static_cast<size_t>(c)] > 0) {
+      new_cell[static_cast<size_t>(c)] = kept++;
+    }
+  }
+  centroids_.assign(ks::PackedFloats(kept, dim), 0.0f);
+  for (int c = 0; c < km.num_centroids; ++c) {
+    const int cell = new_cell[static_cast<size_t>(c)];
+    if (cell < 0) continue;
+    ks::PackRows(1, dim, km.centroids.data() + static_cast<size_t>(c) * dim,
+                 cell, centroids_.data());
   }
   std::vector<int> cell_of(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -143,7 +167,7 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Create(
 }
 
 size_t IvfIndex::bytes_resident() const {
-  return centroids_.size() * sizeof(float) +
+  return static_cast<size_t>(num_cells()) * dim() * sizeof(float) +
          static_cast<size_t>(num_cells()) * sizeof(int) +
          rows_.bytes_resident();
 }
@@ -164,20 +188,22 @@ Status IvfIndex::Insert(const float* rows, int n, int dim) {
   }
   const int cells = num_cells();
 
-  // Nearest-cell assignment: one (n x cells) GemmBT panel, argmax with
-  // the shared deterministic tie-break (score desc, cell asc, NaN -> the
-  // lowest cell id).
+  // Nearest-cell assignment: one (n x cells) panel against the packed
+  // centroids, argmax through the shared selector (score desc, cell asc,
+  // NaN -> the lowest cell id).
   std::vector<float> cell_scores(static_cast<size_t>(n) * cells, 0.0f);
-  ks::GemmBT(n, cells, dim, rows, centroids_.data(), cell_scores.data());
-  std::vector<int> sel_idx;
-  std::vector<Neighbor> best;
+  ks::GemmBTPacked(n, cells, dim, rows, centroids_.data(),
+                   cell_scores.data());
+  TopKSelector nearest;
   for (int i = 0; i < n; ++i) {
-    SelectTopKNeighbors(cell_scores.data() + static_cast<size_t>(i) * cells,
-                        nullptr, cells, 1, &sel_idx, &best);
+    nearest.Reset(1);
+    nearest.PushScores(cell_scores.data() + static_cast<size_t>(i) * cells,
+                       nullptr, cells);
     // Append to the nearest cell: ids are monotone, so the cell stays in
-    // ascending-id order. The arriving row is quantized here, its one
-    // ingest point.
-    rows_.Append(best[0].id, rows + static_cast<size_t>(i) * dim, 1);
+    // ascending-id order. The arriving row is packed (or quantized) here,
+    // its one ingest point.
+    rows_.Append(nearest.entries()[0].id, rows + static_cast<size_t>(i) * dim,
+                 1);
   }
   inserts_since_train_ += n;
   MaybeRetrain();
@@ -223,106 +249,75 @@ Status IvfIndex::QueryBatch(const float* queries, int n_queries, int dim,
                             int k, int nprobe,
                             std::vector<std::vector<Neighbor>>* out,
                             int num_threads) const {
-  if (n_queries < 0) return Status::InvalidArgument("negative query count");
-  if (k < 0) return Status::InvalidArgument("k must be >= 0");
   if (nprobe <= 0) return Status::InvalidArgument("nprobe must be > 0");
-  if (n_queries > 0 && queries == nullptr) {
-    return Status::InvalidArgument("null query buffer");
-  }
-  if (n_queries > 0 && size() > 0 && dim != this->dim()) {
-    return Status::InvalidArgument(
-        "query dim " + std::to_string(dim) + " != index dim " +
-        std::to_string(this->dim()));
-  }
-  out->assign(static_cast<size_t>(n_queries), {});
+  SUDO_RETURN_IF_ERROR(
+      ValidateQueryArgs(queries, n_queries, dim, k, this->dim()));
+  out->resize(static_cast<size_t>(n_queries));
   k = std::min(k, size());
-  if (k <= 0 || n_queries == 0) return Status::OK();
+  if (k <= 0 || this->dim() == 0) {
+    for (auto& row : *out) row.clear();
+    return Status::OK();
+  }
   const int n_cells = num_cells();
   const int p = std::min(nprobe, n_cells);
+  const bool int8 = storage_.storage == IndexStorage::kInt8;
+  // Per query, the selector keeps the top-k (fp32) or the top
+  // QuantRerankDepth int8-scored candidates, re-ranked exactly in fp32
+  // at the end (deterministic top-r set under the selector's total
+  // order).
+  const int depth = int8 ? QuantRerankDepth(storage_, k) : k;
 
   const int64_t n_blocks =
       (static_cast<int64_t>(n_queries) + kQueryBlock - 1) / kQueryBlock;
   ParallelFor(
       n_blocks, num_threads, [&](int64_t begin, int64_t end, int /*shard*/) {
-        // Per-shard scratch, reused across the shard's blocks.
-        std::vector<float> cell_scores;               // [m, cells]
-        std::vector<int> sel_idx;                     // selection scratch
-        std::vector<Neighbor> probe_sel;              // one query's cells
-        std::vector<std::pair<int, int>> probes;      // (cell, local q)
-        std::vector<float> gpanel;                    // gathered queries
-        std::vector<float> gscores;                   // [sub-block, rows]
-        std::vector<std::vector<int>> cand_ids(kQueryBlock);
-        std::vector<std::vector<float>> cand_scores(kQueryBlock);
-        // int8-mode scratch: quantized query block, gathered quantized
-        // queries, per-query candidate positions within their cells and
-        // the (first candidate, cell) start of each probed cell's run,
-        // and the fp32 re-rank buffers.
-        const bool int8 = storage_.storage == IndexStorage::kInt8;
-        std::vector<int8_t> qcodes;
-        std::vector<float> qscales;
-        std::vector<int8_t> gq_codes;
-        std::vector<float> gq_scales;
-        std::vector<std::vector<int>> cand_pos(int8 ? kQueryBlock : 0);
-        std::vector<std::vector<std::pair<int, int>>> cand_runs(
-            int8 ? kQueryBlock : 0);
-        std::vector<int> sel_pos;
-        std::vector<QuantCandidate> sel_rows;
-        std::vector<float> rr_row;
-        std::vector<float> rr_scores;
-        std::vector<int> rr_ids;
+        QueryScratch& s = ThreadScratch();
+        if (s.sel.size() < kQueryBlock) s.sel.resize(kQueryBlock);
         for (int64_t b = begin; b < end; ++b) {
           const int q0 = static_cast<int>(b * kQueryBlock);
-          const int q1 = std::min(n_queries, q0 + kQueryBlock);
-          const int m = q1 - q0;
+          const int m = std::min(n_queries, q0 + kQueryBlock) - q0;
+          const float* qb = queries + static_cast<size_t>(q0) * dim;
 
           if (int8) {
             // Quantize the query block once; every probed cell reuses
             // the codes (the per-query scale rides along to rescale).
-            qcodes.resize(static_cast<size_t>(m) * dim);
-            qscales.resize(static_cast<size_t>(m));
-            ks::QuantizeRowsI8(m, dim, queries + static_cast<size_t>(q0) * dim,
-                               qcodes.data(), qscales.data());
+            s.qcodes.resize(static_cast<size_t>(m) * dim);
+            s.qscales.resize(static_cast<size_t>(m));
+            ks::QuantizeRowsI8(m, dim, qb, s.qcodes.data(), s.qscales.data());
           }
 
           // 1) Centroid scoring: one (m x cells) panel.
-          cell_scores.assign(static_cast<size_t>(m) * n_cells, 0.0f);
-          ks::GemmBT(m, n_cells, dim,
-                     queries + static_cast<size_t>(q0) * dim,
-                     centroids_.data(), cell_scores.data());
+          s.cell_scores.assign(static_cast<size_t>(m) * n_cells, 0.0f);
+          ks::GemmBTPacked(m, n_cells, dim, qb, centroids_.data(),
+                           s.cell_scores.data());
 
           // 2) Probe selection per query: top-p cells, deterministic
-          // (score desc, cell id asc, NaN last via the shared selector).
-          probes.clear();
+          // (score desc, cell id asc, NaN last).
+          s.probes.clear();
           for (int i = 0; i < m; ++i) {
-            SelectTopKNeighbors(
-                cell_scores.data() + static_cast<size_t>(i) * n_cells,
-                nullptr, n_cells, p, &sel_idx, &probe_sel);
-            for (const Neighbor& nb : probe_sel) {
-              probes.emplace_back(nb.id, i);
+            s.probe.Reset(p);
+            s.probe.PushScores(
+                s.cell_scores.data() + static_cast<size_t>(i) * n_cells,
+                nullptr, n_cells);
+            for (const TopKSelector::Entry& e : s.probe.entries()) {
+              s.probes.emplace_back(e.id, i);
             }
-            cand_ids[static_cast<size_t>(i)].clear();
-            cand_scores[static_cast<size_t>(i)].clear();
-            if (int8) {
-              cand_pos[static_cast<size_t>(i)].clear();
-              cand_runs[static_cast<size_t>(i)].clear();
-            }
+            s.sel[static_cast<size_t>(i)].Reset(depth);
           }
           // Group by cell so the block's queries probing the same cell
-          // share one candidate panel; ascending (cell, query) order
-          // makes each query's candidate list a concatenation of its
-          // probed cells in ascending cell id - grouping-invariant.
-          std::sort(probes.begin(), probes.end());
+          // share one candidate panel.
+          std::sort(s.probes.begin(), s.probes.end());
 
           // 3) Candidate scoring: one (sub-block x cell-rows) panel per
           // probed cell; exact full-dimension similarities. The panel
           // spans the cell's stored rows (tombstones included - each
-          // score is an independent chain), but only live rows are
-          // gathered as candidates.
+          // score is an independent chain); the selector skips the
+          // tombstones. A lone query scores straight from its own row.
           size_t g = 0;
-          while (g < probes.size()) {
-            const int c = probes[g].first;
+          while (g < s.probes.size()) {
+            const int c = s.probes[g].first;
             size_t h = g;
-            while (h < probes.size() && probes[h].first == c) ++h;
+            while (h < s.probes.size() && s.probes[h].first == c) ++h;
             const RowSet::Table& cell = rows_.table(c);
             const int nr = static_cast<int>(cell.ids.size());
             const int gq = static_cast<int>(h - g);
@@ -330,90 +325,64 @@ Status IvfIndex::QueryBatch(const float* queries, int n_queries, int dim,
               g = h;
               continue;
             }
-            gscores.assign(static_cast<size_t>(gq) * nr, 0.0f);
+            s.gscores.assign(static_cast<size_t>(gq) * nr, 0.0f);
+            const int lq0 = s.probes[g].second;
             if (int8) {
-              // Gather the already-quantized query codes for this cell's
-              // sub-block and score against the cell's quantized rows.
-              gq_codes.resize(static_cast<size_t>(gq) * dim);
-              gq_scales.resize(static_cast<size_t>(gq));
-              for (int j = 0; j < gq; ++j) {
-                const int lq = probes[g + static_cast<size_t>(j)].second;
-                std::copy(qcodes.begin() + static_cast<size_t>(lq) * dim,
-                          qcodes.begin() + static_cast<size_t>(lq + 1) * dim,
-                          gq_codes.begin() + static_cast<size_t>(j) * dim);
-                gq_scales[static_cast<size_t>(j)] =
-                    qscales[static_cast<size_t>(lq)];
+              const int8_t* codes =
+                  s.qcodes.data() + static_cast<size_t>(lq0) * dim;
+              const float* scales = s.qscales.data() + lq0;
+              if (gq > 1) {
+                s.gcodes.resize(static_cast<size_t>(gq) * dim);
+                s.gscales.resize(static_cast<size_t>(gq));
+                for (int j = 0; j < gq; ++j) {
+                  const int lq = s.probes[g + static_cast<size_t>(j)].second;
+                  std::copy_n(s.qcodes.begin() + static_cast<size_t>(lq) * dim,
+                              dim,
+                              s.gcodes.begin() + static_cast<size_t>(j) * dim);
+                  s.gscales[static_cast<size_t>(j)] =
+                      s.qscales[static_cast<size_t>(lq)];
+                }
+                codes = s.gcodes.data();
+                scales = s.gscales.data();
               }
-              ks::GemmBTI8(gq, nr, dim, gq_codes.data(), gq_scales.data(),
-                           cell.store.q_data(), cell.store.scales(),
-                           gscores.data());
+              ks::GemmBTI8(gq, nr, dim, codes, scales, cell.store.q_data(),
+                           cell.store.scales(), s.gscores.data());
             } else {
-              gpanel.resize(static_cast<size_t>(gq) * dim);
-              for (int j = 0; j < gq; ++j) {
-                const int lq = probes[g + static_cast<size_t>(j)].second;
-                std::copy(queries + static_cast<size_t>(q0 + lq) * dim,
-                          queries + static_cast<size_t>(q0 + lq + 1) * dim,
-                          gpanel.begin() + static_cast<size_t>(j) * dim);
+              const float* panel = qb + static_cast<size_t>(lq0) * dim;
+              if (gq > 1) {
+                s.gpanel.resize(static_cast<size_t>(gq) * dim);
+                for (int j = 0; j < gq; ++j) {
+                  const int lq = s.probes[g + static_cast<size_t>(j)].second;
+                  std::copy_n(qb + static_cast<size_t>(lq) * dim, dim,
+                              s.gpanel.begin() + static_cast<size_t>(j) * dim);
+                }
+                panel = s.gpanel.data();
               }
-              ks::GemmBT(gq, nr, dim, gpanel.data(), cell.store.fp32_data(),
-                         gscores.data());
+              ks::GemmBTPacked(gq, nr, dim, panel, cell.store.panels(),
+                               s.gscores.data());
             }
             for (int j = 0; j < gq; ++j) {
-              const int lq = probes[g + static_cast<size_t>(j)].second;
-              const float* row =
-                  gscores.data() + static_cast<size_t>(j) * nr;
-              auto& ci = cand_ids[static_cast<size_t>(lq)];
-              auto& cs = cand_scores[static_cast<size_t>(lq)];
-              if (int8) {
-                cand_runs[static_cast<size_t>(lq)].emplace_back(
-                    static_cast<int>(ci.size()), c);
-              }
-              for (int pos = 0; pos < nr; ++pos) {
-                const int id = cell.ids[static_cast<size_t>(pos)];
-                if (id < 0) continue;
-                ci.push_back(id);
-                cs.push_back(row[pos]);
-                if (int8) cand_pos[static_cast<size_t>(lq)].push_back(pos);
-              }
+              const int lq = s.probes[g + static_cast<size_t>(j)].second;
+              s.sel[static_cast<size_t>(lq)].PushScores(
+                  s.gscores.data() + static_cast<size_t>(j) * nr,
+                  cell.ids.data(), nr, c);
             }
             g = h;
           }
 
-          // 4) Exact re-rank: top-k over the gathered candidates with the
-          // exact index's NaN-safe low-id tie-break on item ids. Under
-          // int8, first keep the top QuantRerankDepth candidates by int8
-          // score (deterministic top-r set; int8 scores never tie across
-          // distinct rows without the id tie-break resolving it), then
-          // re-rank those exactly on dequantized fp32 rows.
+          // 4) Results: the selected top-k, or the int8 candidates
+          // re-ranked exactly on their dequantized rows.
+          if (int8) s.row.resize(static_cast<size_t>(dim));
           for (int i = 0; i < m; ++i) {
-            auto& ci = cand_ids[static_cast<size_t>(i)];
-            auto& cs = cand_scores[static_cast<size_t>(i)];
+            std::vector<Neighbor>* dst = &(*out)[static_cast<size_t>(q0 + i)];
+            TopKSelector& sel = s.sel[static_cast<size_t>(i)];
             if (!int8) {
-              SelectTopKNeighbors(cs.data(), ci.data(),
-                                  static_cast<int>(ci.size()), k, &sel_idx,
-                                  &(*out)[static_cast<size_t>(q0 + i)]);
+              sel.SortedInto(dst);
               continue;
             }
-            const int r = QuantRerankDepth(storage_, k);
-            SelectTopRLivePositions(cs.data(), ci.data(),
-                                    static_cast<int>(ci.size()), r, &sel_pos);
-            // sel_pos indexes the candidate list; the last run starting
-            // at or before a candidate names its cell.
-            const auto& runs = cand_runs[static_cast<size_t>(i)];
-            sel_rows.clear();
-            for (int v : sel_pos) {
-              const int c = (std::upper_bound(runs.begin(), runs.end(),
-                                              std::make_pair(v, INT_MAX)) -
-                             1)->second;
-              sel_rows.push_back(
-                  {&rows_.table(c).store,
-                   cand_pos[static_cast<size_t>(i)][static_cast<size_t>(v)],
-                   ci[static_cast<size_t>(v)]});
-            }
-            RerankQuantCandidates(queries + static_cast<size_t>(q0 + i) * dim,
-                                  sel_rows, k, &rr_row, &rr_scores, &rr_ids,
-                                  &sel_idx,
-                                  &(*out)[static_cast<size_t>(q0 + i)]);
+            RerankQuantCandidates(qb + static_cast<size_t>(i) * dim, rows_,
+                                  sel.entries(), k, s.row.data(), &s.rerank,
+                                  dst);
           }
         }
       });

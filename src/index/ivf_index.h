@@ -17,14 +17,17 @@
 //
 // Determinism contract: results are a pure function of
 // (items, options, query, k, nprobe), independent of num_threads and of
-// batch composition. Centroid and candidate scores are fixed GemmBT
-// accumulation chains (bit-identical across panel grouping and sharding
-// within a kernel tier - see tensor/README.md), cells are probed in a
-// deterministic order (score desc, cell id asc, NaN last), and the final
-// selection reuses the exact index's NaN-safe low-id tie-break. With
-// nprobe >= the cell count every live item is gathered and the result is
-// bit-identical to KnnIndex on the same tier - including after any
-// insert/remove sequence.
+// batch composition. Centroids and cell rows are stored as pre-packed
+// GemmBT panels, and their scores are fixed GemmBTPacked accumulation
+// chains (bit-identical across panel grouping and sharding within a
+// kernel tier - see tensor/README.md). Probe selection (top nprobe
+// cells) and the final top-k both run through the exact index's bounded
+// TopKSelector (top_k.h): score desc, id asc, NaN last, tombstones
+// skipped inline. That order is total, so pushing each probed cell's
+// scores as they come selects exactly what ranking the gathered
+// candidates would. With nprobe >= the cell count every live item is
+// scored and the result is bit-identical to KnnIndex on the same tier -
+// including after any insert/remove sequence.
 //
 // Mutation (VectorIndex): each cell is one table of the index's RowSet
 // (quant_store.h), so Insert appends each arriving row to its nearest
@@ -75,13 +78,15 @@ struct IvfOptions {
 
 /// Inverted-file index over L2-normalized vectors (inner product =
 /// cosine): centroids and probing over a RowSet (quant_store.h) with one
-/// table per cell. Each cell's rows sit in their own contiguous, growable
-/// store, so probing a cell scores a stride-1 panel and an insert appends
-/// to one cell; within a cell, live rows stay in ascending-id order across
-/// every mutation. Every constructor, every re-training and the facade's
-/// kAuto migration go through one Partition: k-means over the live rows'
-/// fp32 image in ascending-id order, then the stored (codes, scale) rows
-/// laid out into the cells verbatim.
+/// table per cell. Each cell's rows sit in their own growable store of
+/// pre-packed panels, so probing a cell scores them without a gather and
+/// an insert appends to one cell; within a cell, live rows stay in
+/// ascending-id order across every mutation. Query scratch is per-thread
+/// and retained, so a steady-state query allocates nothing. Every
+/// constructor, every re-training and the facade's kAuto migration go
+/// through one Partition: k-means over the live rows' fp32 image in
+/// ascending-id order, then the stored (codes, scale) rows laid out into
+/// the cells verbatim.
 class IvfIndex : public VectorIndex {
  public:
   /// Trains cells over `rows` ([n, dim] row-major), assigning ids
@@ -128,7 +133,7 @@ class IvfIndex : public VectorIndex {
   int dim() const override { return rows_.dim(); }
   int next_id() const override { return rows_.next_id(); }
   /// Row storage + id lists + centroids + per-cell live counts (see
-  /// VectorIndex).
+  /// VectorIndex): stored rows x dim, not panel padding.
   size_t bytes_resident() const override;
 
   /// Approximate top-k probing the `nprobe` best-scoring cells (more
@@ -136,11 +141,11 @@ class IvfIndex : public VectorIndex {
   /// neighbours when the probed cells hold fewer than k live items.
   /// InvalidArgument for nprobe <= 0, otherwise as the VectorIndex
   /// QueryBatch. Queries are processed in fixed blocks: centroid scoring
-  /// runs one (query-block x cells) GemmBT panel per block, and candidate
-  /// scoring batches the block's queries that probe the same cell into
-  /// one (sub-block x cell-rows) panel. Blocks are sharded across workers
-  /// in fixed contiguous ranges, so results are bit-identical for any
-  /// num_threads.
+  /// runs one (query-block x cells) GemmBTPacked panel per block, and
+  /// candidate scoring batches the block's queries that probe the same
+  /// cell into one (sub-block x cell-rows) panel. Blocks are sharded
+  /// across workers in fixed contiguous ranges, so results are
+  /// bit-identical for any num_threads.
   Status QueryBatch(const float* queries, int n_queries, int dim, int k,
                     int nprobe, std::vector<std::vector<Neighbor>>* out,
                     int num_threads = 1) const;
@@ -167,7 +172,8 @@ class IvfIndex : public VectorIndex {
   void MaybeRetrain();
 
   RowSet rows_;                   // one table per cell
-  std::vector<float> centroids_;  // [cells, dim], L2-normalized
+  // [cells, dim] L2-normalized, as packed GemmBT panels (kernels.h).
+  std::vector<float> centroids_;
   int n_at_last_train_ = 0;       // live count when cells were trained
   int inserts_since_train_ = 0;
   int retrains_ = 0;

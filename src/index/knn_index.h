@@ -17,57 +17,27 @@
 
 #include "common/status.h"
 #include "index/quant_store.h"
+#include "index/top_k.h"
 #include "index/vector_index.h"
 
 namespace sudowoodo::index {
 
-/// Selects the top-k entries of scores[0..n) into `*out`, best first.
-/// `ids` maps score positions to item ids (nullptr = position IS the id);
-/// ties break toward the lower id and NaN scores rank last as one
-/// id-ordered equivalence class (a NaN-oblivious comparator would break
-/// nth_element's strict weak ordering). `idx_scratch` is caller-owned
-/// selection scratch, grown as needed and reusable across calls. Shared
-/// by the exact index and the IVF re-rank so both rank identically.
-void SelectTopKNeighbors(const float* scores, const int* ids, int n, int k,
-                         std::vector<int>* idx_scratch,
-                         std::vector<Neighbor>* out);
-
-/// Collects into `*out` the positions of the `r` best live entries of
-/// scores[0..n) - best by (score desc, id asc), positions with ids[pos]
-/// < 0 skipped - without ordering them (a bounded min-heap pass, O(n log
-/// r) worst case but O(n) on typical score distributions, vs the full
-/// O(n) nth_element *per call* with its index setup; this is what keeps
-/// int8 candidate generation cheap at 100k rows). The returned SET is
-/// the unique top-r under the strict total order, so it is deterministic
-/// even though the order within `*out` is not specified - callers
-/// re-rank in fp32 and sort there. Scores must be finite (int8 panel
-/// output always is).
-void SelectTopRLivePositions(const float* scores, const int* ids, int n,
-                             int r, std::vector<int>* out);
-
-/// One int8 re-rank candidate: live row `pos` of `*store`, item `id`.
-struct QuantCandidate {
-  const QuantRowStore* store;
-  int pos;
-  int id;
-};
-
 /// Exact fp32 re-rank behind every int8 query path: for each candidate,
-/// dequantizes its stored row and scores it against the fp32 query with
-/// the fixed 4-lane kernels::Dot chain (tier-independent - Dot is not
-/// dispatched), then selects the final top-k with SelectTopKNeighbors.
-/// Candidates may come from several stores (the IVF cells). The scratch
-/// vectors are caller-owned and reused across calls.
-void RerankQuantCandidates(const float* query,
-                           const std::vector<QuantCandidate>& cand, int k,
-                           std::vector<float>* row_scratch,
-                           std::vector<float>* score_scratch,
-                           std::vector<int>* cand_ids_scratch,
-                           std::vector<int>* idx_scratch,
+/// dequantizes its stored row (position `pos` of table `table` of
+/// `rows`) into `row` ([rows.dim()] scratch) and scores it against the
+/// fp32 query with the fixed 4-lane kernels::Dot chain (tier-independent
+/// - Dot is not dispatched), then selects the final top-k through
+/// `*selector` into `*out`. The candidates are the entries of an int8
+/// top-r selection, in any order: the selector's order is total, so the
+/// result does not depend on it.
+void RerankQuantCandidates(const float* query, const RowSet& rows,
+                           const std::vector<TopKSelector::Entry>& cand,
+                           int k, float* row, TopKSelector* selector,
                            std::vector<Neighbor>* out);
 
 /// The int8 candidate depth for a top-k query: max(rerank_min,
-/// rerank_multiple * k), clamped to the live count by the selectors.
+/// rerank_multiple * k); the selector keeps fewer when fewer rows are
+/// live.
 inline int QuantRerankDepth(const StorageOptions& s, int k) {
   return s.rerank_min > s.rerank_multiple * k ? s.rerank_min
                                               : s.rerank_multiple * k;
@@ -76,13 +46,14 @@ inline int QuantRerankDepth(const StorageOptions& s, int k) {
 /// Brute-force inner-product index - the exact oracle the IVF index, the
 /// facade and the int8 path are tested against. Vectors are expected to
 /// be L2-normalized so inner product equals cosine similarity. Items live
-/// in a one-table RowSet (quant_store.h), one contiguous row-major
-/// buffer; all scoring goes through the GemmBT micro-kernel
-/// (tensor/kernels.h) as (query-block x items) panels, so batch scoring
-/// rides the register-blocked SIMD path and a single-query batch is the
-/// m = 1 edge of the same fixed accumulation chain - every query result
-/// is independent of batch composition on whatever kernel tier is
-/// active.
+/// in a one-table RowSet (quant_store.h), stored as pre-packed GemmBT
+/// panels; all scoring goes through GemmBTPacked (tensor/kernels.h) as
+/// (query-block x items) panels, and a single query is the m = 1 edge of
+/// the same fixed accumulation chain - every query result is independent
+/// of batch composition on whatever kernel tier is active. Each query's
+/// scores stream through one bounded TopKSelector (top_k.h), which skips
+/// tombstoned positions inline; query scratch is per-thread and
+/// retained, so a steady-state query allocates nothing.
 ///
 /// Mutation (VectorIndex): Insert appends rows to the table (ids assigned
 /// monotonically), Remove tombstones in place, and the table compacts -
@@ -132,9 +103,10 @@ class KnnIndex : public VectorIndex {
   // --- VectorIndex ---
   using VectorIndex::Query;
   using VectorIndex::QueryBatch;
-  /// Queries are scored in fixed blocks through GemmBT; with num_threads
-  /// > 1 the blocks are sharded across workers in fixed contiguous
-  /// ranges and each query's result is written to its own output slot.
+  /// Queries are scored in fixed blocks through GemmBTPacked; with
+  /// num_threads > 1 the blocks are sharded across workers in fixed
+  /// contiguous ranges and each query's result is written to its own
+  /// output slot.
   Status QueryBatch(const float* queries, int n_queries, int dim, int k,
                     std::vector<std::vector<Neighbor>>* out,
                     int num_threads = 1) const override;
@@ -144,7 +116,8 @@ class KnnIndex : public VectorIndex {
   int size() const override { return rows_.size(); }
   int dim() const override { return rows_.dim(); }
   int next_id() const override { return rows_.next_id(); }
-  /// Row storage + the position->id list (see VectorIndex).
+  /// Row storage (stored rows x dim, not panel padding) + the
+  /// position->id list (see VectorIndex).
   size_t bytes_resident() const override { return rows_.bytes_resident(); }
 
   // --- introspection ---
@@ -159,25 +132,6 @@ class KnnIndex : public VectorIndex {
   const RowSet& rows() const { return rows_; }
 
  private:
-  /// The int8 query path for queries [q0, q0+m): quantizes the query
-  /// block, scores it through GemmBTI8, keeps the top
-  /// QuantRerankDepth(storage_, k) candidates per query, and re-ranks
-  /// them exactly in fp32. Scratch vectors are caller-owned (per-shard).
-  struct QuantQueryScratch {
-    std::vector<int8_t> qcodes;
-    std::vector<float> qscales;
-    std::vector<float> scores;
-    std::vector<int> cand;
-    std::vector<QuantCandidate> refs;
-    std::vector<float> row;
-    std::vector<float> fscores;
-    std::vector<int> cand_ids;
-    std::vector<int> idx;
-  };
-  void QuantQueryBlock(const float* queries, int q0, int m, int k,
-                       QuantQueryScratch* scratch,
-                       std::vector<std::vector<Neighbor>>* out) const;
-
   RowSet rows_;  // one table: [stored_size, dim] rows, tombstones included
   MutationOptions mutation_;
   StorageOptions storage_;

@@ -113,23 +113,25 @@ Status LiveBlockingIndex::QueryBatch(
   std::shared_lock<std::shared_mutex> lock(mu_);
   SUDO_RETURN_IF_ERROR(
       index_->QueryBatch(queries, n_queries, dim, k, out, num_threads));
-  for (auto& row : *out) {
-    for (Neighbor& nb : row) {
-      const auto it = external_by_internal_.find(nb.id);
-      // Every live internal id has a translation entry by construction.
-      SUDO_CHECK(it != external_by_internal_.end());
-      nb.id = it->second;
-    }
-  }
+  for (auto& row : *out) TranslateIds(&row);
   return Status::OK();
 }
 
 Status LiveBlockingIndex::Query(const float* query, int dim, int k,
                                 std::vector<Neighbor>* out) const {
-  std::vector<std::vector<Neighbor>> rows;
-  SUDO_RETURN_IF_ERROR(QueryBatch(query, 1, dim, k, &rows, 1));
-  *out = std::move(rows[0]);
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  SUDO_RETURN_IF_ERROR(index_->Query(query, dim, k, out));
+  TranslateIds(out);
   return Status::OK();
+}
+
+void LiveBlockingIndex::TranslateIds(std::vector<Neighbor>* row) const {
+  for (Neighbor& nb : *row) {
+    const auto it = external_by_internal_.find(nb.id);
+    // Every live internal id has a translation entry by construction.
+    SUDO_CHECK(it != external_by_internal_.end());
+    nb.id = it->second;
+  }
 }
 
 bool LiveBlockingIndex::Contains(int item_id) const {

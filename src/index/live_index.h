@@ -82,6 +82,8 @@ class LiveBlockingIndex {
   Status Remove(const int* item_ids, int n);
 
   /// Top-k over the live corpus; neighbour ids are *external* item ids.
+  /// Query into a retained `*out` allocates nothing in steady state
+  /// (VectorIndex::Query).
   Status Query(const float* query, int dim, int k,
                std::vector<Neighbor>* out) const;
   Status QueryBatch(const float* queries, int n_queries, int dim, int k,
@@ -101,6 +103,8 @@ class LiveBlockingIndex {
 
   /// Erases `key` from the cache (if set and non-empty), counting it.
   void EraseCacheKey(const std::vector<int>& key);
+  /// Rewrites a result row's internal ids as external item ids.
+  void TranslateIds(std::vector<Neighbor>* row) const;
 
   mutable std::shared_mutex mu_;
   std::unique_ptr<BlockingIndex> index_;

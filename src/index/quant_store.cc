@@ -25,7 +25,7 @@ void QuantRowStore::Reserve(int n) {
     q_.reserve(static_cast<size_t>(n) * dim_);
     scale_.reserve(static_cast<size_t>(n));
   } else {
-    f_.reserve(static_cast<size_t>(n) * dim_);
+    f_.reserve(ks::PackedFloats(n, dim_));
   }
 }
 
@@ -37,8 +37,7 @@ void QuantRowStore::Append(const float* rows, int n) {
     ks::QuantizeRowsI8(n, dim_, rows, q_.data() + static_cast<size_t>(old) * dim_,
                        scale_.data() + old);
   } else {
-    std::copy(rows, rows + static_cast<size_t>(n) * dim_,
-              f_.begin() + static_cast<size_t>(old) * dim_);
+    ks::PackRows(n, dim_, rows, old, f_.data());
   }
 }
 
@@ -50,12 +49,22 @@ void QuantRowStore::AppendFrom(const QuantRowStore& src, int src_pos) {
 
 void QuantRowStore::ResizeRows(int n) {
   SUDO_CHECK(n >= 0);
+  const int old = n_;
   n_ = n;
   if (int8_mode()) {
     q_.resize(static_cast<size_t>(n) * dim_);
     scale_.resize(static_cast<size_t>(n));
   } else {
-    f_.resize(static_cast<size_t>(n) * dim_);
+    f_.resize(ks::PackedFloats(n, dim_));
+    // A shrink leaves dropped rows in the last kept panel: zero them, so
+    // the padding rows are zero whatever the history.
+    const int kept_rows = static_cast<int>(ks::PackedFloats(n, 1));
+    for (int r = n; r < std::min(old, kept_rows); ++r) {
+      const size_t at = ks::PackedRowOffset(r, dim_);
+      for (int l = 0; l < dim_; ++l) {
+        f_[at + static_cast<size_t>(l) * ks::kPackedPanelRows] = 0.0f;
+      }
+    }
   }
 }
 
@@ -71,9 +80,12 @@ void QuantRowStore::PlaceFrom(const QuantRowStore& src, int src_pos,
     scale_[static_cast<size_t>(dst_pos)] =
         src.scale_[static_cast<size_t>(src_pos)];
   } else {
-    std::copy(src.f_.begin() + static_cast<size_t>(src_pos) * dim_,
-              src.f_.begin() + static_cast<size_t>(src_pos + 1) * dim_,
-              f_.begin() + static_cast<size_t>(dst_pos) * dim_);
+    const size_t from = ks::PackedRowOffset(src_pos, dim_);
+    const size_t to = ks::PackedRowOffset(dst_pos, dim_);
+    for (int l = 0; l < dim_; ++l) {
+      const size_t step = static_cast<size_t>(l) * ks::kPackedPanelRows;
+      f_[to + step] = src.f_[from + step];
+    }
   }
 }
 
@@ -87,7 +99,7 @@ void QuantRowStore::Truncate(int n) {
   ResizeRows(n);
 }
 
-const float* QuantRowStore::fp32_data() const {
+const float* QuantRowStore::panels() const {
   SUDO_CHECK(!int8_mode());
   return f_.data();
 }
@@ -108,8 +120,7 @@ void QuantRowStore::DequantizeRowInto(int pos, float* out) const {
     ks::DequantizeRowsI8(1, dim_, q_.data() + static_cast<size_t>(pos) * dim_,
                          scale_.data() + pos, out);
   } else {
-    std::copy(f_.begin() + static_cast<size_t>(pos) * dim_,
-              f_.begin() + static_cast<size_t>(pos + 1) * dim_, out);
+    ks::UnpackRow(dim_, f_.data(), pos, out);
   }
 }
 

@@ -1,8 +1,13 @@
 // The row storage behind both blocking indexes. QuantRowStore is one
-// contiguous row-major buffer that is either plain fp32 or per-row
+// contiguous buffer that is either fp32 rows pre-packed as GemmBT panels
+// (tensor/kernels.h GemmBTPacked: whole panels of 32 rows, k-major, so a
+// query scores them without gathering anything) or row-major per-row
 // symmetric int8 (codes + scale per row, 4x smaller - see IndexStorage in
 // vector_index.h). RowSet is the mutable bookkeeping over one or more
-// such buffers: ids, tombstones, compaction and re-partitioning.
+// such buffers: ids, tombstones, compaction and re-partitioning. The
+// packed layout is the only fp32 copy; a row is packed once when it is
+// appended and moved verbatim (panel slot to panel slot) by compaction
+// and re-partitioning.
 //
 // Quantize-once contract: a row is quantized exactly once, when it
 // enters a store from fp32 (Append). Every later layout move -
@@ -55,23 +60,27 @@ class QuantRowStore {
   /// Keeps the first `n` rows.
   void Truncate(int n);
 
-  /// The contiguous [size, dim] fp32 buffer. fp32 mode only (aborts in
-  /// int8 mode - quantized rows have no fp32 image to point at).
-  const float* fp32_data() const;
+  /// The fp32 rows as pre-packed GemmBT panels (tensor/kernels.h
+  /// PackedFloats(size, dim) floats, padding rows zero). fp32 mode only
+  /// (aborts in int8 mode - quantized rows have no fp32 image).
+  const float* panels() const;
   /// The contiguous [size, dim] int8 code buffer / [size] scales. int8
   /// mode only.
   const int8_t* q_data() const;
   const float* scales() const;
 
-  /// Writes row `pos` as fp32 into `out` ([dim]): a copy in fp32 mode,
-  /// a dequantization in int8 mode. Bitwise reproducible either way.
+  /// Writes row `pos` as fp32 into `out` ([dim]): a gather from its
+  /// panel in fp32 mode, a dequantization in int8 mode. Bitwise
+  /// reproducible either way.
   void DequantizeRowInto(int pos, float* out) const;
 
-  /// Payload bytes held (rows + scales), excluding allocator slack.
+  /// Payload bytes held: stored rows x dim (+ scales), excluding panel
+  /// padding and allocator slack.
   size_t bytes_resident() const;
 
  private:
-  /// Grows/shrinks to exactly `n` rows; new rows are zero until written.
+  /// Grows/shrinks to exactly `n` rows; new rows are zero until written,
+  /// and so are the padding rows of the last panel.
   void ResizeRows(int n);
   /// Overwrites row `dst_pos` with row `src_pos` of `src` verbatim.
   void PlaceFrom(const QuantRowStore& src, int src_pos, int dst_pos);
@@ -79,7 +88,7 @@ class QuantRowStore {
   int dim_ = 0;
   int n_ = 0;
   IndexStorage mode_ = IndexStorage::kFp32;
-  std::vector<float> f_;       // [n_, dim_] in fp32 mode
+  std::vector<float> f_;       // packed panels of n_ rows in fp32 mode
   std::vector<int8_t> q_;      // [n_, dim_] codes in int8 mode
   std::vector<float> scale_;   // [n_] per-row scales in int8 mode
 };

@@ -27,6 +27,7 @@
 #define SUDOWOODO_INDEX_VECTOR_INDEX_H_
 
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -117,6 +118,27 @@ inline Status ValidateMutationOptions(const MutationOptions& m) {
   return Status::OK();
 }
 
+/// Validates a QueryBatch call on an index of width `index_dim`. A
+/// negative query count or k, or a null buffer for a non-empty batch, is
+/// InvalidArgument, and so is a query width other than `index_dim` -
+/// whether or not the index holds live rows. A dimensionless index
+/// (`index_dim` 0) has no width to disagree with: it answers any width
+/// with empty rows.
+inline Status ValidateQueryArgs(const float* queries, int n_queries, int dim,
+                                int k, int index_dim) {
+  if (n_queries < 0) return Status::InvalidArgument("negative query count");
+  if (k < 0) return Status::InvalidArgument("k must be >= 0");
+  if (n_queries > 0 && queries == nullptr) {
+    return Status::InvalidArgument("null query buffer");
+  }
+  if (n_queries > 0 && index_dim > 0 && dim != index_dim) {
+    return Status::InvalidArgument("query dim " + std::to_string(dim) +
+                                   " != index dim " +
+                                   std::to_string(index_dim));
+  }
+  return Status::OK();
+}
+
 /// Abstract mutable top-k index over L2-normalized dense vectors (inner
 /// product = cosine). Implementations are internally unsynchronized:
 /// concurrent Query calls are safe, but mutations require external
@@ -132,10 +154,11 @@ class VectorIndex {
   virtual int dim() const = 0;
 
   /// Top-k most similar live items per query, most similar first, ties
-  /// toward the lower id. k is clamped to size(); k < 0, a dim mismatch,
-  /// or a null/negative query buffer is InvalidArgument. `*out` is
-  /// resized to n_queries rows. Results are bit-identical for any
-  /// num_threads (fixed contiguous sharding).
+  /// toward the lower id, NaN similarities last (index/top_k.h). k is
+  /// clamped to size(); arguments are checked by ValidateQueryArgs.
+  /// `*out` is resized to n_queries rows, reusing their capacity.
+  /// Results are bit-identical for any num_threads (fixed contiguous
+  /// sharding).
   virtual Status QueryBatch(const float* queries, int n_queries, int dim,
                             int k, std::vector<std::vector<Neighbor>>* out,
                             int num_threads = 1) const = 0;
@@ -157,17 +180,20 @@ class VectorIndex {
   /// Resident bytes of the index payload: row storage (fp32 rows, or
   /// int8 codes + per-row scales), id map, and - for IVF - centroids and
   /// cell tables. Counts the bytes the index semantically holds (incl.
-  /// tombstoned rows awaiting compaction), not allocator slack; the
+  /// tombstoned rows awaiting compaction), not allocator slack and not
+  /// the zero padding of the last fp32 panel per table; the
   /// observable behind the int8 memory claim (bytes_resident under int8
   /// is ~0.27x of fp32 at dim 64, see BENCH_ann.json).
   virtual size_t bytes_resident() const = 0;
 
-  /// Single-query convenience over QueryBatch.
+  /// Single-query convenience over QueryBatch. The one-row batch is
+  /// per-thread and retained, so a query into a retained `*out` allocates
+  /// nothing once both have held k neighbours.
   Status Query(const float* query, int dim, int k,
                std::vector<Neighbor>* out) const {
-    std::vector<std::vector<Neighbor>> rows;
+    thread_local std::vector<std::vector<Neighbor>> rows;
     SUDO_RETURN_IF_ERROR(QueryBatch(query, 1, dim, k, &rows, 1));
-    *out = std::move(rows[0]);
+    out->assign(rows[0].begin(), rows[0].end());
     return Status::OK();
   }
 

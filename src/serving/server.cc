@@ -337,13 +337,12 @@ void Server::ServeBatch(const ModelReplica& replica,
           r.candidate_probs.assign(probs.begin() + span.begin,
                                    probs.begin() + span.begin + span.count);
           // Highest probability, NaN last, ties to the lower index.
-          std::vector<int> sel_idx;
-          std::vector<index::Neighbor> best;
-          index::SelectTopKNeighbors(r.candidate_probs.data(), nullptr,
-                                     static_cast<int>(span.count), 1,
-                                     &sel_idx, &best);
-          r.best_candidate = best[0].id;
-          r.prob = best[0].sim;
+          index::TopKSelector best;
+          best.Reset(1);
+          best.PushScores(r.candidate_probs.data(), nullptr,
+                          static_cast<int>(span.count));
+          r.best_candidate = best.entries()[0].id;
+          r.prob = best.entries()[0].score;
         }
         completed_.fetch_add(1, std::memory_order_relaxed);
         (*batch)[span.owner].promise.set_value(std::move(r));

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "common/parallel.h"
 #include "tensor/kernels_micro.h"
@@ -82,6 +83,23 @@ void GemmBTRows(int m_begin, int m_end, int n, int k, const float* a,
   }
 }
 
+/// Serial C[output rows begin..end) of GemmBTPacked on the scalar tier:
+/// each stored row is gathered once into a grow-only per-thread buffer
+/// and dotted with every A row through the same Dot chain GemmBTRows
+/// runs on the row-major B, so the two are bitwise equal.
+void GemmBTPackedRowsScalar(int m_begin, int m_end, int n, int k,
+                            const float* a, const float* bp, float* c) {
+  thread_local std::vector<float> row;
+  if (row.size() < static_cast<size_t>(k)) row.resize(static_cast<size_t>(k));
+  for (int j = 0; j < n; ++j) {
+    UnpackRow(k, bp, j, row.data());
+    for (int i = m_begin; i < m_end; ++i) {
+      c[static_cast<size_t>(i) * n + j] +=
+          Dot(a + static_cast<size_t>(i) * k, row.data(), k);
+    }
+  }
+}
+
 /// Shared fan-out for the row-sharded GEMM variants: fixed contiguous
 /// shards of the m output rows on the caller's pool, shard 0 on the
 /// calling thread (mirrors ParallelFor). Each output element is computed
@@ -123,29 +141,44 @@ void GemmBTI8Rows(int m_begin, int m_end, int n, int k, const int8_t* a,
   }
 }
 
-/// The micro-kernel worker for `tier`, or nullptr for the scalar
-/// reference tier. Call sites for tiers this binary was not built with
-/// are compiled out (SUDOWOODO_HAVE_* come from CMakeLists.txt).
-detail::GemmMicroFn MicroForTier(KernelTier tier) {
+/// One tier's micro-kernel workers. All null for the scalar reference
+/// tier, whose loops live in this TU: the float GEMMs keep its separate
+/// multiply+add rounding there, and the int8 panel (bitwise equal on
+/// every tier) runs its unvectorized reference, which the sanitizer legs
+/// re-run for coverage. Tiers this binary was not built with are
+/// compiled out (SUDOWOODO_HAVE_* come from CMakeLists.txt).
+struct TierKernels {
+  detail::GemmMicroFn gemm = nullptr;
+  detail::GemmBTPackedMicroFn gemm_bt_packed = nullptr;
+  detail::GemmBTI8MicroFn gemm_bt_i8 = nullptr;
+};
+
+TierKernels KernelsForTier(KernelTier tier) {
   switch (tier) {
 #if SUDOWOODO_HAVE_AVX512
     case KernelTier::kAvx512:
-      return detail::GemmMicroAvx512;
+      return {detail::GemmMicroAvx512, detail::GemmBTPackedMicroAvx512,
+              detail::GemmBTI8MicroAvx512};
 #endif
 #if SUDOWOODO_HAVE_AVX2
     case KernelTier::kAvx2:
-      return detail::GemmMicroAvx2;
+      return {detail::GemmMicroAvx2, detail::GemmBTPackedMicroAvx2,
+              detail::GemmBTI8MicroAvx2};
 #endif
 #if SUDOWOODO_HAVE_NEON
     case KernelTier::kNeon:
-      return detail::GemmMicroNeon;
+      return {detail::GemmMicroNeon, detail::GemmBTPackedMicroNeon,
+              detail::GemmBTI8MicroNeon};
 #endif
     case KernelTier::kPortable:
-      return detail::GemmMicroPortable;
+      return {detail::GemmMicroPortable, detail::GemmBTPackedMicroPortable,
+              detail::GemmBTI8MicroPortable};
     default:
-      return nullptr;
+      return {};
   }
 }
+
+TierKernels ActiveKernels() { return KernelsForTier(ActiveKernelTier()); }
 
 bool EnvTruthy(const char* name) {
   const char* v = std::getenv(name);
@@ -238,7 +271,7 @@ void ResetKernelTier() {
 
 void Gemm(int m, int n, int k, const float* a, const float* b, float* c,
           ThreadPool* pool, int num_shards) {
-  if (detail::GemmMicroFn micro = MicroForTier(ActiveKernelTier())) {
+  if (detail::GemmMicroFn micro = ActiveKernels().gemm) {
     ShardRows(m, pool, num_shards, [=](int begin, int end) {
       micro(detail::GemmVariant::kNN, begin, end, m, n, k, a, b, c);
     });
@@ -251,7 +284,7 @@ void Gemm(int m, int n, int k, const float* a, const float* b, float* c,
 
 void GemmAT(int m, int n, int k, const float* a, const float* b, float* c,
             ThreadPool* pool, int num_shards) {
-  if (detail::GemmMicroFn micro = MicroForTier(ActiveKernelTier())) {
+  if (detail::GemmMicroFn micro = ActiveKernels().gemm) {
     ShardRows(m, pool, num_shards, [=](int begin, int end) {
       micro(detail::GemmVariant::kAT, begin, end, m, n, k, a, b, c);
     });
@@ -264,7 +297,7 @@ void GemmAT(int m, int n, int k, const float* a, const float* b, float* c,
 
 void GemmBT(int m, int n, int k, const float* a, const float* b, float* c,
             ThreadPool* pool, int num_shards) {
-  if (detail::GemmMicroFn micro = MicroForTier(ActiveKernelTier())) {
+  if (detail::GemmMicroFn micro = ActiveKernels().gemm) {
     ShardRows(m, pool, num_shards, [=](int begin, int end) {
       micro(detail::GemmVariant::kBT, begin, end, m, n, k, a, b, c);
     });
@@ -275,35 +308,37 @@ void GemmBT(int m, int n, int k, const float* a, const float* b, float* c,
   });
 }
 
-namespace {
-
-/// The int8 panel worker for `tier`. Unlike MicroForTier there is no
-/// nullptr scalar case to preserve a different rounding - all tiers are
-/// bit-identical - but the dispatch keeps the forced-scalar/env tier
-/// machinery meaningful (the scalar tier runs the unvectorized reference
-/// in this TU, which ASan/UBSan/TSan legs re-run for coverage).
-detail::GemmBTI8MicroFn QuantForTier(KernelTier tier) {
-  switch (tier) {
-#if SUDOWOODO_HAVE_AVX512
-    case KernelTier::kAvx512:
-      return detail::GemmBTI8MicroAvx512;
-#endif
-#if SUDOWOODO_HAVE_AVX2
-    case KernelTier::kAvx2:
-      return detail::GemmBTI8MicroAvx2;
-#endif
-#if SUDOWOODO_HAVE_NEON
-    case KernelTier::kNeon:
-      return detail::GemmBTI8MicroNeon;
-#endif
-    case KernelTier::kPortable:
-      return detail::GemmBTI8MicroPortable;
-    default:
-      return nullptr;
+void PackRows(int n, int k, const float* rows, int r0, float* packed) {
+  if (k <= 0) return;
+  for (int i = 0; i < n; ++i) {
+    const float* src = rows + static_cast<size_t>(i) * k;
+    float* dst = packed + PackedRowOffset(r0 + i, k);
+    for (int l = 0; l < k; ++l) {
+      dst[static_cast<size_t>(l) * kPackedPanelRows] = src[l];
+    }
   }
 }
 
-}  // namespace
+void UnpackRow(int k, const float* packed, int r, float* out) {
+  if (k <= 0) return;
+  const float* src = packed + PackedRowOffset(r, k);
+  for (int l = 0; l < k; ++l) {
+    out[l] = src[static_cast<size_t>(l) * kPackedPanelRows];
+  }
+}
+
+void GemmBTPacked(int m, int n, int k, const float* a, const float* b_packed,
+                  float* c, ThreadPool* pool, int num_shards) {
+  if (detail::GemmBTPackedMicroFn micro = ActiveKernels().gemm_bt_packed) {
+    ShardRows(m, pool, num_shards, [=](int begin, int end) {
+      micro(begin, end, n, k, a, b_packed, c);
+    });
+    return;
+  }
+  ShardRows(m, pool, num_shards, [=](int begin, int end) {
+    GemmBTPackedRowsScalar(begin, end, n, k, a, b_packed, c);
+  });
+}
 
 void QuantizeRowsI8(int m, int n, const float* x, int8_t* q, float* scales) {
   for (int i = 0; i < m; ++i) {
@@ -354,7 +389,7 @@ int32_t DotI8(const int8_t* a, const int8_t* b, int n) {
 void GemmBTI8(int m, int n, int k, const int8_t* a, const float* a_scale,
               const int8_t* b, const float* b_scale, float* c,
               ThreadPool* pool, int num_shards) {
-  if (detail::GemmBTI8MicroFn micro = QuantForTier(ActiveKernelTier())) {
+  if (detail::GemmBTI8MicroFn micro = ActiveKernels().gemm_bt_i8) {
     ShardRows(m, pool, num_shards, [=](int begin, int end) {
       micro(begin, end, n, k, a, a_scale, b, b_scale, c);
     });

@@ -2,8 +2,9 @@
 // engine.
 //
 // Layering contract (see src/tensor/README.md): everything in this header
-// operates on plain row-major float buffers with tight strides - no Tensor,
-// no graph, no allocation. tensor.cc owns autograd bookkeeping and calls
+// operates on plain float buffers with tight strides - row-major, or the
+// pre-packed panel layout of GemmBTPacked - no Tensor, no graph, no
+// allocation. tensor.cc owns autograd bookkeeping and calls
 // down into these kernels for every dense hot loop; the layers above
 // (nn/, cluster/, index/) either go through tensor ops or call the kernels
 // directly on their own buffers for graph-free inference paths.
@@ -36,6 +37,7 @@
 #ifndef SUDOWOODO_TENSOR_KERNELS_H_
 #define SUDOWOODO_TENSOR_KERNELS_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace sudowoodo {
@@ -106,6 +108,45 @@ void GemmAT(int m, int n, int k, const float* a, const float* b, float* c,
 /// input-gradient kernel of the training path (dX += dY W^T).
 void GemmBT(int m, int n, int k, const float* a, const float* b, float* c,
             ThreadPool* pool = nullptr, int num_shards = 1);
+
+/// Rows per stored panel of a pre-packed GemmBT operand. It is a multiple
+/// of every tier's micro-kernel panel width (8, 16 and 32 floats), so one
+/// stored layout serves every tier: a narrower tier reads a stored panel
+/// as several of its own panels through a panel stride of 32.
+inline constexpr int kPackedPanelRows = 32;
+
+/// The pre-packed layout of n rows of width k: whole panels of
+/// kPackedPanelRows rows, each stored k-major, so element (r, l) sits at
+/// PackedRowOffset(r, k) + l * kPackedPanelRows. The rows past n in the
+/// last panel are zero padding. This is the panel layout the SIMD tiers
+/// otherwise gather from a row-major B on every GemmBT call.
+inline size_t PackedFloats(int n, int k) {
+  const size_t panels =
+      (static_cast<size_t>(n) + kPackedPanelRows - 1) / kPackedPanelRows;
+  return panels * kPackedPanelRows * static_cast<size_t>(k);
+}
+inline size_t PackedRowOffset(int r, int k) {
+  return static_cast<size_t>(r / kPackedPanelRows) * kPackedPanelRows *
+             static_cast<size_t>(k) +
+         static_cast<size_t>(r % kPackedPanelRows);
+}
+
+/// Writes the n row-major rows of `rows` ([n, k]) as rows r0..r0+n-1 of
+/// the packed image `packed`, which must hold PackedFloats(r0 + n, k).
+void PackRows(int n, int k, const float* rows, int r0, float* packed);
+
+/// Copies packed row `r` to out[0..k).
+void UnpackRow(int k, const float* packed, int r, float* out);
+
+/// GemmBT with B pre-packed: C[m,n] += A[m,k] * B^T where B's n rows are
+/// stored in the packed layout above (PackedFloats(n, k) floats). Within
+/// a tier every output element is bitwise equal to GemmBT on the
+/// row-major B: the SIMD tiers run the same per-element fma chain, only
+/// without the per-call panel gather, and the scalar tier gathers each
+/// row and keeps its Dot chain. A single row (m = 1) runs a tile that
+/// keeps several panels in flight. Row-sharded over `pool` like GemmBT.
+void GemmBTPacked(int m, int n, int k, const float* a, const float* b_packed,
+                  float* c, ThreadPool* pool = nullptr, int num_shards = 1);
 
 /// Per-row symmetric int8 quantization of x [m,n]: scales[i] =
 /// max_j |x[i,j]| / 127 and q[i,j] = clamp(round(x[i,j] / scales[i]),

@@ -6,6 +6,7 @@
 #if defined(__x86_64__) || defined(__i386__)
 #define SUDOWOODO_MICRO_VEC_FLOATS 8
 #define SUDOWOODO_MICRO_ENTRY GemmMicroAvx2
+#define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroAvx2
 #include "tensor/kernels_micro_impl.h"
 
 #define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroAvx2

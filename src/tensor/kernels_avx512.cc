@@ -6,6 +6,7 @@
 #if defined(__x86_64__) || defined(__i386__)
 #define SUDOWOODO_MICRO_VEC_FLOATS 16
 #define SUDOWOODO_MICRO_ENTRY GemmMicroAvx512
+#define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroAvx512
 #include "tensor/kernels_micro_impl.h"
 
 #define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroAvx512

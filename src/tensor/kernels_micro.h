@@ -43,6 +43,25 @@ void GemmMicroAvx2(GemmVariant v, int m_begin, int m_end, int m, int n,
 void GemmMicroAvx512(GemmVariant v, int m_begin, int m_end, int m, int n,
                      int k, const float* a, const float* b, float* c);
 
+/// One tier's row-range worker for GemmBTPacked (kernels.h): output rows
+/// [m_begin, m_end) of C[m,n] += A * B^T with B pre-packed in stored
+/// panels of kPackedPanelRows rows. Same per-element chain as the kBT
+/// variant of GemmMicroFn on the row-major B.
+using GemmBTPackedMicroFn = void (*)(int m_begin, int m_end, int n, int k,
+                                     const float* a, const float* b_packed,
+                                     float* c);
+
+void GemmBTPackedMicroPortable(int m_begin, int m_end, int n, int k,
+                               const float* a, const float* b_packed,
+                               float* c);
+void GemmBTPackedMicroNeon(int m_begin, int m_end, int n, int k,
+                           const float* a, const float* b_packed, float* c);
+void GemmBTPackedMicroAvx2(int m_begin, int m_end, int n, int k,
+                           const float* a, const float* b_packed, float* c);
+void GemmBTPackedMicroAvx512(int m_begin, int m_end, int n, int k,
+                             const float* a, const float* b_packed,
+                             float* c);
+
 /// One tier's row-range worker for the int8 scoring panel (GemmBTI8 in
 /// kernels.h): output rows [m_begin, m_end) of C[m,n] += rescaled int8
 /// dots. Every tier computes bit-identical output (integer accumulation

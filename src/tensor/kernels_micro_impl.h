@@ -3,8 +3,9 @@
 // This header is included (not compiled standalone) by one .cc per tier,
 // each built with that tier's ISA flags and these macros defined first:
 //
-//   SUDOWOODO_MICRO_VEC_FLOATS  floats per vector register (4/8/16)
-//   SUDOWOODO_MICRO_ENTRY       name of the exported entry point
+//   SUDOWOODO_MICRO_VEC_FLOATS    floats per vector register (4/8/16)
+//   SUDOWOODO_MICRO_ENTRY         name of the exported entry point
+//   SUDOWOODO_MICRO_PACKED_ENTRY  name of the pre-packed-B GemmBT entry
 //
 // Structure (GEBP): the k extent is cut into kKC-deep blocks; each block
 // of B is gathered once into packed panels of kNR columns laid out
@@ -23,6 +24,15 @@
 // chain is scalar per element); what distinguishes tiers numerically is
 // only fma-vs-separate rounding against the scalar reference tier.
 //
+// Pre-packed B (GemmBTPacked): the caller stores B once in panels of
+// kPackedPanelRows rows, k-major, so nothing is gathered per call. A
+// tier whose kNR is narrower reads each stored panel as kSub of its own
+// panels through a panel stride of kPackedPanelRows; the tile body is
+// the same template, so each element sees the same chain as above. One
+// output row (m = 1) instead runs RowTile, which keeps kRowVecs
+// accumulators in flight across several stored panels: one panel's two
+// accumulators would leave the fma pipeline waiting on its latency.
+//
 // Tail handling keeps the same chain: partial row tiles run narrower
 // instantiations of the same template, and partial column panels are
 // zero-padded in the packed buffer and computed through a stack tile
@@ -34,6 +44,7 @@
 #include <cstring>
 #include <vector>
 
+#include "tensor/kernels.h"
 #include "tensor/kernels_micro.h"
 
 namespace sudowoodo::tensor::kernels::detail {
@@ -44,6 +55,14 @@ constexpr int kMR = 6;                           // rows per register tile
 constexpr int kNV = 2;                           // vectors per tile row
 constexpr int kNR = kNV * kVF;                   // columns per panel
 constexpr int kKC = 256;                         // k depth per packed block
+constexpr int kSP = kPackedPanelRows;            // rows per stored panel
+static_assert(kSP % kNR == 0, "stored panels must split into tier panels");
+constexpr int kSub = kSP / kNR;                  // tier panels per stored one
+constexpr int kSPVecs = kSP / kVF;               // vectors per stored row
+// Accumulators the one-row tile keeps in flight, and the stored panels
+// that takes (at least one).
+constexpr int kRowVecs = 8;
+constexpr int kRowPanels = kRowVecs / kSPVecs > 0 ? kRowVecs / kSPVecs : 1;
 
 // aligned(4): loads/stores go through memcpy below, but keep the type's
 // alignment honest for any direct use.
@@ -61,9 +80,10 @@ inline void StoreU(float* p, vfloat v) { __builtin_memcpy(p, &v, sizeof v); }
 /// MR x kNR register tile: C_tile += A_chunk * B_panel over kc steps.
 /// A is addressed as a[i * a_row_stride + l * a_l_stride] (row-major A
 /// and the kAT column walk are both just stride choices); pb is the
-/// packed k-major panel. `acc[i][v] += av * bv` contracts to one fused
-/// multiply-add per element under the FMA-enabled tiers.
-template <int MR>
+/// packed k-major panel, LDB floats per k step (kNR for the per-call
+/// pack, kSP for a stored panel). `acc[i][v] += av * bv` contracts to one
+/// fused multiply-add per element under the FMA-enabled tiers.
+template <int MR, int LDB>
 inline void MicroTile(int kc, const float* a, ptrdiff_t a_row_stride,
                       ptrdiff_t a_l_stride, const float* pb, float* c,
                       ptrdiff_t ldc) {
@@ -74,8 +94,8 @@ inline void MicroTile(int kc, const float* a, ptrdiff_t a_row_stride,
     }
   }
   for (int l = 0; l < kc; ++l) {
-    const vfloat b0 = LoadU(pb + static_cast<size_t>(l) * kNR);
-    const vfloat b1 = LoadU(pb + static_cast<size_t>(l) * kNR + kVF);
+    const vfloat b0 = LoadU(pb + static_cast<size_t>(l) * LDB);
+    const vfloat b1 = LoadU(pb + static_cast<size_t>(l) * LDB + kVF);
     for (int i = 0; i < MR; ++i) {
       const float av = a[i * a_row_stride + l * a_l_stride];
       acc[i][0] += av * b0;
@@ -89,16 +109,29 @@ inline void MicroTile(int kc, const float* a, ptrdiff_t a_row_stride,
   }
 }
 
+template <int LDB>
 inline void RunTile(int mr, int kc, const float* a, ptrdiff_t a_row_stride,
                     ptrdiff_t a_l_stride, const float* pb, float* c,
                     ptrdiff_t ldc) {
   switch (mr) {
-    case 6: MicroTile<6>(kc, a, a_row_stride, a_l_stride, pb, c, ldc); break;
-    case 5: MicroTile<5>(kc, a, a_row_stride, a_l_stride, pb, c, ldc); break;
-    case 4: MicroTile<4>(kc, a, a_row_stride, a_l_stride, pb, c, ldc); break;
-    case 3: MicroTile<3>(kc, a, a_row_stride, a_l_stride, pb, c, ldc); break;
-    case 2: MicroTile<2>(kc, a, a_row_stride, a_l_stride, pb, c, ldc); break;
-    default: MicroTile<1>(kc, a, a_row_stride, a_l_stride, pb, c, ldc); break;
+    case 6:
+      MicroTile<6, LDB>(kc, a, a_row_stride, a_l_stride, pb, c, ldc);
+      break;
+    case 5:
+      MicroTile<5, LDB>(kc, a, a_row_stride, a_l_stride, pb, c, ldc);
+      break;
+    case 4:
+      MicroTile<4, LDB>(kc, a, a_row_stride, a_l_stride, pb, c, ldc);
+      break;
+    case 3:
+      MicroTile<3, LDB>(kc, a, a_row_stride, a_l_stride, pb, c, ldc);
+      break;
+    case 2:
+      MicroTile<2, LDB>(kc, a, a_row_stride, a_l_stride, pb, c, ldc);
+      break;
+    default:
+      MicroTile<1, LDB>(kc, a, a_row_stride, a_l_stride, pb, c, ldc);
+      break;
   }
 }
 
@@ -107,6 +140,7 @@ inline void RunTile(int mr, int kc, const float* a, ptrdiff_t a_row_stride,
 /// with zeros too, so those lanes stay finite), run the same kernel, and
 /// copy the valid columns back. The valid columns see exactly the
 /// full-tile chain.
+template <int LDB>
 inline void RunTileEdge(int mr, int kc, const float* a,
                         ptrdiff_t a_row_stride, ptrdiff_t a_l_stride,
                         const float* pb, float* c, ptrdiff_t ldc, int w) {
@@ -115,7 +149,7 @@ inline void RunTileEdge(int mr, int kc, const float* a,
     std::memcpy(tmp + static_cast<size_t>(i) * kNR, c + i * ldc,
                 static_cast<size_t>(w) * sizeof(float));
   }
-  RunTile(mr, kc, a, a_row_stride, a_l_stride, pb, tmp, kNR);
+  RunTile<LDB>(mr, kc, a, a_row_stride, a_l_stride, pb, tmp, kNR);
   for (int i = 0; i < mr; ++i) {
     std::memcpy(c + i * ldc, tmp + static_cast<size_t>(i) * kNR,
                 static_cast<size_t>(w) * sizeof(float));
@@ -197,9 +231,102 @@ void GemmMicroRows(GemmVariant v, int m_begin, int m_end, int m, int n,
         const float* pb = pack.data() + static_cast<size_t>(p) * panel_stride;
         float* ct = c + static_cast<size_t>(i0) * n + j0;
         if (w == kNR) {
-          RunTile(mr, kc, abase, a_row_stride, a_l_stride, pb, ct, n);
+          RunTile<kNR>(mr, kc, abase, a_row_stride, a_l_stride, pb, ct, n);
         } else {
-          RunTileEdge(mr, kc, abase, a_row_stride, a_l_stride, pb, ct, n, w);
+          RunTileEdge<kNR>(mr, kc, abase, a_row_stride, a_l_stride, pb, ct,
+                           n, w);
+        }
+      }
+    }
+  }
+}
+
+/// One output row against P consecutive stored panels (P * kSP columns):
+/// kSPVecs accumulators per panel, all advanced each k step, so P * kSPVecs
+/// independent fma chains hide the fma latency. Each element's chain is
+/// the MicroTile chain: its C value, then one fma per k index in order.
+template <int P>
+inline void RowTile(int k, const float* a, const float* pb,
+                    size_t panel_stride, float* c) {
+  vfloat acc[P][kSPVecs];
+  for (int p = 0; p < P; ++p) {
+    for (int v = 0; v < kSPVecs; ++v) {
+      acc[p][v] = LoadU(c + p * kSP + v * kVF);
+    }
+  }
+  for (int l = 0; l < k; ++l) {
+    const float av = a[l];
+    for (int p = 0; p < P; ++p) {
+      const float* bl = pb + p * panel_stride + static_cast<size_t>(l) * kSP;
+      for (int v = 0; v < kSPVecs; ++v) acc[p][v] += av * LoadU(bl + v * kVF);
+    }
+  }
+  for (int p = 0; p < P; ++p) {
+    for (int v = 0; v < kSPVecs; ++v) {
+      StoreU(c + p * kSP + v * kVF, acc[p][v]);
+    }
+  }
+}
+
+/// RowTile over `count` (1..kRowPanels) panels whose first `w` columns
+/// are valid: a ragged group is staged through a zeroed stack row, as
+/// RunTileEdge does.
+template <int P>
+inline void RowGroup(int k, const float* a, const float* pb,
+                     size_t panel_stride, float* c, int w) {
+  if (w == P * kSP) {
+    RowTile<P>(k, a, pb, panel_stride, c);
+    return;
+  }
+  float tmp[P * kSP] = {};
+  std::memcpy(tmp, c, static_cast<size_t>(w) * sizeof(float));
+  RowTile<P>(k, a, pb, panel_stride, tmp);
+  std::memcpy(c, tmp, static_cast<size_t>(w) * sizeof(float));
+}
+
+inline void RunRowGroup(int count, int k, const float* a, const float* pb,
+                        size_t panel_stride, float* c, int w) {
+  switch (count) {
+    case 4: RowGroup<4>(k, a, pb, panel_stride, c, w); break;
+    case 3: RowGroup<3>(k, a, pb, panel_stride, c, w); break;
+    case 2: RowGroup<2>(k, a, pb, panel_stride, c, w); break;
+    default: RowGroup<1>(k, a, pb, panel_stride, c, w); break;
+  }
+}
+static_assert(kRowPanels <= 4, "RunRowGroup covers up to four panels");
+
+void GemmBTPackedRows(int m_begin, int m_end, int n, int k, const float* a,
+                      const float* bp, float* c) {
+  if (m_end <= m_begin || n <= 0 || k <= 0) return;  // C += nothing
+  const size_t panel_stride = static_cast<size_t>(k) * kSP;
+  const int panels = (n + kSP - 1) / kSP;
+  if (m_end - m_begin == 1) {
+    const float* arow = a + static_cast<size_t>(m_begin) * k;
+    float* crow = c + static_cast<size_t>(m_begin) * n;
+    for (int p = 0; p < panels; p += kRowPanels) {
+      const int count = std::min(kRowPanels, panels - p);
+      const int w = std::min(count * kSP, n - p * kSP);
+      RunRowGroup(count, k, arow, bp + p * panel_stride, panel_stride,
+                  crow + p * kSP, w);
+    }
+    return;
+  }
+  // Stored panel outer, row tiles inner: one stored panel stays in cache
+  // while the caller's rows sweep it.
+  for (int p = 0; p < panels; ++p) {
+    for (int s = 0; s < kSub; ++s) {
+      const int j0 = p * kSP + s * kNR;
+      if (j0 >= n) break;
+      const int w = std::min(kNR, n - j0);
+      const float* pb = bp + p * panel_stride + s * kNR;
+      for (int i0 = m_begin; i0 < m_end; i0 += kMR) {
+        const int mr = std::min(kMR, m_end - i0);
+        const float* abase = a + static_cast<size_t>(i0) * k;
+        float* ct = c + static_cast<size_t>(i0) * n + j0;
+        if (w == kNR) {
+          RunTile<kSP>(mr, k, abase, k, 1, pb, ct, n);
+        } else {
+          RunTileEdge<kSP>(mr, k, abase, k, 1, pb, ct, n, w);
         }
       }
     }
@@ -212,6 +339,12 @@ void SUDOWOODO_MICRO_ENTRY(GemmVariant v, int m_begin, int m_end, int m,
                            int n, int k, const float* a, const float* b,
                            float* c) {
   GemmMicroRows(v, m_begin, m_end, m, n, k, a, b, c);
+}
+
+void SUDOWOODO_MICRO_PACKED_ENTRY(int m_begin, int m_end, int n, int k,
+                                  const float* a, const float* b_packed,
+                                  float* c) {
+  GemmBTPackedRows(m_begin, m_end, n, k, a, b_packed, c);
 }
 
 }  // namespace sudowoodo::tensor::kernels::detail

@@ -7,6 +7,7 @@
 #if defined(__aarch64__)
 #define SUDOWOODO_MICRO_VEC_FLOATS 4
 #define SUDOWOODO_MICRO_ENTRY GemmMicroNeon
+#define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroNeon
 #include "tensor/kernels_micro_impl.h"
 
 #define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroNeon

@@ -6,6 +6,7 @@
 
 #define SUDOWOODO_MICRO_VEC_FLOATS 4
 #define SUDOWOODO_MICRO_ENTRY GemmMicroPortable
+#define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroPortable
 #include "tensor/kernels_micro_impl.h"
 
 #define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroPortable

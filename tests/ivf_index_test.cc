@@ -273,6 +273,28 @@ TEST(IvfIndexTest, EdgeCases) {
   ASSERT_TRUE(empty.QueryBatch(qs.data(), 2, dim, 5, 2, &out).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_TRUE(out[0].empty() && out[1].empty());
+
+  // An index emptied by Remove keeps its width: a query of another width
+  // is InvalidArgument, as on the exact index, while its own width still
+  // answers with empty rows.
+  std::vector<int> all(20);
+  for (int i = 0; i < 20; ++i) all[static_cast<size_t>(i)] = i;
+  ASSERT_TRUE(ivf.Remove(all.data(), 20).ok());
+  ASSERT_EQ(ivf.size(), 0);
+  EXPECT_EQ(ivf.QueryBatch(qs.data(), 1, 4, 5, 2, &out).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(ivf.QueryBatch(qs.data(), 1, dim, 5, 2, &out).ok());
+  EXPECT_TRUE(out[0].empty());
+  BlockingIndexOptions ivf_opts;
+  ivf_opts.kind = BlockingIndexKind::kIvf;
+  BlockingIndex facade(items.data(), 20, dim, ivf_opts);
+  ASSERT_TRUE(facade.Remove(all.data(), 20).ok());
+  EXPECT_EQ(facade.QueryBatch(qs.data(), 1, 4, 5, &out).code(),
+            StatusCode::kInvalidArgument);
+  KnnIndex exact(items.data(), 20, dim);
+  ASSERT_TRUE(exact.Remove(all.data(), 20).ok());
+  EXPECT_EQ(exact.QueryBatch(qs.data(), 1, 4, 5, &out).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(IvfIndexTest, ExplicitCellCountIsHonored) {

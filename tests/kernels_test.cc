@@ -314,6 +314,70 @@ TEST(KernelDispatchTest, TiersAgreeWithScalarWithinTolerance) {
   }
 }
 
+/// B ([n, k] row-major) in the stored panel layout GemmBTPacked reads.
+std::vector<float> PackedImage(int n, int k, const std::vector<float>& b) {
+  std::vector<float> packed(PackedFloats(n, k), 0.0f);
+  PackRows(n, k, b.data(), 0, packed.data());
+  return packed;
+}
+
+TEST(PackedGemmBTTest, BitwiseEqualsRowMajorInEveryTierAndShardCount) {
+  // The pre-packed entry must reproduce the row-major GemmBT bit for bit
+  // within each tier: m covers the one-row tile and the 6-row tiles with
+  // their tails, n sits on both sides of every tier panel width (8, 16,
+  // 32) and of the one-row tile's panel groups (64, 128), and k crosses
+  // the row-major path's 256-deep packing blocks.
+  const int ms[] = {1, 5, 6, 7, 32, 33};
+  const int ns[] = {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 128,
+                    129};
+  const int ks[] = {1, 64, 255, 256, 257, 300};
+  for (KernelTier tier : AvailableTiers()) {
+    ScopedTier scoped(tier);
+    for (int k : ks) {
+      for (int n : ns) {
+        const auto b = RandomVec(n * k, 500 + static_cast<uint64_t>(n * 7 + k));
+        const auto packed = PackedImage(n, k, b);
+        for (int m : ms) {
+          const auto a = RandomVec(m * k, 900 + static_cast<uint64_t>(m + k));
+          // Non-zero initial C: the += contract holds on both entries.
+          const auto c0 = RandomVec(m * n, 1300 + static_cast<uint64_t>(m * n));
+          std::vector<float> want = c0;
+          GemmBT(m, n, k, a.data(), b.data(), want.data());
+          for (int shards = 1; shards <= 4; ++shards) {
+            std::vector<float> got = c0;
+            GemmBTPacked(m, n, k, a.data(), packed.data(), got.data(),
+                         &ThreadPool::Global(), shards);
+            ASSERT_EQ(got, want)
+                << KernelTierName(tier) << " m=" << m << " n=" << n
+                << " k=" << k << " shards=" << shards;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedGemmBTTest, RowsRoundTripAndPaddingIsZero) {
+  const int n = 45, k = 13;
+  const auto b = RandomVec(n * k, 77);
+  const auto packed = PackedImage(n, k, b);
+  ASSERT_EQ(packed.size(), static_cast<size_t>(64 * k));
+  std::vector<float> row(static_cast<size_t>(k));
+  for (int r = 0; r < n; ++r) {
+    UnpackRow(k, packed.data(), r, row.data());
+    for (int l = 0; l < k; ++l) {
+      ASSERT_EQ(row[static_cast<size_t>(l)], b[static_cast<size_t>(r * k + l)]);
+      ASSERT_EQ(packed[PackedRowOffset(r, k) +
+                       static_cast<size_t>(l) * kPackedPanelRows],
+                b[static_cast<size_t>(r * k + l)]);
+    }
+  }
+  for (int r = n; r < 64; ++r) {
+    UnpackRow(k, packed.data(), r, row.data());
+    for (float v : row) ASSERT_EQ(v, 0.0f) << "padding row " << r;
+  }
+}
+
 TEST(KernelDispatchTest, ScalarAndPortableAlwaysSupported) {
   EXPECT_TRUE(KernelTierSupported(KernelTier::kScalar));
   EXPECT_TRUE(KernelTierSupported(KernelTier::kPortable));

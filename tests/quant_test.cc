@@ -1,7 +1,8 @@
 // Tests for the int8 quantized storage and scoring path: the kernel
 // family (QuantizeRowsI8 / DequantizeRowsI8 / DotI8 / GemmBTI8), the
-// int8 candidate selectors, and the quantized storage mode of both
-// blocking indexes, the facade, and the embedding cache.
+// bounded top-k selector behind every query stage, the row set's stored
+// layouts, and the quantized storage mode of both blocking indexes, the
+// facade, and the embedding cache.
 //
 // The determinism contract under test is STRONGER than fp32's: because
 // the int8 panel accumulates in exact int32 arithmetic and rescales with
@@ -18,8 +19,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -28,6 +31,8 @@
 #include "index/embedding_cache.h"
 #include "index/ivf_index.h"
 #include "index/knn_index.h"
+#include "index/quant_store.h"
+#include "index/top_k.h"
 #include "pipeline/cleaning_pipeline.h"
 #include "tensor/kernels.h"
 
@@ -251,34 +256,267 @@ TEST(QuantKernelTest, GemmBTI8BitwiseAcrossTiersAndThreads) {
   }
 }
 
-TEST(QuantKernelTest, SelectTopRLivePositionsIsTheTopRSet) {
-  Rng rng(17);
-  const int n = 500;
-  std::vector<float> scores(n);
-  std::vector<int> ids(n);
-  for (int i = 0; i < n; ++i) {
-    scores[static_cast<size_t>(i)] =
-        static_cast<float>(rng.UniformInt(50)) * 0.125f;  // many exact ties
-    ids[static_cast<size_t>(i)] = (i % 10 == 3) ? -1 : i;  // tombstones
-  }
-  for (int r : {1, 7, 64, 499, 600}) {
-    std::vector<int> got;
-    index::SelectTopRLivePositions(scores.data(), ids.data(), n, r, &got);
-    // Reference: full sort by (score desc, id asc) over live positions.
-    std::vector<int> live;
-    for (int i = 0; i < n; ++i) {
-      if (ids[static_cast<size_t>(i)] >= 0) live.push_back(i);
+// ---------------------------------------------------------------------
+// The bounded selector (index/top_k.h) against a full sort
+// ---------------------------------------------------------------------
+
+/// Bit pattern of a float, so NaN results compare equal to themselves.
+uint32_t Bits(float x) {
+  uint32_t u;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+/// Seeded scores built to stress the order: heavy exact ties, both
+/// signed zeros, NaN and both infinities.
+std::vector<float> AdversarialScores(int n, Rng* rng) {
+  std::vector<float> scores(static_cast<size_t>(n));
+  for (float& s : scores) {
+    switch (rng->UniformInt(10)) {
+      case 0: s = std::numeric_limits<float>::quiet_NaN(); break;
+      case 1: s = std::numeric_limits<float>::infinity(); break;
+      case 2: s = -std::numeric_limits<float>::infinity(); break;
+      case 3: s = 0.0f; break;
+      case 4: s = -0.0f; break;
+      default: s = static_cast<float>(rng->UniformInt(6)) * 0.25f - 0.5f;
     }
-    std::sort(live.begin(), live.end(), [&](int a, int b) {
-      if (scores[static_cast<size_t>(a)] != scores[static_cast<size_t>(b)]) {
-        return scores[static_cast<size_t>(a)] > scores[static_cast<size_t>(b)];
+  }
+  return scores;
+}
+
+/// One offered candidate of the reference: (score, id, table, pos).
+struct Offered {
+  float score;
+  int id;
+  int table;
+  int pos;
+};
+
+/// The reference order, written out independently of the selector:
+/// non-NaN before NaN, score descending, then id ascending.
+bool RefBefore(const Offered& a, const Offered& b) {
+  const bool na = std::isnan(a.score), nb = std::isnan(b.score);
+  if (na != nb) return nb;
+  if (!na && a.score != b.score) return a.score > b.score;
+  return a.id < b.id;
+}
+
+/// `n` positions with distinct shuffled ids, about one in five
+/// tombstoned (id -1).
+std::vector<int> ShuffledIdsWithTombstones(int n, int id_base, Rng* rng) {
+  std::vector<int> ids(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) ids[static_cast<size_t>(i)] = id_base + i;
+  rng->Shuffle(&ids);
+  for (int& id : ids) {
+    if (rng->UniformInt(5) == 0) id = -1;
+  }
+  return ids;
+}
+
+TEST(TopKSelectorTest, EqualsFullSortWithTiesNonFiniteAndTombstones) {
+  Rng rng(17);
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 1 + rng.UniformInt(trial < 10 ? 8 : 300);
+    const std::vector<float> scores = AdversarialScores(n, &rng);
+    const std::vector<int> ids = ShuffledIdsWithTombstones(n, 0, &rng);
+    std::vector<Offered> live;
+    for (int pos = 0; pos < n; ++pos) {
+      const int id = ids[static_cast<size_t>(pos)];
+      if (id >= 0) {
+        live.push_back({scores[static_cast<size_t>(pos)], id, 0, pos});
       }
-      return ids[static_cast<size_t>(a)] < ids[static_cast<size_t>(b)];
-    });
-    live.resize(std::min<size_t>(live.size(), static_cast<size_t>(r)));
-    std::sort(got.begin(), got.end());
-    std::sort(live.begin(), live.end());
-    EXPECT_EQ(got, live) << "r=" << r;
+    }
+    std::sort(live.begin(), live.end(), RefBefore);
+    for (int k : {0, 1, n - 1, n, n + 5}) {
+      index::TopKSelector sel;
+      sel.Reset(k);
+      sel.PushScores(scores.data(), ids.data(), n);
+      std::vector<Neighbor> got;
+      sel.SortedInto(&got);
+      const size_t want =
+          std::min(live.size(), static_cast<size_t>(std::max(k, 0)));
+      ASSERT_EQ(got.size(), want) << "trial " << trial << " k=" << k;
+      for (size_t i = 0; i < want; ++i) {
+        EXPECT_EQ(got[i].id, live[i].id) << "trial " << trial << " k=" << k;
+        EXPECT_EQ(Bits(got[i].sim), Bits(live[i].score))
+            << "trial " << trial << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(TopKSelectorTest, PositionsAsIdsAndOfferOrderDoNotMatter) {
+  // ids == nullptr ranks positions as ids (probe selection, nearest
+  // cell); offering the same candidates in any order selects the same
+  // sorted result, which is what lets IVF push cell by cell.
+  Rng rng(23);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int n = 1 + rng.UniformInt(120);
+    const std::vector<float> scores = AdversarialScores(n, &rng);
+    for (int k : {1, 3, n}) {
+      index::TopKSelector whole;
+      whole.Reset(k);
+      whole.PushScores(scores.data(), nullptr, n);
+      const std::vector<index::TopKSelector::Entry> want = whole.Sorted();
+
+      std::vector<int> order(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
+      rng.Shuffle(&order);
+      index::TopKSelector shuffled;
+      shuffled.Reset(k);
+      for (int pos : order) {
+        shuffled.Push(scores[static_cast<size_t>(pos)], pos);
+      }
+      const std::vector<index::TopKSelector::Entry>& got = shuffled.Sorted();
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "trial " << trial << " k=" << k;
+        EXPECT_EQ(Bits(got[i].score), Bits(want[i].score));
+      }
+    }
+  }
+}
+
+TEST(TopKSelectorTest, CandidateStageKeepsTheTopRRowsWithNaN) {
+  // The int8 candidate stage: several tables (IVF cells) offered one
+  // after another, tombstones skipped, NaN scores present. The kept
+  // (table, position) set is the top r of the full sort.
+  Rng rng(29);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int tables = 1 + rng.UniformInt(5);
+    std::vector<std::vector<float>> scores;
+    std::vector<std::vector<int>> ids;
+    std::vector<Offered> live;
+    int id_base = 0;
+    for (int t = 0; t < tables; ++t) {
+      const int n = rng.UniformInt(60);
+      scores.push_back(AdversarialScores(n, &rng));
+      ids.push_back(ShuffledIdsWithTombstones(n, id_base, &rng));
+      id_base += n;
+      for (int pos = 0; pos < n; ++pos) {
+        const int id = ids.back()[static_cast<size_t>(pos)];
+        if (id >= 0) {
+          live.push_back({scores.back()[static_cast<size_t>(pos)], id, t, pos});
+        }
+      }
+    }
+    std::sort(live.begin(), live.end(), RefBefore);
+    for (int r : {0, 1, 7, 64, static_cast<int>(live.size()) + 3}) {
+      index::TopKSelector sel;
+      sel.Reset(r);
+      for (int t = 0; t < tables; ++t) {
+        sel.PushScores(scores[static_cast<size_t>(t)].data(),
+                       ids[static_cast<size_t>(t)].data(),
+                       static_cast<int>(ids[static_cast<size_t>(t)].size()), t);
+      }
+      std::vector<std::pair<int, int>> got, want;
+      for (const auto& e : sel.entries()) got.emplace_back(e.table, e.pos);
+      const size_t kept = std::min(live.size(), static_cast<size_t>(r));
+      for (size_t i = 0; i < kept; ++i) {
+        want.emplace_back(live[i].table, live[i].pos);
+      }
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want) << "trial " << trial << " r=" << r;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// RowSet histories against a row-major reference
+// ---------------------------------------------------------------------
+
+TEST(RowSetHistoryTest, ExportAndRowsMatchRowMajorReference) {
+  // Seeded append / remove (compaction fractions 0, 0.25, 1) /
+  // repartition histories. The reference keeps each live row's fp32
+  // image row-major: the appended row under fp32, its quantize-once
+  // dequantized image under int8. ExportLive and DequantizeRowInto must
+  // reproduce it bitwise, and fp32 panel padding must stay zero.
+  const int dim = 19;  // ragged against every vector width
+  for (IndexStorage mode : {IndexStorage::kFp32, IndexStorage::kInt8}) {
+    for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+      Rng rng(seed * 101);
+      index::RowSet rows(dim, mode, 3);
+      std::map<int, std::vector<float>> ref;  // live id -> fp32 image
+      for (int step = 0; step < 60; ++step) {
+        const int op = rng.UniformInt(10);
+        if (op < 5 || ref.empty()) {
+          const int n = 1 + rng.UniformInt(40);
+          std::vector<float> batch(static_cast<size_t>(n) * dim);
+          for (float& v : batch) v = static_cast<float>(rng.Gaussian());
+          const int first = rows.next_id();
+          rows.Append(rng.UniformInt(rows.num_tables()), batch.data(), n);
+          for (int i = 0; i < n; ++i) {
+            const float* src = batch.data() + static_cast<size_t>(i) * dim;
+            std::vector<float> image(src, src + dim);
+            if (mode == IndexStorage::kInt8) {
+              std::vector<int8_t> q(static_cast<size_t>(dim));
+              float scale = 0.0f;
+              ks::QuantizeRowsI8(1, dim, image.data(), q.data(), &scale);
+              ks::DequantizeRowsI8(1, dim, q.data(), &scale, image.data());
+            }
+            ref[first + i] = image;
+          }
+        } else if (op < 9) {
+          std::vector<int> live;
+          for (const auto& kv : ref) live.push_back(kv.first);
+          rng.Shuffle(&live);
+          live.resize(1 + static_cast<size_t>(rng.UniformInt(
+                              static_cast<int>(live.size()))));
+          const float fractions[] = {0.0f, 0.25f, 1.0f};
+          ASSERT_TRUE(rows.Remove(live.data(), static_cast<int>(live.size()),
+                                  fractions[rng.UniformInt(3)])
+                          .ok());
+          for (int id : live) ref.erase(id);
+        } else {
+          const int tables = 1 + rng.UniformInt(4);
+          std::vector<int> table_of(ref.size());
+          for (int& t : table_of) t = rng.UniformInt(tables);
+          rows = rows.Repartition(table_of, tables);
+        }
+
+        std::vector<float> exported;
+        std::vector<int> ids;
+        rows.ExportLive(&exported, &ids);
+        ASSERT_EQ(ids.size(), ref.size()) << "step " << step;
+        size_t i = 0;
+        for (const auto& kv : ref) {
+          ASSERT_EQ(ids[i], kv.first) << "step " << step;
+          for (int l = 0; l < dim; ++l) {
+            ASSERT_EQ(Bits(exported[i * dim + static_cast<size_t>(l)]),
+                      Bits(kv.second[static_cast<size_t>(l)]))
+                << "step " << step << " id " << kv.first;
+          }
+          ++i;
+        }
+        std::vector<float> row(static_cast<size_t>(dim));
+        for (int t = 0; t < rows.num_tables(); ++t) {
+          const index::RowSet::Table& table = rows.table(t);
+          const int stored = static_cast<int>(table.ids.size());
+          ASSERT_EQ(table.store.size(), stored);
+          for (int pos = 0; pos < stored; ++pos) {
+            const int id = table.ids[static_cast<size_t>(pos)];
+            if (id < 0) continue;
+            table.store.DequantizeRowInto(pos, row.data());
+            for (int l = 0; l < dim; ++l) {
+              ASSERT_EQ(Bits(row[static_cast<size_t>(l)]),
+                        Bits(ref.at(id)[static_cast<size_t>(l)]))
+                  << "step " << step << " id " << id;
+            }
+          }
+          if (mode != IndexStorage::kFp32) continue;
+          const int padded = static_cast<int>(ks::PackedFloats(stored, 1));
+          for (int pos = stored; pos < padded; ++pos) {
+            for (int l = 0; l < dim; ++l) {
+              const size_t at = ks::PackedRowOffset(pos, dim) +
+                                static_cast<size_t>(l) * ks::kPackedPanelRows;
+              ASSERT_EQ(Bits(table.store.panels()[at]), 0u)
+                  << "padding row " << pos << " of table " << t;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
