@@ -240,8 +240,6 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--aa", action="store_true",
                     help="also run an A/A control: the base against itself")
-    ap.add_argument("--warmup", type=int, default=1,
-                    help="untimed runs per side before the pairs")
     ap.add_argument("--bench", help="bench binary target, e.g. bench_ann")
     ap.add_argument("--json", help="write every raw run to this file")
     ap.add_argument("command", nargs="*",
@@ -259,9 +257,8 @@ def main(argv=None):
         if args.bench:
             log(f"building {args.bench} on the {name} side")
             build_bench(root, args.bench)
-        for _ in range(args.warmup):
-            log(f"warm-up run on the {name} side")
-            run_once(root, args)
+        log(f"warm-up run on the {name} side")
+        run_once(root, args)
 
     directions = load_directions(sides["change"])
     report = {"sides": sides,

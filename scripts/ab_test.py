@@ -5,8 +5,8 @@ Covers the paired statistics (quantiles, IQR, median ratio, wins in the
 metric's direction, the beyond-base-IQR rule), the alternation of which
 side runs first, flattening of perfbench results and bench records, a
 full run of the tool over two fixture checkouts with a fake command
-(A/B plus the A/A control and the --json dump), and the base worktree
-checkout in a throwaway git repository.
+(the warm-up runs, A/B plus the A/A control and the --json dump), and
+the base worktree checkout in a throwaway git repository.
 
 Registered with ctest as ``ab_test``; also runnable directly:
 ``python3 scripts/ab_test.py``.
@@ -20,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 import unittest
+from unittest import mock
 
 # Import the tool under test from beside this file, without leaving a
 # bytecode cache in the source tree.
@@ -122,13 +123,23 @@ class EndToEndTest(unittest.TestCase):
         change = self.checkout("change", 1.5)
         dump = os.path.join(self.dir, "runs.json")
         out = io.StringIO()
-        with contextlib.redirect_stdout(out), \
+        calls = []
+        run_once = ab.run_once
+
+        def counting_run_once(root, args):
+            calls.append(root)
+            return run_once(root, args)
+
+        with mock.patch.object(ab, "run_once", counting_run_once), \
+                contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             rc = ab.main(["--base-dir", base, "--change-dir", change,
-                          "--pairs", "3", "--warmup", "0", "--aa",
-                          "--json", dump, "--",
+                          "--pairs", "3", "--aa", "--json", dump, "--",
                           sys.executable, "fake_bench.py"])
         self.assertEqual(rc, 0)
+        # One warm-up per side, then 3 A/B pairs and 3 A/A pairs.
+        self.assertEqual(calls[:2], [change, base])
+        self.assertEqual(len(calls), 2 + 2 * 3 + 2 * 3)
         text = out.getvalue()
         self.assertIn("== A/B:", text)
         self.assertIn("== A/A control:", text)
@@ -150,7 +161,7 @@ class EndToEndTest(unittest.TestCase):
         with self.assertRaises(ValueError), \
                 contextlib.redirect_stderr(io.StringIO()):
             ab.main(["--base-dir", base, "--change-dir", base,
-                     "--pairs", "1", "--warmup", "0", "--",
+                     "--pairs", "1", "--",
                      sys.executable, "-c", "print('not json')"])
 
     def test_needs_exactly_one_command_kind(self):

@@ -167,7 +167,7 @@ Result<std::unique_ptr<IvfIndex>> IvfIndex::Create(
 }
 
 size_t IvfIndex::bytes_resident() const {
-  return static_cast<size_t>(num_cells()) * dim() * sizeof(float) +
+  return centroids_.size() * sizeof(float) +
          static_cast<size_t>(num_cells()) * sizeof(int) +
          rows_.bytes_resident();
 }

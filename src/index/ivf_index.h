@@ -133,7 +133,8 @@ class IvfIndex : public VectorIndex {
   int dim() const override { return rows_.dim(); }
   int next_id() const override { return rows_.next_id(); }
   /// Row storage + id lists + centroids + per-cell live counts (see
-  /// VectorIndex): stored rows x dim, not panel padding.
+  /// VectorIndex), panel padding included: up to 31 zero rows per fp32
+  /// cell, and the centroid panels.
   size_t bytes_resident() const override;
 
   /// Approximate top-k probing the `nprobe` best-scoring cells (more

@@ -116,8 +116,8 @@ class KnnIndex : public VectorIndex {
   int size() const override { return rows_.size(); }
   int dim() const override { return rows_.dim(); }
   int next_id() const override { return rows_.next_id(); }
-  /// Row storage (stored rows x dim, not panel padding) + the
-  /// position->id list (see VectorIndex).
+  /// Row storage (panel padding included) + the position->id list (see
+  /// VectorIndex).
   size_t bytes_resident() const override { return rows_.bytes_resident(); }
 
   // --- introspection ---

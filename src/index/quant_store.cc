@@ -129,7 +129,7 @@ size_t QuantRowStore::bytes_resident() const {
     return static_cast<size_t>(n_) * dim_ * sizeof(int8_t) +
            static_cast<size_t>(n_) * sizeof(float);
   }
-  return static_cast<size_t>(n_) * dim_ * sizeof(float);
+  return ks::PackedFloats(n_, dim_) * sizeof(float);
 }
 
 RowSet::RowSet(int dim, IndexStorage mode, int tables)

@@ -74,8 +74,8 @@ class QuantRowStore {
   /// reproducible either way.
   void DequantizeRowInto(int pos, float* out) const;
 
-  /// Payload bytes held: stored rows x dim (+ scales), excluding panel
-  /// padding and allocator slack.
+  /// Payload bytes held: the packed panels, padding rows included
+  /// (fp32), or codes + scales (int8); not allocator slack.
   size_t bytes_resident() const;
 
  private:

@@ -179,11 +179,10 @@ class VectorIndex {
 
   /// Resident bytes of the index payload: row storage (fp32 rows, or
   /// int8 codes + per-row scales), id map, and - for IVF - centroids and
-  /// cell tables. Counts the bytes the index semantically holds (incl.
-  /// tombstoned rows awaiting compaction), not allocator slack and not
-  /// the zero padding of the last fp32 panel per table; the
-  /// observable behind the int8 memory claim (bytes_resident under int8
-  /// is ~0.27x of fp32 at dim 64, see BENCH_ann.json).
+  /// cell tables. Counts the floats the index stores (incl. tombstoned
+  /// rows awaiting compaction and the zero padding that fills the last
+  /// fp32 panel of each table), not allocator slack; the observable
+  /// behind the int8 memory claim (see BENCH_ann.json).
   virtual size_t bytes_resident() const = 0;
 
   /// Single-query convenience over QueryBatch. The one-row batch is

@@ -143,8 +143,7 @@ void UnpackRow(int k, const float* packed, int r, float* out);
 /// a tier every output element is bitwise equal to GemmBT on the
 /// row-major B: the SIMD tiers run the same per-element fma chain, only
 /// without the per-call panel gather, and the scalar tier gathers each
-/// row and keeps its Dot chain. A single row (m = 1) runs a tile that
-/// keeps several panels in flight. Row-sharded over `pool` like GemmBT.
+/// row and keeps its Dot chain. Row-sharded over `pool` like GemmBT.
 void GemmBTPacked(int m, int n, int k, const float* a, const float* b_packed,
                   float* c, ThreadPool* pool = nullptr, int num_shards = 1);
 

@@ -28,10 +28,7 @@
 // kPackedPanelRows rows, k-major, so nothing is gathered per call. A
 // tier whose kNR is narrower reads each stored panel as kSub of its own
 // panels through a panel stride of kPackedPanelRows; the tile body is
-// the same template, so each element sees the same chain as above. One
-// output row (m = 1) instead runs RowTile, which keeps kRowVecs
-// accumulators in flight across several stored panels: one panel's two
-// accumulators would leave the fma pipeline waiting on its latency.
+// the same template, so each element sees the same chain as above.
 //
 // Tail handling keeps the same chain: partial row tiles run narrower
 // instantiations of the same template, and partial column panels are
@@ -58,11 +55,6 @@ constexpr int kKC = 256;                         // k depth per packed block
 constexpr int kSP = kPackedPanelRows;            // rows per stored panel
 static_assert(kSP % kNR == 0, "stored panels must split into tier panels");
 constexpr int kSub = kSP / kNR;                  // tier panels per stored one
-constexpr int kSPVecs = kSP / kVF;               // vectors per stored row
-// Accumulators the one-row tile keeps in flight, and the stored panels
-// that takes (at least one).
-constexpr int kRowVecs = 8;
-constexpr int kRowPanels = kRowVecs / kSPVecs > 0 ? kRowVecs / kSPVecs : 1;
 
 // aligned(4): loads/stores go through memcpy below, but keep the type's
 // alignment honest for any direct use.
@@ -241,76 +233,11 @@ void GemmMicroRows(GemmVariant v, int m_begin, int m_end, int m, int n,
   }
 }
 
-/// One output row against P consecutive stored panels (P * kSP columns):
-/// kSPVecs accumulators per panel, all advanced each k step, so P * kSPVecs
-/// independent fma chains hide the fma latency. Each element's chain is
-/// the MicroTile chain: its C value, then one fma per k index in order.
-template <int P>
-inline void RowTile(int k, const float* a, const float* pb,
-                    size_t panel_stride, float* c) {
-  vfloat acc[P][kSPVecs];
-  for (int p = 0; p < P; ++p) {
-    for (int v = 0; v < kSPVecs; ++v) {
-      acc[p][v] = LoadU(c + p * kSP + v * kVF);
-    }
-  }
-  for (int l = 0; l < k; ++l) {
-    const float av = a[l];
-    for (int p = 0; p < P; ++p) {
-      const float* bl = pb + p * panel_stride + static_cast<size_t>(l) * kSP;
-      for (int v = 0; v < kSPVecs; ++v) acc[p][v] += av * LoadU(bl + v * kVF);
-    }
-  }
-  for (int p = 0; p < P; ++p) {
-    for (int v = 0; v < kSPVecs; ++v) {
-      StoreU(c + p * kSP + v * kVF, acc[p][v]);
-    }
-  }
-}
-
-/// RowTile over `count` (1..kRowPanels) panels whose first `w` columns
-/// are valid: a ragged group is staged through a zeroed stack row, as
-/// RunTileEdge does.
-template <int P>
-inline void RowGroup(int k, const float* a, const float* pb,
-                     size_t panel_stride, float* c, int w) {
-  if (w == P * kSP) {
-    RowTile<P>(k, a, pb, panel_stride, c);
-    return;
-  }
-  float tmp[P * kSP] = {};
-  std::memcpy(tmp, c, static_cast<size_t>(w) * sizeof(float));
-  RowTile<P>(k, a, pb, panel_stride, tmp);
-  std::memcpy(c, tmp, static_cast<size_t>(w) * sizeof(float));
-}
-
-inline void RunRowGroup(int count, int k, const float* a, const float* pb,
-                        size_t panel_stride, float* c, int w) {
-  switch (count) {
-    case 4: RowGroup<4>(k, a, pb, panel_stride, c, w); break;
-    case 3: RowGroup<3>(k, a, pb, panel_stride, c, w); break;
-    case 2: RowGroup<2>(k, a, pb, panel_stride, c, w); break;
-    default: RowGroup<1>(k, a, pb, panel_stride, c, w); break;
-  }
-}
-static_assert(kRowPanels <= 4, "RunRowGroup covers up to four panels");
-
 void GemmBTPackedRows(int m_begin, int m_end, int n, int k, const float* a,
                       const float* bp, float* c) {
   if (m_end <= m_begin || n <= 0 || k <= 0) return;  // C += nothing
   const size_t panel_stride = static_cast<size_t>(k) * kSP;
   const int panels = (n + kSP - 1) / kSP;
-  if (m_end - m_begin == 1) {
-    const float* arow = a + static_cast<size_t>(m_begin) * k;
-    float* crow = c + static_cast<size_t>(m_begin) * n;
-    for (int p = 0; p < panels; p += kRowPanels) {
-      const int count = std::min(kRowPanels, panels - p);
-      const int w = std::min(count * kSP, n - p * kSP);
-      RunRowGroup(count, k, arow, bp + p * panel_stride, panel_stride,
-                  crow + p * kSP, w);
-    }
-    return;
-  }
   // Stored panel outer, row tiles inner: one stored panel stays in cache
   // while the caller's rows sweep it.
   for (int p = 0; p < panels; ++p) {

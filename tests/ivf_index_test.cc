@@ -306,6 +306,17 @@ TEST(IvfIndexTest, ExplicitCellCountIsHonored) {
   EXPECT_LE(ivf.num_cells(), 8);
   EXPECT_GE(ivf.num_cells(), 1);
   EXPECT_EQ(ivf.size(), n);
+
+  // One cell: resident bytes are the stored panels of its 33 rows and of
+  // the one centroid (padding included), its id list and its live count.
+  namespace ks = tensor::kernels;
+  opts.num_cells = 1;
+  IvfIndex one(items.data(), 33, dim, opts);
+  ASSERT_EQ(one.num_cells(), 1);
+  EXPECT_EQ(one.bytes_resident(),
+            (ks::PackedFloats(33, dim) + ks::PackedFloats(1, dim)) *
+                    sizeof(float) +
+                34 * sizeof(int));
 }
 
 TEST(IvfBlockingIndexTest, AutoSwitchesOnThreshold) {

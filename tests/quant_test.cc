@@ -431,7 +431,8 @@ TEST(RowSetHistoryTest, ExportAndRowsMatchRowMajorReference) {
   // repartition histories. The reference keeps each live row's fp32
   // image row-major: the appended row under fp32, its quantize-once
   // dequantized image under int8. ExportLive and DequantizeRowInto must
-  // reproduce it bitwise, and fp32 panel padding must stay zero.
+  // reproduce it bitwise, fp32 panel padding must stay zero, and
+  // bytes_resident must count the stored panels, padding included.
   const int dim = 19;  // ragged against every vector width
   for (IndexStorage mode : {IndexStorage::kFp32, IndexStorage::kInt8}) {
     for (uint64_t seed : {1u, 2u, 3u, 4u}) {
@@ -490,10 +491,16 @@ TEST(RowSetHistoryTest, ExportAndRowsMatchRowMajorReference) {
           ++i;
         }
         std::vector<float> row(static_cast<size_t>(dim));
+        size_t want_bytes = 0;
         for (int t = 0; t < rows.num_tables(); ++t) {
           const index::RowSet::Table& table = rows.table(t);
           const int stored = static_cast<int>(table.ids.size());
           ASSERT_EQ(table.store.size(), stored);
+          want_bytes +=
+              static_cast<size_t>(stored) * sizeof(int) +
+              (mode == IndexStorage::kFp32
+                   ? ks::PackedFloats(stored, dim) * sizeof(float)
+                   : static_cast<size_t>(stored) * (dim + sizeof(float)));
           for (int pos = 0; pos < stored; ++pos) {
             const int id = table.ids[static_cast<size_t>(pos)];
             if (id < 0) continue;
@@ -515,6 +522,7 @@ TEST(RowSetHistoryTest, ExportAndRowsMatchRowMajorReference) {
             }
           }
         }
+        ASSERT_EQ(rows.bytes_resident(), want_bytes) << "step " << step;
       }
     }
   }
