@@ -42,6 +42,14 @@ bool SameNeighbors(const std::vector<std::vector<index::Neighbor>>& a,
   return true;
 }
 
+// The encoding and training series time a per-row baseline at 1 thread,
+// then the batched route at 1 and 4 threads.
+struct ModeCase {
+  bool batched;
+  int threads;
+};
+constexpr ModeCase kModes[] = {{false, 1}, {true, 1}, {true, 4}};
+
 void Run(const std::string& json_path) {
   bench::JsonRecords records;
   const int n_items = 2500, n_queries = 2500, dim = 64, k = 10;
@@ -116,11 +124,12 @@ void Run(const std::string& json_path) {
   }
   table2.Print();
 
-  // --- batched vs per-row inference encoding -------------------------------
-  // The serving hot path of PR 3: padded-pack [B, T] batches through the
-  // blocked GEMMs vs the old per-row fan-out, both verified bit-identical
-  // (the batched path is exactly equivalent by construction - see
-  // tests/batch_encode_test.cc).
+  // --- batched vs one-row inference encoding -------------------------------
+  // The serving hot path: padded-pack [B, T] batches through the blocked
+  // GEMMs, at 1 and 4 threads, against one EncodeInference call per
+  // sequence (B = 1 on the same route) at 1 thread, all verified
+  // bit-identical (the batched route is exactly equivalent by construction
+  // - see tests/batch_encode_test.cc).
   {
     Rng erng(23);
     std::vector<std::vector<int>> token_batch;
@@ -148,49 +157,61 @@ void Run(const std::string& json_path) {
     trf.n_heads = 4;
     trf.ffn_dim = 64;
     trf.max_len = 64;
+    nn::GruConfig gru;
+    gru.vocab_size = vocab;
+    gru.dim = 32;
+    gru.max_len = 64;
     const EncoderCase cases[] = {
         {"fastbag_d64",
          [&] { return std::make_unique<nn::FastBagEncoder>(bag); }},
         {"transformer_d32",
          [&] { return std::make_unique<nn::TransformerEncoder>(trf); }},
+        {"gru_d32", [&] { return std::make_unique<nn::GruEncoder>(gru); }},
     };
 
-    std::printf("\nInference encoding: %d ragged sequences, batched vs per-row\n",
+    std::printf("\nInference encoding: %d ragged sequences, batched vs one-row "
+                "calls\n",
                 n_seqs);
-    TablePrinter table3("Batched vs per-row inference encoding");
+    TablePrinter table3("Batched vs one-row inference encoding");
     table3.SetHeader({"encoder", "mode", "num_threads", "seconds", "speedup",
                       "identical"});
     for (const EncoderCase& c : cases) {
       std::vector<std::vector<float>> baseline;
       double per_row_serial = 0.0;
-      for (const bool batched : {false, true}) {
-        for (int num_threads : {1, 4}) {
-          auto encoder = c.make();
-          encoder->set_batched_inference(batched);
-          encoder->set_num_threads(num_threads);
-          WallTimer timer;
-          const auto emb = encoder->EmbedNormalized(token_batch);
-          const double seconds = timer.ElapsedSeconds();
-          if (!batched && num_threads == 1) {
-            per_row_serial = seconds;
-            baseline = emb;
+      for (const ModeCase mc : kModes) {
+        auto encoder = c.make();
+        encoder->set_num_threads(mc.threads);
+        WallTimer timer;
+        std::vector<std::vector<float>> emb;
+        if (mc.batched) {
+          emb = encoder->EmbedNormalized(token_batch);
+        } else {
+          std::vector<std::vector<int>> one(1);
+          for (const auto& seq : token_batch) {
+            one[0] = seq;
+            emb.push_back(encoder->EmbedNormalized(one)[0]);
           }
-          const bool identical = emb == baseline;
-          const char* mode = batched ? "batched" : "per_row";
-          table3.AddRow({c.name, mode, std::to_string(num_threads),
-                         StrFormat("%.3f", seconds),
-                         StrFormat("%.2fx", per_row_serial / seconds),
-                         identical ? "yes" : "NO"});
-          auto& r = records.Add();
-          r.Str("bench", "inference_encoding");
-          r.Str("encoder", c.name);
-          r.Str("mode", mode);
-          r.Int("n_seqs", n_seqs);
-          r.Int("num_threads", num_threads);
-          r.Num("seconds", seconds);
-          r.Num("speedup_vs_per_row_serial", per_row_serial / seconds);
-          r.Bool("identical_to_per_row", identical);
         }
+        const double seconds = timer.ElapsedSeconds();
+        if (!mc.batched) {
+          per_row_serial = seconds;
+          baseline = emb;
+        }
+        const bool identical = emb == baseline;
+        const char* mode = mc.batched ? "batched" : "per_row";
+        table3.AddRow({c.name, mode, std::to_string(mc.threads),
+                       StrFormat("%.3f", seconds),
+                       StrFormat("%.2fx", per_row_serial / seconds),
+                       identical ? "yes" : "NO"});
+        auto& r = records.Add();
+        r.Str("bench", "inference_encoding");
+        r.Str("encoder", c.name);
+        r.Str("mode", mode);
+        r.Int("n_seqs", n_seqs);
+        r.Int("num_threads", mc.threads);
+        r.Num("seconds", seconds);
+        r.Num("speedup_vs_per_row_serial", per_row_serial / seconds);
+        r.Bool("identical_to_per_row", identical);
       }
     }
     table3.Print();
@@ -368,19 +389,14 @@ void Run(const std::string& json_path) {
     for (const TrainCase& c : cases) {
       std::vector<float> baseline_losses;
       double per_row_serial = 0.0;
-      struct ModeCase {
-        bool batched;
-        int threads;
-      };
-      for (const ModeCase mc :
-           {ModeCase{false, 1}, ModeCase{true, 1}, ModeCase{true, 4}}) {
+      for (const ModeCase mc : kModes) {
         auto encoder = c.make();
+        encoder->set_batched_training(mc.batched);
         contrastive::PretrainOptions opts;
         opts.epochs = 1;
         opts.batch_size = 32;
         opts.corpus_cap = n_items;
         opts.num_clusters = 8;
-        opts.batched_training = mc.batched;
         opts.num_threads = mc.threads;
         contrastive::Pretrainer trainer(encoder.get(), &vocab, opts);
         WallTimer timer;

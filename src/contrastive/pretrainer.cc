@@ -24,11 +24,11 @@ Status Pretrainer::Run(const std::vector<std::vector<std::string>>& corpus) {
   WallTimer timer;
   Rng rng(options_.seed);
 
-  // Training parallelism + batching knobs flow into the encoder here;
-  // both are loss-invariant (see PretrainOptions), so they are execution
-  // strategy, not hyper-parameters.
+  // The training parallelism knob flows into the encoder here; it is
+  // loss-invariant (see PretrainOptions), so it is execution strategy,
+  // not a hyper-parameter. The batched/per-row training route is the
+  // encoder's own setting (Encoder::set_batched_training).
   encoder_->set_train_num_threads(options_.num_threads);
-  encoder_->set_batched_training(options_.batched_training);
   if (options_.pool != nullptr) encoder_->set_thread_pool(options_.pool);
   ThreadPool* pool =
       options_.num_threads > 1

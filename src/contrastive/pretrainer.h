@@ -53,10 +53,6 @@ struct PretrainOptions {
   /// Worker pool those stages run on; nullptr = the process-global pool
   /// (common/thread_pool.h) when num_threads > 1.
   ThreadPool* pool = nullptr;
-  /// Padded-pack batched training forwards (the default). false = the
-  /// per-row oracle; either way the loss trajectory is bit-identical
-  /// (tests/contrastive_test.cc enforces it).
-  bool batched_training = true;
 };
 
 /// Per-epoch training statistics.

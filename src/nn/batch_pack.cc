@@ -81,12 +81,6 @@ int PackBatchesInto(const std::vector<std::vector<int>>& seqs,
   order.resize(seqs.size());
   std::iota(order.begin(), order.end(), 0);
 
-  if (!opts.bucket_by_length) {
-    FillBucketInto(seqs, order.data(), static_cast<int>(order.size()), opts,
-                   next_bucket());
-    return scratch->n_buckets_;
-  }
-
   if (opts.preserve_order) {
     // Greedy contiguous cuts in original row order (see PackOptions).
     // Lengths are not monotone here, so the prospective bucket width is

@@ -8,8 +8,8 @@
 // length and greedily cut into buckets such that padding a bucket to its
 // longest member wastes at most `max_padding_waste` of the id slots (and a
 // bucket never exceeds `max_rows`). Packing is pure data movement - every
-// encoder guarantees that a packed batch encodes bit-identically to the
-// per-row path (see tests/batch_encode_test.cc).
+// encoder guarantees that a packed batch encodes bit-identically to its
+// per-row graph route (see tests/batch_encode_test.cc).
 
 #ifndef SUDOWOODO_NN_BATCH_PACK_H_
 #define SUDOWOODO_NN_BATCH_PACK_H_
@@ -27,9 +27,6 @@ struct PackOptions {
   int max_len = 64;
   /// Fill value for the padded tail of each row (text::Vocab::kPad).
   int pad_id = 0;
-  /// When false, everything lands in one bucket padded to the longest row
-  /// (the equivalence-testing configuration).
-  bool bucket_by_length = true;
   /// Training-mode packing: cut buckets greedily over rows in *original*
   /// order instead of sorting by length, so bucket k holds the contiguous
   /// row range [off_k, off_k+1). The training paths require this - their

@@ -80,15 +80,6 @@ void Encoder::EncodeInference(const std::vector<std::vector<int>>& batch,
   }
 }
 
-void Encoder::PerRowInferenceInto(
-    size_t n, const std::function<Tensor(size_t)>& encode_row, float* out) {
-  std::vector<Tensor> rows = EncodeRows(n, /*training=*/false, encode_row);
-  const int d = dim();
-  for (size_t i = 0; i < n; ++i) {
-    std::copy(rows[i].data(), rows[i].data() + d, out + i * d);
-  }
-}
-
 ThreadPool* Encoder::InferencePool() const {
   if (num_threads_ <= 1) return nullptr;
   return pool_ != nullptr ? pool_ : &ThreadPool::Global();
@@ -103,7 +94,6 @@ PackOptions Encoder::MakePackOptions(int max_len, int pad_id) const {
   PackOptions opts;
   opts.max_len = max_len;
   opts.pad_id = pad_id;
-  opts.bucket_by_length = bucketing_;
   return opts;
 }
 
@@ -123,36 +113,21 @@ std::vector<Tensor> Encoder::EncodeRows(
     size_t n, bool training,
     const std::function<Tensor(size_t)>& encode_row) {
   std::vector<Tensor> rows(n);
-  if (!training && num_threads_ > 1 && !ts::GradEnabled()) {
-    // Inference fan-out: workers touch only read-only weights.
-    ParallelFor(
-        static_cast<int64_t>(n), num_threads_,
-        [&](int64_t begin, int64_t end, int /*shard*/) {
-          // GradEnabled() is thread-local; re-disable it on workers.
-          ts::NoGradGuard ng;
-          for (int64_t i = begin; i < end; ++i) {
-            rows[static_cast<size_t>(i)] = encode_row(static_cast<size_t>(i));
-          }
-        },
-        pool_);
-  } else if (training && train_num_threads_ > 1 && ts::GradEnabled()) {
-    // Training fan-out: each worker builds a disjoint per-row subgraph.
-    // Parents (parameter tensors) are only read; dropout masks are
-    // counter-keyed by (row, position), not draw order; and the backward
-    // sweep is ordered by graph structure, not construction time - so the
-    // resulting graph is identical for any thread count. Workers keep the
-    // tape ON (their thread-local default).
-    ParallelFor(
-        static_cast<int64_t>(n), train_num_threads_,
-        [&](int64_t begin, int64_t end, int /*shard*/) {
-          for (int64_t i = begin; i < end; ++i) {
-            rows[static_cast<size_t>(i)] = encode_row(static_cast<size_t>(i));
-          }
-        },
-        pool_);
-  } else {
-    for (size_t i = 0; i < n; ++i) rows[i] = encode_row(i);
-  }
+  // Training fan-out: each worker builds a disjoint per-row subgraph.
+  // Parents (parameter tensors) are only read; dropout masks are
+  // counter-keyed by (row, position), not draw order; and the backward
+  // sweep is ordered by graph structure, not construction time - so the
+  // resulting graph is identical for any thread count. Workers keep the
+  // tape ON (their thread-local default). One shard runs inline.
+  const int shards = training && ts::GradEnabled() ? train_num_threads_ : 1;
+  ParallelFor(
+      static_cast<int64_t>(n), shards,
+      [&](int64_t begin, int64_t end, int /*shard*/) {
+        for (int64_t i = begin; i < end; ++i) {
+          rows[static_cast<size_t>(i)] = encode_row(static_cast<size_t>(i));
+        }
+      },
+      pool_);
   return rows;
 }
 
@@ -538,17 +513,6 @@ void TransformerEncoder::EncodeBucketInto(const PackedBucket& bucket,
 
 void TransformerEncoder::EncodeInferenceImpl(
     const std::vector<std::vector<int>>& batch, float* out) {
-  if (!batched_inference_) {
-    const TrainStream stream{};
-    PerRowInferenceInto(
-        batch.size(),
-        [&](size_t i) {
-          return EncodeOne(batch[i], nullptr, /*training=*/false, stream,
-                           static_cast<int>(i));
-        },
-        out);
-    return;
-  }
   const int n_buckets = PackBatchesInto(
       batch, MakePackOptions(config_.max_len, config_.pad_id),
       &pack_scratch_);
@@ -745,19 +709,6 @@ void FastBagEncoder::EncodeInferenceImpl(
   const int d = config_.dim;
   ThreadPool* pool = InferencePool();
   const int shards = num_threads_;
-  if (!batched_inference_) {
-    // Per-row oracle: PoolOne features, then the Tensor-op tail.
-    std::vector<Tensor> pooled =
-        EncodeRows(batch.size(), /*training=*/false,
-                   [&](size_t i) { return PoolOne(batch[i], nullptr); });
-    Tensor x = ts::ConcatRows(pooled);
-    Tensor resid = ts::Scale(
-        ts::Add(ts::SliceCols(x, 0, d), ts::SliceCols(x, d, d)), 0.5f);
-    Tensor z = ln_.Forward(ts::Add(resid, mlp_.Forward(x, pool, shards)));
-    std::copy(z.data(), z.data() + batch.size() * static_cast<size_t>(d),
-              out);
-    return;
-  }
   const int n = static_cast<int>(batch.size());
   ts::Workspace& ws = ts::Workspace::ThreadLocal();
   ts::Workspace::Frame frame(ws);

@@ -39,7 +39,10 @@ class Encoder {
   /// Non-virtual front door: graph-free inference calls (no training, no
   /// cutoff, tape off) route through EncodeInference below - the
   /// workspace-backed, cache-aware serving path - while training/cutoff/
-  /// graph calls dispatch to the subclass EncodeBatchImpl.
+  /// graph calls dispatch to the subclass EncodeBatchImpl. With the tape
+  /// on and training off, that graph route encodes row by row in eval
+  /// mode: the oracle the batched route is tested against
+  /// (tests/batch_encode_test.cc).
   Tensor EncodeBatch(const std::vector<std::vector<int>>& batch,
                      const augment::CutoffPlan* cutoff, bool training);
 
@@ -96,9 +99,8 @@ class Encoder {
   index::EmbeddingCache* embedding_cache() const { return cache_; }
 
   /// Degree of parallelism for *inference-mode* forward passes: the
-  /// batched path row-shards its GEMMs and fans attention out per
-  /// sequence; the per-row fallback fans whole rows out across workers.
-  /// Results are bit-identical to serial either way.
+  /// batched route row-shards its GEMMs and fans attention out per
+  /// sequence. Results are bit-identical to serial.
   void set_num_threads(int n) { num_threads_ = n > 0 ? n : 1; }
   int num_threads() const { return num_threads_; }
 
@@ -139,17 +141,6 @@ class Encoder {
   void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
   ThreadPool* thread_pool() const { return pool_; }
 
-  /// Toggles the padded-pack batched inference path (on by default). The
-  /// per-row path remains for training and as the equivalence oracle in
-  /// tests/batch_encode_test.cc and bench_parallel_scaling.
-  void set_batched_inference(bool on) { batched_inference_ = on; }
-  bool batched_inference() const { return batched_inference_; }
-
-  /// Toggles length bucketing inside the batched path (on by default;
-  /// off packs everything into one block padded to the longest row).
-  void set_bucketing(bool on) { bucketing_ = on; }
-  bool bucketing() const { return bucketing_; }
-
  protected:
   /// Subclass hook for the graph-building routes (training, cutoff DA,
   /// tape on): everything EncodeBatch does not serve via EncodeInference.
@@ -157,20 +148,10 @@ class Encoder {
                                  const augment::CutoffPlan* cutoff,
                                  bool training) = 0;
 
-  /// Subclass hook for graph-free inference into `out` (batch order).
-  /// Implementations run the padded-pack batched route on the per-thread
-  /// Workspace when batched_inference() is on, and fall back to the
-  /// per-row Tensor oracle otherwise.
+  /// Subclass hook for graph-free inference into `out` (batch order):
+  /// the padded-pack batched route on the per-thread Workspace.
   virtual void EncodeInferenceImpl(const std::vector<std::vector<int>>& batch,
                                    float* out) = 0;
-
-  /// Shared per-row inference fallback: evaluates encode_row(i) (a
-  /// [1, dim()] tensor) for every row via EncodeRows and copies the
-  /// results into `out`. The non-workspace oracle the equivalence tests
-  /// compare against.
-  void PerRowInferenceInto(size_t n,
-                           const std::function<Tensor(size_t)>& encode_row,
-                           float* out);
 
   /// Stream coordinates for one training-mode EncodeBatch call.
   struct TrainStream {
@@ -194,14 +175,12 @@ class Encoder {
         {drop_seed_, stream.epoch, stream.step, stream.view, row, site});
   }
 
-  /// Shared fan-out for the per-row EncodeBatch paths: evaluates
-  /// encode_row(i) for i in [0, n), in parallel over fixed shards when
-  /// eligible and serially otherwise. Inference rows fan out under
-  /// num_threads_ with the tape off; training rows fan out under
+  /// Shared fan-out for the per-row EncodeBatchImpl routes: evaluates
+  /// encode_row(i) for i in [0, n). Training rows fan out under
   /// train_num_threads_ with the tape on - each worker builds a disjoint
   /// per-row subgraph whose dropout masks are counter-keyed, so the graph
   /// (and every loss derived from it) is identical for any thread count.
-  /// Row i's tensor always lands in slot i.
+  /// Eval-mode rows run serially. Row i's tensor always lands in slot i.
   std::vector<Tensor> EncodeRows(
       size_t n, bool training,
       const std::function<Tensor(size_t)>& encode_row);
@@ -227,9 +206,7 @@ class Encoder {
   int num_threads_ = 1;
   int train_num_threads_ = 1;
   ThreadPool* pool_ = nullptr;
-  bool batched_inference_ = true;
   bool batched_training_ = true;
-  bool bucketing_ = true;
   /// Key material for the counter-based dropout streams; subclasses set
   /// this to their config seed so both their paths derive equal keys.
   uint64_t drop_seed_ = 0;
@@ -336,7 +313,7 @@ class TransformerEncoder : public Encoder {
   /// Batched inference: packs the batch into padded buckets (reusing the
   /// pack scratch) and runs each bucket's residual stream as [rows*t,
   /// dim] workspace buffers through the blocked (optionally row-sharded)
-  /// GEMMs. Bit-identical to the per-row path - every reduction
+  /// GEMMs. Bit-identical to the per-row graph route - every reduction
   /// (LayerNorm, masked softmax, GEMM accumulation) is row-local, goes
   /// through the same kernels, and walks the same valid prefix in the
   /// same order. Zero heap allocations after warmup.
@@ -425,7 +402,7 @@ class FastBagEncoder : public Encoder {
   /// Batched inference on the workspace: per-bucket embedding gather +
   /// masked mean-pool kernels into a [B, 4*dim] feature block, then the
   /// raw MLP/LayerNorm tail straight into `out`. Bit-identical to the
-  /// per-row path; zero heap allocations after warmup.
+  /// per-row graph route; zero heap allocations after warmup.
   void EncodeInferenceImpl(const std::vector<std::vector<int>>& batch,
                            float* out) override;
 

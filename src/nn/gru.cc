@@ -21,7 +21,7 @@ namespace {
 /// or shard count).
 template <typename Act>
 void GateForward(const Linear& gate, const float* xh, int b, int d, float* out,
-                 Act act, ThreadPool* pool = nullptr, int num_shards = 1) {
+                 Act act, ThreadPool* pool, int num_shards) {
   std::fill(out, out + static_cast<size_t>(b) * d, 0.0f);
   ks::Gemm(b, d, 2 * d, xh, gate.weight().data(), out, pool, num_shards);
   for (int i = 0; i < b; ++i) {
@@ -65,39 +65,6 @@ Tensor GruEncoder::EncodeOne(const std::vector<int>& ids,
   // single-[PAD] substitution, shared with the batched path.
   std::vector<int> trunc =
       TruncateOrPad(ids, config_.max_len, config_.pad_id);
-
-  // Graph-free inference recurrence: with the tape off, no cutoff mask and
-  // dropout a no-op, the whole time loop runs on stack buffers through the
-  // kernel layer instead of allocating ~10 graph nodes per step. The gate
-  // arithmetic mirrors the graph path op for op, so the hidden states are
-  // bit-identical to the autograd route.
-  if (!training && cutoff == nullptr && !ts::GradEnabled()) {
-    const int d = config_.dim;
-    const float* table = token_emb_.table().data();
-    std::vector<float> h(static_cast<size_t>(d), 0.0f);
-    std::vector<float> xh(static_cast<size_t>(2 * d));
-    std::vector<float> z(static_cast<size_t>(d)), r(static_cast<size_t>(d)),
-        cand(static_cast<size_t>(d));
-    for (int id : trunc) {
-      SUDO_CHECK(id >= 0 && id < token_emb_.vocab_size());
-      const float* xt = table + static_cast<size_t>(id) * d;
-      std::copy(xt, xt + d, xh.begin());
-      std::copy(h.begin(), h.end(), xh.begin() + d);
-      GateForward(wz_, xh.data(), 1, d, z.data(), SigmoidScalar);
-      GateForward(wr_, xh.data(), 1, d, r.data(), SigmoidScalar);
-      // Candidate input is [x_t, r * h].
-      for (int j = 0; j < d; ++j) {
-        xh[static_cast<size_t>(d + j)] = r[static_cast<size_t>(j)] * h[static_cast<size_t>(j)];
-      }
-      GateForward(wh_, xh.data(), 1, d, cand.data(), TanhScalar);
-      for (int j = 0; j < d; ++j) {
-        h[static_cast<size_t>(j)] = (1.0f - z[static_cast<size_t>(j)]) * h[static_cast<size_t>(j)] +
-                                    z[static_cast<size_t>(j)] * cand[static_cast<size_t>(j)];
-      }
-    }
-    return Tensor::FromData(1, d, std::move(h));
-  }
-
   Tensor emb = token_emb_.Forward(trunc);  // [T, dim]
   if (cutoff != nullptr) emb = ApplyCutoff(emb, *cutoff);
   emb = ts::DropoutAt(emb, config_.dropout,
@@ -193,7 +160,7 @@ Tensor GruEncoder::EncodeBatchTraining(
   return ts::JoinRows(outs);
 }
 
-void GruEncoder::EncodeBatchedInferenceInto(
+void GruEncoder::EncodeInferenceImpl(
     const std::vector<std::vector<int>>& batch, float* out) {
   const int d = config_.dim;
   const float* table = token_emb_.table().data();
@@ -248,22 +215,6 @@ void GruEncoder::EncodeBatchedInferenceInto(
     }
     ScatterPackedRows(h, d, bucket.row_index, out);
   }
-}
-
-void GruEncoder::EncodeInferenceImpl(
-    const std::vector<std::vector<int>>& batch, float* out) {
-  if (!batched_inference_) {
-    const TrainStream stream{};
-    PerRowInferenceInto(
-        batch.size(),
-        [&](size_t i) {
-          return EncodeOne(batch[i], nullptr, /*training=*/false, stream,
-                           static_cast<int>(i));
-        },
-        out);
-    return;
-  }
-  EncodeBatchedInferenceInto(batch, out);
 }
 
 Tensor GruEncoder::EncodeBatchImpl(const std::vector<std::vector<int>>& batch,

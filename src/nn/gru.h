@@ -38,10 +38,14 @@ class GruEncoder : public Encoder {
                          const augment::CutoffPlan* cutoff,
                          bool training) override;
 
-  /// Batched inference recurrence on the workspace (see below); falls
-  /// back to the per-row oracle when batching is toggled off. Writes
-  /// pooled rows to `out` in batch order; zero heap allocations after
-  /// warmup.
+  /// Batched inference recurrence: packs the batch into padded buckets
+  /// (reusing the pack scratch) and steps every sequence of a bucket in
+  /// lockstep on workspace buffers, so each gate is one [rows, 2*dim] x
+  /// [2*dim, dim] blocked GEMM per time step instead of `rows` GEMV
+  /// calls. Rows whose sequence has ended keep their hidden state frozen
+  /// (masked update); bit-identical to the per-row graph recurrence.
+  /// Scatters each bucket's hidden states to `out` rows in batch order;
+  /// zero heap allocations after warmup.
   void EncodeInferenceImpl(const std::vector<std::vector<int>>& batch,
                            float* out) override;
 
@@ -56,16 +60,6 @@ class GruEncoder : public Encoder {
   Tensor EncodeOne(const std::vector<int>& ids,
                    const augment::CutoffPlan* cutoff, bool training,
                    const TrainStream& stream, int row);
-
-  /// Batched inference recurrence: packs the batch into padded buckets
-  /// (reusing the pack scratch) and steps every sequence of a bucket in
-  /// lockstep on workspace buffers, so each gate is one [rows, 2*dim] x
-  /// [2*dim, dim] blocked GEMM per time step instead of `rows` GEMV
-  /// calls. Rows whose sequence has ended keep their hidden state frozen
-  /// (masked update); bit-identical to the per-row recurrence. Scatters
-  /// each bucket's hidden states to `out` rows in batch order.
-  void EncodeBatchedInferenceInto(const std::vector<std::vector<int>>& batch,
-                                  float* out);
 
   /// Batched *training* recurrence: the same lockstep stepping as the
   /// inference path, but graph-building - gate projections go through

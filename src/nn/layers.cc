@@ -79,24 +79,4 @@ void AppendParameters(std::vector<Tensor>* params,
   params->insert(params->end(), extra.begin(), extra.end());
 }
 
-Tensor MaskedRowSoftmax(const Tensor& x, const std::vector<int>& valid) {
-  SUDO_CHECK(!tensor::GradEnabled());
-  SUDO_CHECK(static_cast<int>(valid.size()) == x.rows());
-  Tensor out = Tensor::Zeros(x.rows(), x.cols());
-  tensor::kernels::RowSoftmaxMasked(x.rows(), x.cols(), x.data(), valid.data(),
-                                    out.data());
-  return out;
-}
-
-Tensor MaskedMeanPool(const Tensor& x, int t, const std::vector<int>& lengths) {
-  SUDO_CHECK(!tensor::GradEnabled());
-  SUDO_CHECK(t > 0 && x.rows() % t == 0);
-  const int b = x.rows() / t;
-  SUDO_CHECK(static_cast<int>(lengths.size()) == b);
-  Tensor out = Tensor::Zeros(b, x.cols());
-  tensor::kernels::MaskedMeanPool(b, t, x.cols(), x.data(), lengths.data(),
-                                  out.data());
-  return out;
-}
-
 }  // namespace sudowoodo::nn

@@ -123,22 +123,6 @@ class Mlp {
 void AppendParameters(std::vector<Tensor>* params,
                       const std::vector<Tensor>& extra);
 
-/// --- mask-aware ops for padded [B, T] batches (inference only) -------------
-///
-/// Both helpers are graph-free serving-path ops (they SUDO_CHECK that the
-/// autograd tape is off) backed by the masked kernels in
-/// tensor/kernels.h. Their reductions walk each row's valid prefix in the
-/// per-row op order, so batched encoders built on them are bit-identical
-/// to the per-row paths (see src/tensor/README.md).
-
-/// Per-row softmax over the first valid[i] columns of x; padded columns
-/// become exact 0 (attention with key-padding masks).
-Tensor MaskedRowSoftmax(const Tensor& x, const std::vector<int>& valid);
-
-/// Mean-pools b = x.rows()/t padded blocks of t rows each: returns [b,
-/// x.cols()] where row i averages the first lengths[i] rows of block i.
-Tensor MaskedMeanPool(const Tensor& x, int t, const std::vector<int>& lengths);
-
 }  // namespace sudowoodo::nn
 
 #endif  // SUDOWOODO_NN_LAYERS_H_

@@ -390,28 +390,6 @@ Tensor Sigmoid(const Tensor& a) {
       [](float, float y) { return y * (1.0f - y); });
 }
 
-Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training) {
-  if (!training || p <= 0.0f) return a;
-  SUDO_CHECK(p < 1.0f);
-  const float scale = 1.0f / (1.0f - p);
-  auto mask = std::make_shared<std::vector<float>>(a.size());
-  for (auto& m : *mask) m = rng->Bernoulli(p) ? 0.0f : scale;
-  auto out = NewNode(a.rows(), a.cols());
-  for (size_t i = 0; i < a.size(); ++i) {
-    out->value[i] = a.data()[i] * (*mask)[i];
-  }
-  auto ai = a.impl();
-  TensorImpl* o = out.get();
-  Attach(out, {ai}, [ai, o, mask]() {
-    if (!ai->requires_grad) return;
-    ai->EnsureGrad();
-    for (size_t i = 0; i < o->size(); ++i) {
-      ai->grad[i] += o->grad[i] * (*mask)[i];
-    }
-  });
-  return WrapNode(out);
-}
-
 Tensor DropoutAt(const Tensor& a, float p, const std::vector<uint64_t>& keys,
                  int rows_per_key, bool training) {
   if (!training || p <= 0.0f) return a;

@@ -149,8 +149,6 @@ Tensor Relu(const Tensor& a);
 Tensor Gelu(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
-/// Inverted dropout; identity when !training or p == 0.
-Tensor Dropout(const Tensor& a, float p, Rng* rng, bool training);
 /// Counter-based inverted dropout (the training-parallelism enabler; see
 /// CounterRng in common/rng.h and src/tensor/README.md): element (i, j)
 /// is dropped iff the stream keyed by keys[i / rows_per_key] fires at

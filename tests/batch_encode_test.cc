@@ -1,19 +1,23 @@
 // Batched-vs-per-row equivalence battery for the padded-pack inference
 // encoding path (src/nn/batch_pack.h + the EncodeBatch batched routes).
 //
-// The contract under test: for every encoder kind, every batch size, and
-// bucketed or not, the batched [B, T] path produces *bit-identical*
-// pooled vectors to the per-row oracle (set_batched_inference(false)).
-// This holds for the Transformer too - not just FastBag/GRU - because
-// every reduction in the batched path (LayerNorm, masked softmax over the
-// valid prefix, GEMM k-accumulation, masked mean-pool) is row-local and
-// walks exactly the floating-point order of its per-row counterpart; no
-// reduction order changes, so no tolerance is needed anywhere.
+// The contract under test: for every encoder kind and every batch size,
+// the batched [B, T] route produces *bit-identical* pooled vectors to the
+// oracle - the eval-mode graph route, which EncodeBatch takes with the
+// autograd tape on and training off: per-row Tensor ops, the same graph
+// training differentiates, sharing no packing, workspace or masking code
+// with the batched route. This holds for the Transformer too - not just
+// FastBag/GRU - because every reduction in the batched path (LayerNorm,
+// masked softmax over the valid prefix, GEMM k-accumulation, masked
+// mean-pool) is row-local and walks exactly the floating-point order of
+// its per-row counterpart; no reduction order changes, so no tolerance is
+// needed anywhere.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "augment/cutoff.h"
@@ -48,25 +52,28 @@ std::vector<std::vector<int>> RaggedBatch(int n, int vocab, uint64_t seed) {
   return batch;
 }
 
+// Encodes `batch` twice with one encoder: the graph oracle (tape on),
+// then the batched route (tape off, the serving front door).
+std::pair<Tensor, Tensor> OracleAndBatched(
+    Encoder* encoder, const std::vector<std::vector<int>>& batch) {
+  Tensor want = encoder->EncodeBatch(batch, nullptr, /*training=*/false);
+  ts::NoGradGuard ng;
+  return {want, encoder->EncodeBatch(batch, nullptr, /*training=*/false)};
+}
+
 template <typename EncoderT, typename ConfigT>
 void ExpectBatchedBitIdentical(const ConfigT& config, int batch_size,
-                               bool bucketed, uint64_t seed) {
+                               uint64_t seed) {
   const auto batch = RaggedBatch(batch_size, config.vocab_size, seed);
-  EncoderT per_row(config);
-  per_row.set_batched_inference(false);
-  EncoderT batched(config);  // same seed => same weights
-  batched.set_bucketing(bucketed);
-
-  ts::NoGradGuard ng;
-  Tensor want = per_row.EncodeBatch(batch, nullptr, /*training=*/false);
-  Tensor got = batched.EncodeBatch(batch, nullptr, /*training=*/false);
+  EncoderT encoder(config);
+  ASSERT_TRUE(ts::GradEnabled());  // the oracle builds its graph
+  const auto [want, got] = OracleAndBatched(&encoder, batch);
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
   for (int i = 0; i < want.rows(); ++i) {
     for (int j = 0; j < want.cols(); ++j) {
       ASSERT_EQ(got.at(i, j), want.at(i, j))
-          << "row " << i << " dim " << j << " B " << batch_size
-          << " bucketed " << bucketed;
+          << "row " << i << " dim " << j << " B " << batch_size;
     }
   }
 }
@@ -107,27 +114,21 @@ GruConfig SmallGru() {
 // realistic poison is the pad embedding itself: the batched residual
 // stream carries a pad-row projection of it through every layer, so
 // setting the [PAD] table row to NaN/Inf makes every padded slot
-// non-finite from the first gather. The per-row oracle never reads the
+// non-finite from the first gather. The graph oracle never reads the
 // pad row (no row in this batch is empty), so batched must still match
 // it bitwise.
 template <typename EncoderT, typename ConfigT>
 void ExpectPoisonedPaddingHarmless(const ConfigT& config, float poison,
                                    uint64_t seed) {
   const auto batch = RaggedBatch(40, config.vocab_size, seed);
-  EncoderT per_row(config);
-  per_row.set_batched_inference(false);
-  EncoderT batched(config);  // same seed => same weights
-  batched.set_bucketing(true);
-  for (EncoderT* enc : {&per_row, &batched}) {
-    for (Tensor p : enc->Parameters()) {
-      if (p.rows() != config.vocab_size) continue;  // the token table
-      for (int j = 0; j < p.cols(); ++j) p.data()[j] = poison;  // pad row 0
-    }
+  EncoderT encoder(config);
+  for (Tensor p : encoder.Parameters()) {
+    if (p.rows() != config.vocab_size) continue;  // the token table
+    for (int j = 0; j < p.cols(); ++j) p.data()[j] = poison;  // pad row 0
   }
 
-  ts::NoGradGuard ng;
-  Tensor want = per_row.EncodeBatch(batch, nullptr, /*training=*/false);
-  Tensor got = batched.EncodeBatch(batch, nullptr, /*training=*/false);
+  ASSERT_TRUE(ts::GradEnabled());  // the oracle builds its graph
+  const auto [want, got] = OracleAndBatched(&encoder, batch);
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
   for (int i = 0; i < want.rows(); ++i) {
@@ -163,27 +164,19 @@ TEST(BatchEncodePaddingPoisonTest, GruSurvivesNaNAndInfPadding) {
 TEST(BatchEncodeEquivalenceTest, TransformerBitIdenticalAcrossBatchSizes) {
   for (int b : {1, 7, 64, 257}) {
     ExpectBatchedBitIdentical<TransformerEncoder>(SmallTransformer(), b,
-                                                  /*bucketed=*/true, 100 + b);
-    ExpectBatchedBitIdentical<TransformerEncoder>(SmallTransformer(), b,
-                                                  /*bucketed=*/false, 200 + b);
+                                                  100 + b);
   }
 }
 
 TEST(BatchEncodeEquivalenceTest, FastBagBitIdenticalAcrossBatchSizes) {
   for (int b : {1, 7, 64, 257}) {
-    ExpectBatchedBitIdentical<FastBagEncoder>(SmallBag(), b,
-                                              /*bucketed=*/true, 300 + b);
-    ExpectBatchedBitIdentical<FastBagEncoder>(SmallBag(), b,
-                                              /*bucketed=*/false, 400 + b);
+    ExpectBatchedBitIdentical<FastBagEncoder>(SmallBag(), b, 300 + b);
   }
 }
 
 TEST(BatchEncodeEquivalenceTest, GruBitIdenticalAcrossBatchSizes) {
   for (int b : {1, 7, 64, 257}) {
-    ExpectBatchedBitIdentical<GruEncoder>(SmallGru(), b,
-                                          /*bucketed=*/true, 500 + b);
-    ExpectBatchedBitIdentical<GruEncoder>(SmallGru(), b,
-                                          /*bucketed=*/false, 600 + b);
+    ExpectBatchedBitIdentical<GruEncoder>(SmallGru(), b, 500 + b);
   }
 }
 
@@ -328,22 +321,6 @@ TEST(PackBatchesTest, BucketingBoundsPaddingWaste) {
   }
 }
 
-TEST(PackBatchesTest, UnbucketedIsOneBlockPaddedToLongest) {
-  const auto batch = RaggedBatch(50, 50, 5);
-  PackOptions opts;
-  opts.max_len = 48;
-  opts.bucket_by_length = false;
-  const auto buckets = PackBatches(batch, opts);
-  ASSERT_EQ(buckets.size(), 1u);
-  EXPECT_EQ(buckets[0].rows(), 50);
-  int longest = 0;
-  for (const auto& seq : batch) {
-    longest = std::max(longest, std::min<int>(
-        static_cast<int>(seq.size()), opts.max_len));
-  }
-  EXPECT_EQ(buckets[0].t, longest);
-}
-
 TEST(PackBatchesTest, EmptySequencePacksAsSinglePadToken) {
   PackOptions opts;
   opts.max_len = 8;
@@ -403,29 +380,6 @@ TEST(MaskedKernelsTest, MaskedMeanPoolMatchesTransposedRowMean) {
       }
       EXPECT_EQ(out[static_cast<size_t>(i) * d + j], s / len);
     }
-  }
-}
-
-TEST(MaskedKernelsTest, MaskedTensorWrappersMatchKernels) {
-  ts::NoGradGuard ng;
-  Rng rng(19);
-  Tensor x = Tensor::Randn(6, 5, 1.0f, &rng, /*requires_grad=*/false);
-  const std::vector<int> valid = {5, 2, 1, 3, 5, 4};
-  Tensor soft = MaskedRowSoftmax(x, valid);
-  for (int i = 0; i < 6; ++i) {
-    float sum = 0.0f;
-    for (int j = 0; j < 5; ++j) sum += soft.at(i, j);
-    EXPECT_NEAR(sum, 1.0f, 1e-5f);
-    for (int j = valid[static_cast<size_t>(i)]; j < 5; ++j) {
-      EXPECT_EQ(soft.at(i, j), 0.0f);
-    }
-  }
-  const std::vector<int> lengths = {2, 3};
-  Tensor pooled = MaskedMeanPool(x, 3, lengths);
-  EXPECT_EQ(pooled.rows(), 2);
-  EXPECT_EQ(pooled.cols(), 5);
-  for (int j = 0; j < 5; ++j) {
-    EXPECT_EQ(pooled.at(0, j), (x.at(0, j) + x.at(1, j)) / 2.0f);
   }
 }
 

@@ -287,12 +287,12 @@ class TrainingDeterminismTest : public ::testing::Test {
                                  const text::Vocab& vocab, bool batched,
                                  int threads) {
     auto encoder = MakeEncoder(kind, vocab.size());
+    encoder->set_batched_training(batched);
     PretrainOptions o;
     o.epochs = 2;
     o.batch_size = 8;
     o.corpus_cap = 24;
     o.num_clusters = 2;
-    o.batched_training = batched;
     o.num_threads = threads;
     Pretrainer trainer(encoder.get(), &vocab, o);
     EXPECT_TRUE(trainer.Run(corpus).ok());

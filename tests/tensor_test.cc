@@ -256,22 +256,47 @@ TEST(TensorTest, BarlowTwinsIdentityIsZero) {
 }
 
 TEST(TensorTest, DropoutInferenceIsIdentity) {
-  Rng rng(23);
   Tensor a = RandInput(3, 3, 24);
-  Tensor out = Dropout(a, 0.5f, &rng, /*training=*/false);
+  Tensor out = DropoutAt(a, 0.5f, {23}, /*rows_per_key=*/3, /*training=*/false);
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) EXPECT_FLOAT_EQ(out.at(i, j), a.at(i, j));
   }
 }
 
 TEST(TensorTest, DropoutPreservesExpectation) {
-  Rng rng(25);
   Tensor a = Tensor::Constant(50, 50, 1.0f);
-  Tensor out = Dropout(a, 0.3f, &rng, /*training=*/true);
+  Tensor out = DropoutAt(a, 0.3f, {25}, /*rows_per_key=*/50, /*training=*/true);
   double mean = 0.0;
   for (size_t i = 0; i < out.size(); ++i) mean += out.data()[i];
   mean /= static_cast<double>(out.size());
   EXPECT_NEAR(mean, 1.0, 0.05);
+}
+
+TEST(TensorTest, DropoutAtPackedBlocksMatchEachBlockAlone) {
+  // The packing contract: a [b*t, n] block with rows_per_key = t masks
+  // block i exactly as DropoutAt masks that block alone under keys[i].
+  const int b = 3, t = 4, n = 5;
+  const std::vector<uint64_t> keys = {101, 202, 303};
+  Tensor packed = RandInput(b * t, n, 27);
+  Tensor out = DropoutAt(packed, 0.4f, keys, t, /*training=*/true);
+  int dropped = 0;
+  for (size_t i = 0; i < out.size(); ++i) dropped += out.data()[i] == 0.0f;
+  EXPECT_GT(dropped, 0);
+  EXPECT_LT(dropped, b * t * n);
+  for (int i = 0; i < b; ++i) {
+    Tensor block = Tensor::FromData(
+        t, n,
+        std::vector<float>(packed.data() + static_cast<size_t>(i) * t * n,
+                           packed.data() + static_cast<size_t>(i + 1) * t * n));
+    Tensor alone = DropoutAt(block, 0.4f, {keys[static_cast<size_t>(i)]}, t,
+                             /*training=*/true);
+    for (int r = 0; r < t; ++r) {
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(out.at(i * t + r, j), alone.at(r, j))
+            << "block " << i << " row " << r << " col " << j;
+      }
+    }
+  }
 }
 
 TEST(TensorTest, NoGradGuardDisablesGraph) {

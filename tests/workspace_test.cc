@@ -4,9 +4,9 @@
 // Two contracts under test:
 //   1. Bit-identity: the workspace batched route (Encoder::EncodeInference
 //      writing raw buffers through the kernels) produces exactly the
-//      floats of the non-workspace per-row Tensor oracle
-//      (set_batched_inference(false)), for all three encoder kinds at
-//      B in {1, 7, 64, 257}.
+//      floats of the non-workspace per-row Tensor oracle (EncodeBatch in
+//      eval mode with the tape on: the graph route), for all three
+//      encoder kinds at B in {1, 7, 64, 257}.
 //   2. Allocation freedom: after one warmup call, steady-state batched
 //      encoding performs ZERO heap allocations - counted by the global
 //      operator-new replacement in common/alloc_count.h (this file is the
@@ -81,14 +81,11 @@ template <typename EncoderT, typename ConfigT>
 void ExpectWorkspaceBitIdentical(const ConfigT& config, int batch_size,
                                  uint64_t seed) {
   const auto batch = RaggedBatch(batch_size, config.vocab_size, seed);
-  EncoderT oracle(config);
-  oracle.set_batched_inference(false);  // per-row, non-workspace Tensor path
-  EncoderT workspace(config);           // same seed => same weights
-
-  ts::NoGradGuard ng;
-  Tensor want = oracle.EncodeBatch(batch, nullptr, /*training=*/false);
+  EncoderT encoder(config);
+  ASSERT_TRUE(ts::GradEnabled());  // per-row, non-workspace graph route
+  Tensor want = encoder.EncodeBatch(batch, nullptr, /*training=*/false);
   std::vector<float> got(batch.size() * static_cast<size_t>(config.dim));
-  workspace.EncodeInference(batch, got.data());
+  encoder.EncodeInference(batch, got.data());
   for (int i = 0; i < want.rows(); ++i) {
     for (int j = 0; j < want.cols(); ++j) {
       ASSERT_EQ(got[static_cast<size_t>(i) * config.dim + j], want.at(i, j))
@@ -96,7 +93,8 @@ void ExpectWorkspaceBitIdentical(const ConfigT& config, int batch_size,
     }
   }
   // The Tensor front door must be the same route (same floats).
-  Tensor via_batch = workspace.EncodeBatch(batch, nullptr, false);
+  ts::NoGradGuard ng;
+  Tensor via_batch = encoder.EncodeBatch(batch, nullptr, false);
   for (int i = 0; i < want.rows(); ++i) {
     for (int j = 0; j < want.cols(); ++j) {
       ASSERT_EQ(via_batch.at(i, j), want.at(i, j));
