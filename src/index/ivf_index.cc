@@ -391,14 +391,6 @@ Status IvfIndex::QueryBatch(const float* queries, int n_queries, int dim,
 
 namespace {
 
-/// IVF construction options as the facade resolves them: the facade's
-/// per-query nprobe becomes the IVF index's interface-level default.
-IvfOptions ResolveIvfOptions(const BlockingIndexOptions& options) {
-  IvfOptions io = options.ivf;
-  io.nprobe = options.nprobe;
-  return io;
-}
-
 bool UseIvf(const BlockingIndexOptions& options, int n) {
   return options.kind == BlockingIndexKind::kIvf ||
          (options.kind == BlockingIndexKind::kAuto &&
@@ -424,7 +416,7 @@ BlockingIndex::BlockingIndex(const float* rows, int n, int dim,
                              const BlockingIndexOptions& options)
     : options_(options) {
   if (UseIvf(options, n)) {
-    ivf_ = std::make_unique<IvfIndex>(rows, n, dim, ResolveIvfOptions(options),
+    ivf_ = std::make_unique<IvfIndex>(rows, n, dim, options.ivf,
                                       options.mutation, options.storage);
   } else {
     exact_ = std::make_unique<KnnIndex>(rows, n, dim, options.mutation,
@@ -449,7 +441,7 @@ Result<std::unique_ptr<BlockingIndex>> BlockingIndex::Create(
   if (options.exact_threshold < 0) {
     return Status::InvalidArgument("exact_threshold must be >= 0");
   }
-  if (options.nprobe <= 0) {
+  if (options.ivf.nprobe <= 0) {
     return Status::InvalidArgument("nprobe must be > 0");
   }
   if (options.ivf.num_cells < 0 || options.ivf.train_iters < 0) {
@@ -471,7 +463,7 @@ Status BlockingIndex::Insert(const float* rows, int n, int dim) {
   if (options_.kind == BlockingIndexKind::kAuto &&
       exact_->size() >= options_.exact_threshold) {
     ivf_ = std::make_unique<IvfIndex>(exact_->rows(),
-                                      ResolveIvfOptions(options_),
+                                      options_.ivf,
                                       options_.mutation, exact_->storage());
     exact_.reset();
   }

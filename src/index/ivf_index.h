@@ -198,13 +198,12 @@ struct BlockingIndexOptions {
   /// A kAuto facade that *grows* across this threshold via Insert
   /// migrates to IVF in place, ids preserved.
   int exact_threshold = 8192;
-  /// Cells probed per query on the IVF path. The default keeps EM
-  /// blocking recall within the stated budget of exact on clustered
-  /// embeddings while staying ~N/(17*sqrt(N)) times cheaper; see
-  /// EXPERIMENTS.md "ANN blocking" for how to tune it.
-  int nprobe = 16;
-  /// IVF construction knobs (the pipelines override seed/threads/pool
-  /// from their own options).
+  /// IVF knobs, including `ivf.nprobe`, the cells probed per query on the
+  /// IVF path. Its default keeps EM blocking recall within the stated
+  /// budget of exact on clustered embeddings while staying
+  /// ~N/(17*sqrt(N)) times cheaper; see EXPERIMENTS.md "ANN blocking"
+  /// for how to tune it. The pipelines override seed/threads/pool from
+  /// their own options.
   IvfOptions ivf;
   /// In-place mutation knobs for whichever index is selected - the one
   /// place to set compaction and IVF re-train behavior.

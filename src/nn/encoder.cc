@@ -258,10 +258,9 @@ void MultiHeadSelfAttention::ForwardPackedInto(
   // garbage that the layer stack could in principle amplify to Inf/NaN -
   // and the value GEMM multiplies them by the exact-zero weights the
   // masked softmax writes. A 0-weight times a zeroed row contributes an
-  // exact 0 under every dispatch tier; the retired alternative (the
-  // scalar Gemm's zero-skip) only held for the reference tier, since a
-  // fused multiply-add turns 0 * Inf/NaN into NaN. The q rows need no
-  // zeroing: only the valid prefix is ever read.
+  // exact 0 under every dispatch tier, where a 0-weight times an Inf/NaN
+  // row would give NaN (no GEMM tier skips zero operands). The q rows
+  // need no zeroing: only the valid prefix is ever read.
   for (int s = 0; s < b; ++s) {
     const int len = lengths[static_cast<size_t>(s)];
     if (len >= t) continue;
@@ -369,8 +368,8 @@ Tensor MultiHeadSelfAttention::ForwardPackedTrain(
         // no gradient; the valid prefix (and its backward y·gy reduction)
         // is bit-identical to the per-row RowSoftmax.
         Tensor attn = ts::RowSoftmaxMasked(scores, valid);
-        // The value GEMM zero-skips the exact-0 padded attention weights,
-        // forward and backward, so padded value rows never contribute.
+        // The padded value rows are finite and meet exact-0 weights, so
+        // they add exact zeros to the value GEMM, forward and backward.
         heads.push_back(ts::MatMul(attn, vh));
       }
       merged[static_cast<size_t>(s)] = ts::ConcatCols(heads);  // [len, dim]

@@ -250,11 +250,11 @@ class MultiHeadSelfAttention {
   /// single [b*t, dim] GEMMs (row-sharded over `pool` with `num_shards`);
   /// the per-sequence score matrices fan out across the pool, each worker
   /// on its own thread-local Workspace. Rows beyond a block's valid
-  /// prefix carry finite garbage that never reaches valid rows (the
-  /// masked softmax zeroes padded key columns and the GEMM zero-skip
-  /// drops them), so every valid row is bit-identical to Forward on the
-  /// unpadded sequence. Inference only (tape must be off); allocation-
-  /// free after workspace warmup.
+  /// prefix never reach valid rows: their K/V projection rows are zeroed
+  /// before any GEMM reads them, and the masked softmax gives the padded
+  /// key columns exact-0 weight, so every valid row is bit-identical to
+  /// Forward on the unpadded sequence. Inference only (tape must be
+  /// off); allocation-free after workspace warmup.
   void ForwardPackedInto(const float* x, int b, int t,
                          const std::vector<int>& lengths, ThreadPool* pool,
                          int num_shards, float* out) const;

@@ -14,92 +14,6 @@ namespace sudowoodo::tensor::kernels {
 
 namespace {
 
-// Cache-blocking tile sizes. A KC x NC panel of B (32 KiB at 128x64) stays
-// hot while it is swept across all m rows; KC-long slices of A and NC-long
-// slices of C stream through L1. Correctness does not depend on these
-// values (accumulation order per output element is k-increasing for any
-// tiling), so they are tuning knobs only.
-constexpr int kGemmKC = 128;
-constexpr int kGemmNC = 256;
-
-/// Serial C[rows begin..end) += A * B over the full k and n extents.
-/// Inner loop is a stride-1 axpy over a bounded column tile, which the
-/// compiler auto-vectorizes; the `av == 0` skip preserves the seed
-/// engine's sparse-activation shortcut (adding 0 either way).
-void GemmRows(int m_begin, int m_end, int n, int k, const float* a,
-              const float* b, float* c) {
-  for (int jc = 0; jc < n; jc += kGemmNC) {
-    const int j_end = std::min(jc + kGemmNC, n);
-    for (int kc = 0; kc < k; kc += kGemmKC) {
-      const int k_end = std::min(kc + kGemmKC, k);
-      for (int i = m_begin; i < m_end; ++i) {
-        const float* arow = a + static_cast<size_t>(i) * k;
-        float* crow = c + static_cast<size_t>(i) * n;
-        for (int kk = kc; kk < k_end; ++kk) {
-          const float av = arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = b + static_cast<size_t>(kk) * n;
-          for (int j = jc; j < j_end; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-/// Serial C[output rows begin..end) of GemmAT: C[i,j] = sum_l A[l,i] *
-/// B[l,j]. axpy B's row l into C's row i, scaled by the walked-down
-/// column i of A. l (the contraction index) is the outer loop, so
-/// per-element accumulation order is l-increasing.
-void GemmATRows(int m_begin, int m_end, int m, int n, int k, const float* a,
-                const float* b, float* c) {
-  for (int lc = 0; lc < k; lc += kGemmKC) {
-    const int l_end = std::min(lc + kGemmKC, k);
-    for (int jc = 0; jc < n; jc += kGemmNC) {
-      const int j_end = std::min(jc + kGemmNC, n);
-      for (int i = m_begin; i < m_end; ++i) {
-        float* crow = c + static_cast<size_t>(i) * n;
-        for (int l = lc; l < l_end; ++l) {
-          const float av = a[static_cast<size_t>(l) * m + i];
-          if (av == 0.0f) continue;
-          const float* brow = b + static_cast<size_t>(l) * n;
-          for (int j = jc; j < j_end; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  }
-}
-
-/// Serial C[output rows begin..end) of GemmBT: C[i,j] = <A row i, B row
-/// j>. Both operands are contiguous, so each output element is one
-/// vectorizable dot.
-void GemmBTRows(int m_begin, int m_end, int n, int k, const float* a,
-                const float* b, float* c) {
-  for (int i = m_begin; i < m_end; ++i) {
-    const float* arow = a + static_cast<size_t>(i) * k;
-    float* crow = c + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      crow[j] += Dot(arow, b + static_cast<size_t>(j) * k, k);
-    }
-  }
-}
-
-/// Serial C[output rows begin..end) of GemmBTPacked on the scalar tier:
-/// each stored row is gathered once into a grow-only per-thread buffer
-/// and dotted with every A row through the same Dot chain GemmBTRows
-/// runs on the row-major B, so the two are bitwise equal.
-void GemmBTPackedRowsScalar(int m_begin, int m_end, int n, int k,
-                            const float* a, const float* bp, float* c) {
-  thread_local std::vector<float> row;
-  if (row.size() < static_cast<size_t>(k)) row.resize(static_cast<size_t>(k));
-  for (int j = 0; j < n; ++j) {
-    UnpackRow(k, bp, j, row.data());
-    for (int i = m_begin; i < m_end; ++i) {
-      c[static_cast<size_t>(i) * n + j] +=
-          Dot(a + static_cast<size_t>(i) * k, row.data(), k);
-    }
-  }
-}
-
 /// Shared fan-out for the row-sharded GEMM variants: fixed contiguous
 /// shards of the m output rows on the caller's pool, shard 0 on the
 /// calling thread (mirrors ParallelFor). Each output element is computed
@@ -123,38 +37,17 @@ void ShardRows(int m, ThreadPool* pool, int num_shards, const RowsFn& rows) {
   for (auto& f : futures) f.get();
 }
 
-/// Scalar reference for GemmBTI8 output rows [m_begin, m_end). Must stay
-/// bit-identical to the SIMD tiers in kernels_quant_impl.h: the integer
-/// dot is exact (any loop shape gives the same int32) and the rescale
-/// expression below is kept textually in sync with the impl header.
-void GemmBTI8Rows(int m_begin, int m_end, int n, int k, const int8_t* a,
-                  const float* a_scale, const int8_t* b,
-                  const float* b_scale, float* c) {
-  for (int i = m_begin; i < m_end; ++i) {
-    const int8_t* arow = a + static_cast<size_t>(i) * k;
-    const float sa = a_scale[i];
-    float* crow = c + static_cast<size_t>(i) * n;
-    for (int j = 0; j < n; ++j) {
-      const int32_t d = DotI8(arow, b + static_cast<size_t>(j) * k, k);
-      crow[j] += static_cast<float>(d) * (sa * b_scale[j]);
-    }
-  }
-}
-
-/// One tier's micro-kernel workers. All null for the scalar reference
-/// tier, whose loops live in this TU: the float GEMMs keep its separate
-/// multiply+add rounding there, and the int8 panel (bitwise equal on
-/// every tier) runs its unvectorized reference, which the sanitizer legs
-/// re-run for coverage. Tiers this binary was not built with are
-/// compiled out (SUDOWOODO_HAVE_* come from CMakeLists.txt).
+/// One tier's micro-kernel workers. Tiers this binary was not built with
+/// are compiled out (SUDOWOODO_HAVE_* come from CMakeLists.txt) and can
+/// never be active, so every other case lands on the portable tier.
 struct TierKernels {
-  detail::GemmMicroFn gemm = nullptr;
-  detail::GemmBTPackedMicroFn gemm_bt_packed = nullptr;
-  detail::GemmBTI8MicroFn gemm_bt_i8 = nullptr;
+  detail::GemmMicroFn gemm;
+  detail::GemmBTPackedMicroFn gemm_bt_packed;
+  detail::GemmBTI8MicroFn gemm_bt_i8;
 };
 
-TierKernels KernelsForTier(KernelTier tier) {
-  switch (tier) {
+TierKernels ActiveKernels() {
+  switch (ActiveKernelTier()) {
 #if SUDOWOODO_HAVE_AVX512
     case KernelTier::kAvx512:
       return {detail::GemmMicroAvx512, detail::GemmBTPackedMicroAvx512,
@@ -170,40 +63,38 @@ TierKernels KernelsForTier(KernelTier tier) {
       return {detail::GemmMicroNeon, detail::GemmBTPackedMicroNeon,
               detail::GemmBTI8MicroNeon};
 #endif
-    case KernelTier::kPortable:
+    default:
       return {detail::GemmMicroPortable, detail::GemmBTPackedMicroPortable,
               detail::GemmBTI8MicroPortable};
-    default:
-      return {};
   }
 }
 
-TierKernels ActiveKernels() { return KernelsForTier(ActiveKernelTier()); }
-
-bool EnvTruthy(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
 KernelTier DetectDefaultTier() {
-  if (EnvTruthy("SUDOWOODO_FORCE_SCALAR_KERNELS")) return KernelTier::kScalar;
   if (const char* name = std::getenv("SUDOWOODO_KERNEL_TIER")) {
-    for (KernelTier t : {KernelTier::kScalar, KernelTier::kPortable,
-                         KernelTier::kNeon, KernelTier::kAvx2,
-                         KernelTier::kAvx512}) {
+    for (KernelTier t : {KernelTier::kPortable, KernelTier::kNeon,
+                         KernelTier::kAvx2, KernelTier::kAvx512}) {
       if (std::strcmp(name, KernelTierName(t)) == 0 &&
           KernelTierSupported(t)) {
         return t;
       }
     }
-    // Unknown or unsupported name: fall through to the best tier rather
-    // than silently running the slow reference.
+    // Unknown or unsupported name: fall through to the best tier.
   }
   for (KernelTier t : {KernelTier::kAvx512, KernelTier::kAvx2,
                        KernelTier::kNeon}) {
     if (KernelTierSupported(t)) return t;
   }
   return KernelTier::kPortable;
+}
+
+/// Row-sharded C += op(A) * op(B) on the active tier's micro-kernel.
+void DispatchGemm(detail::GemmVariant v, int m, int n, int k, const float* a,
+                  const float* b, float* c, ThreadPool* pool,
+                  int num_shards) {
+  const detail::GemmMicroFn micro = ActiveKernels().gemm;
+  ShardRows(m, pool, num_shards, [=](int begin, int end) {
+    micro(v, begin, end, m, n, k, a, b, c);
+  });
 }
 
 // -1 = no override; otherwise the forced tier. Relaxed atomics suffice:
@@ -222,7 +113,6 @@ KernelTier ActiveKernelTier() {
 
 bool KernelTierSupported(KernelTier tier) {
   switch (tier) {
-    case KernelTier::kScalar:
     case KernelTier::kPortable:
       return true;
     case KernelTier::kNeon:
@@ -250,7 +140,6 @@ bool KernelTierSupported(KernelTier tier) {
 
 const char* KernelTierName(KernelTier tier) {
   switch (tier) {
-    case KernelTier::kScalar: return "scalar";
     case KernelTier::kPortable: return "portable";
     case KernelTier::kNeon: return "neon";
     case KernelTier::kAvx2: return "avx2";
@@ -271,41 +160,17 @@ void ResetKernelTier() {
 
 void Gemm(int m, int n, int k, const float* a, const float* b, float* c,
           ThreadPool* pool, int num_shards) {
-  if (detail::GemmMicroFn micro = ActiveKernels().gemm) {
-    ShardRows(m, pool, num_shards, [=](int begin, int end) {
-      micro(detail::GemmVariant::kNN, begin, end, m, n, k, a, b, c);
-    });
-    return;
-  }
-  ShardRows(m, pool, num_shards, [=](int begin, int end) {
-    GemmRows(begin, end, n, k, a, b, c);
-  });
+  DispatchGemm(detail::GemmVariant::kNN, m, n, k, a, b, c, pool, num_shards);
 }
 
 void GemmAT(int m, int n, int k, const float* a, const float* b, float* c,
             ThreadPool* pool, int num_shards) {
-  if (detail::GemmMicroFn micro = ActiveKernels().gemm) {
-    ShardRows(m, pool, num_shards, [=](int begin, int end) {
-      micro(detail::GemmVariant::kAT, begin, end, m, n, k, a, b, c);
-    });
-    return;
-  }
-  ShardRows(m, pool, num_shards, [=](int begin, int end) {
-    GemmATRows(begin, end, m, n, k, a, b, c);
-  });
+  DispatchGemm(detail::GemmVariant::kAT, m, n, k, a, b, c, pool, num_shards);
 }
 
 void GemmBT(int m, int n, int k, const float* a, const float* b, float* c,
             ThreadPool* pool, int num_shards) {
-  if (detail::GemmMicroFn micro = ActiveKernels().gemm) {
-    ShardRows(m, pool, num_shards, [=](int begin, int end) {
-      micro(detail::GemmVariant::kBT, begin, end, m, n, k, a, b, c);
-    });
-    return;
-  }
-  ShardRows(m, pool, num_shards, [=](int begin, int end) {
-    GemmBTRows(begin, end, n, k, a, b, c);
-  });
+  DispatchGemm(detail::GemmVariant::kBT, m, n, k, a, b, c, pool, num_shards);
 }
 
 void PackRows(int n, int k, const float* rows, int r0, float* packed) {
@@ -329,14 +194,9 @@ void UnpackRow(int k, const float* packed, int r, float* out) {
 
 void GemmBTPacked(int m, int n, int k, const float* a, const float* b_packed,
                   float* c, ThreadPool* pool, int num_shards) {
-  if (detail::GemmBTPackedMicroFn micro = ActiveKernels().gemm_bt_packed) {
-    ShardRows(m, pool, num_shards, [=](int begin, int end) {
-      micro(begin, end, n, k, a, b_packed, c);
-    });
-    return;
-  }
+  const detail::GemmBTPackedMicroFn micro = ActiveKernels().gemm_bt_packed;
   ShardRows(m, pool, num_shards, [=](int begin, int end) {
-    GemmBTPackedRowsScalar(begin, end, n, k, a, b_packed, c);
+    micro(begin, end, n, k, a, b_packed, c);
   });
 }
 
@@ -378,25 +238,12 @@ void DequantizeRowsI8(int m, int n, const int8_t* q, const float* scales,
   }
 }
 
-int32_t DotI8(const int8_t* a, const int8_t* b, int n) {
-  int32_t s = 0;
-  for (int i = 0; i < n; ++i) {
-    s += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return s;
-}
-
 void GemmBTI8(int m, int n, int k, const int8_t* a, const float* a_scale,
               const int8_t* b, const float* b_scale, float* c,
               ThreadPool* pool, int num_shards) {
-  if (detail::GemmBTI8MicroFn micro = ActiveKernels().gemm_bt_i8) {
-    ShardRows(m, pool, num_shards, [=](int begin, int end) {
-      micro(begin, end, n, k, a, a_scale, b, b_scale, c);
-    });
-    return;
-  }
+  const detail::GemmBTI8MicroFn micro = ActiveKernels().gemm_bt_i8;
   ShardRows(m, pool, num_shards, [=](int begin, int end) {
-    GemmBTI8Rows(begin, end, n, k, a, a_scale, b, b_scale, c);
+    micro(begin, end, n, k, a, a_scale, b, b_scale, c);
   });
 }
 

@@ -10,24 +10,20 @@
 // directly on their own buffers for graph-free inference paths.
 //
 // Determinism (see src/tensor/README.md for the full contract): the GEMM
-// variants dispatch at runtime to one of several tiers (scalar reference,
-// portable vector, NEON, AVX2, AVX-512). *Within* a tier, every kernel
-// accumulates each output element along a fixed floating-point order that
+// variants dispatch at runtime to one of several micro-kernel tiers
+// (portable vector, NEON, AVX2, AVX-512). *Within* a tier, every kernel
+// accumulates each output element along one k-increasing chain that
 // does not depend on blocking parameters or on the number of shards, so
 // threaded results are bit-identical to serial ones and batched results
-// are bit-identical to per-row ones. *Across* tiers the rounding differs
-// (the SIMD tiers accumulate with fused multiply-adds, the scalar tier
-// with separate multiply+add), so outputs from different tiers agree only
-// within a small relative tolerance, never bitwise.
-//
-// The scalar tier is the always-available reference: it is bit-identical
-// to the naive i/k/j accumulation loop for finite inputs. It also skips
-// the products of exact-zero A elements (the seed engine's
-// sparse-activation shortcut), which the FMA tiers cannot replicate
-// (0 * Inf/NaN is NaN under a real fused multiply-add) - so no caller may
-// rely on the skip as a non-finite-data firewall; padded/garbage operand
-// rows must be zeroed at the source (see "Masking and batching rules" in
-// the README).
+// are bit-identical to per-row ones. *Across* tiers the rounding differs:
+// a tier compiled with fused multiply-adds rounds each term once, one
+// without them rounds the product and the sum separately. Each tier is
+// therefore bitwise one of two naive loops (`c += a * b` or
+// `c = fma(a, b, c)`, k-increasing, starting from the existing C), and
+// different tiers agree only within a small relative tolerance. No tier
+// skips exact-zero operands (0 * Inf/NaN is NaN), so padded or garbage
+// operand rows must be zeroed at the source (see "Masking and batching
+// rules" in the README).
 //
 // Reductions (Dot, L2NormRows) use a fixed 4-lane partial sum so the
 // compiler can vectorize them; the lane-combine order is fixed, so they
@@ -46,32 +42,28 @@ class ThreadPool;  // common/thread_pool.h; only the pointer is used here.
 
 namespace sudowoodo::tensor::kernels {
 
-/// GEMM dispatch tiers, worst to best. kScalar is the blocked reference
-/// path (separate multiply+add, zero-skip); the others are the
-/// register-blocked FMA micro-kernel compiled for progressively wider
-/// vectors. Every tier is deterministic on its own; tiers differ from
-/// each other by rounding only.
+/// GEMM dispatch tiers, worst to best: the register-blocked micro-kernel
+/// compiled for progressively wider vectors. Every tier is deterministic
+/// on its own; tiers differ from each other by rounding only.
 enum class KernelTier {
-  kScalar = 0,   // blocked reference loops, always available
-  kPortable = 1, // micro-kernel on 4-wide generic vectors, always available
-  kNeon = 2,     // micro-kernel on NEON (aarch64)
-  kAvx2 = 3,     // micro-kernel on AVX2+FMA (x86-64)
-  kAvx512 = 4,   // micro-kernel on AVX-512F (x86-64)
+  kPortable = 0, // 4-wide generic vectors, always available
+  kNeon = 1,     // NEON (aarch64)
+  kAvx2 = 2,     // AVX2+FMA (x86-64)
+  kAvx512 = 3,   // AVX-512F (x86-64)
 };
 
-/// The tier Gemm/GemmAT/GemmBT currently dispatch to. Resolved once from
-/// the environment and CPUID on first use: SUDOWOODO_FORCE_SCALAR_KERNELS
-/// (non-empty, not "0") pins the scalar reference tier,
-/// SUDOWOODO_KERNEL_TIER=scalar|portable|neon|avx2|avx512 picks a specific
-/// tier (ignored when unsupported), otherwise the best tier this binary
-/// and CPU support wins.
+/// The tier the GEMMs currently dispatch to. Resolved once from the
+/// environment and CPUID on first use:
+/// SUDOWOODO_KERNEL_TIER=portable|neon|avx2|avx512 picks a specific tier
+/// (ignored when unsupported or unrecognised), otherwise the best tier
+/// this binary and CPU support wins.
 KernelTier ActiveKernelTier();
 
 /// Whether `tier` is compiled into this binary and runnable on this CPU.
-/// kScalar and kPortable are always supported.
+/// kPortable is always supported.
 bool KernelTierSupported(KernelTier tier);
 
-/// Human-readable tier name ("scalar", "avx2", ...).
+/// Human-readable tier name ("portable", "avx2", ...).
 const char* KernelTierName(KernelTier tier);
 
 /// Overrides the dispatch choice (tests and benches). Returns false and
@@ -141,9 +133,8 @@ void UnpackRow(int k, const float* packed, int r, float* out);
 /// GemmBT with B pre-packed: C[m,n] += A[m,k] * B^T where B's n rows are
 /// stored in the packed layout above (PackedFloats(n, k) floats). Within
 /// a tier every output element is bitwise equal to GemmBT on the
-/// row-major B: the SIMD tiers run the same per-element fma chain, only
-/// without the per-call panel gather, and the scalar tier gathers each
-/// row and keeps its Dot chain. Row-sharded over `pool` like GemmBT.
+/// row-major B: the same per-element chain, only without the per-call
+/// panel gather. Row-sharded over `pool` like GemmBT.
 void GemmBTPacked(int m, int n, int k, const float* a, const float* b_packed,
                   float* c, ThreadPool* pool = nullptr, int num_shards = 1);
 
@@ -166,23 +157,22 @@ void QuantizeRowsI8(int m, int n, const float* x, int8_t* q, float* scales);
 void DequantizeRowsI8(int m, int n, const int8_t* q, const float* scales,
                       float* x);
 
-/// Integer dot of two contiguous int8 spans, accumulated in int32.
-/// Exact for n <= 133152 (|sum| <= n * 127^2 must fit in int32), hence
-/// independent of vectorization, blocking, and tier.
-int32_t DotI8(const int8_t* a, const int8_t* b, int n);
-
-/// Quantized scoring panel: C[m,n] += float(DotI8(A row i, B row j)) *
-/// (a_scale[i] * b_scale[j]) where A is [m,k] int8 and B is [n,k] int8
-/// (the int8 analogue of GemmBT; scores approximate the fp32 dots of the
-/// original rows). Row-sharded over `pool` like GemmBT.
+/// Quantized scoring panel: C[m,n] += float(dot) * (a_scale[i] *
+/// b_scale[j]) where dot is the int32 dot of int8 rows A[i] and B[j], A
+/// is [m,k] and B is [n,k] (the int8 analogue of GemmBT; scores
+/// approximate the fp32 dots of the original rows). Row-sharded over
+/// `pool` like GemmBT.
 ///
 /// Determinism: STRONGER than the float GEMMs. The int32 accumulation is
-/// exact (k <= 133152), and the rescale is a fixed three-op float
-/// expression per element, so the output is bit-identical across ALL
+/// exact for k <= 133152 (|dot| <= k * 127^2 fits in int32), and the
+/// rescale is a fixed float expression per element, so from a zero C
+/// (what every caller passes) the output is bit-identical across ALL
 /// tiers, thread counts, and blockings - the per-tier TUs exist only so
-/// the integer loop vectorizes with the widest available ISA. The float
-/// conversion of the dot is exact while |dot| < 2^24 (always true for
-/// k <= 1040, far above the embedding dims used here).
+/// the integer loop vectorizes with the widest available ISA. On a
+/// nonzero C the FMA tiers fuse the final add, so tiers then differ by
+/// rounding like the float GEMMs. The float conversion of the dot is
+/// exact while |dot| < 2^24 (always true for k <= 1040, far above the
+/// embedding dims used here).
 void GemmBTI8(int m, int n, int k, const int8_t* a, const float* a_scale,
               const int8_t* b, const float* b_scale, float* c,
               ThreadPool* pool = nullptr, int num_shards = 1);
@@ -206,11 +196,12 @@ void RowSoftmax(int m, int n, const float* x, float* y);
 
 /// Mask-aware per-row softmax for padded batches: row i is softmaxed over
 /// its first valid[i] columns (1 <= valid[i] <= n) and the remaining
-/// columns are set to exact 0, so a following Gemm's zero-skip never
-/// touches padded operand rows. The max/sum reductions walk the valid
-/// prefix in the same order RowSoftmax walks a full row, so the valid
-/// prefix of a masked row is bit-identical to RowSoftmax on an [m,
-/// valid[i]] matrix. In-place (y == x) is allowed.
+/// columns are set to exact 0: in a following Gemm those weights meet
+/// the padded operand rows, which add exact zeros only while they are
+/// finite, so callers zero such rows at the source. The max/sum
+/// reductions walk the valid prefix in the same order RowSoftmax walks
+/// a full row, so the valid prefix of a masked row is bit-identical to
+/// RowSoftmax on an [m, valid[i]] matrix. In-place (y == x) is allowed.
 void RowSoftmaxMasked(int m, int n, const float* x, const int* valid,
                       float* y);
 

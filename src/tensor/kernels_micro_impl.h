@@ -22,7 +22,11 @@
 // m/n/k, any shard decomposition, and any row range split, within a
 // tier. Different vector widths still round identically per element (the
 // chain is scalar per element); what distinguishes tiers numerically is
-// only fma-vs-separate rounding against the scalar reference tier.
+// only whether the TU's ISA lets `acc += av * b` contract to a fused
+// multiply-add. A tier is therefore bitwise the naive k-increasing loop
+// `c += a * b` (no FMA in the ISA: the portable tier on x86-64) or
+// `c = fma(a, b, c)` (AVX2, AVX-512, NEON), which tests/kernels_test.cc
+// pins for every tier the machine runs.
 //
 // Pre-packed B (GemmBTPacked): the caller stores B once in panels of
 // kPackedPanelRows rows, k-major, so nothing is gathered per call. A

@@ -15,15 +15,17 @@
 //
 // Determinism contract: integer accumulation is exact, so the dot is the
 // same number for ANY vectorization, unrolling, or blocking. The only
-// float arithmetic is the per-element rescale, written as the exact same
-// expression in every tier and in the scalar reference (kernels.cc):
+// float arithmetic is the per-element rescale, written once here for
+// every tier:
 //
 //   c += float(dot) * (a_scale[i] * b_scale[j])
 //
-// Three correctly-rounded scalar ops in a fixed order - so all tiers
-// produce bit-identical output. This is deliberately stronger than the
-// fp32 GEMM contract (per-tier bit-identity, cross-tier tolerance) and
-// is test-asserted; keep the expression in sync across the impls.
+// Three correctly-rounded scalar ops in a fixed order, except that an
+// FMA tier fuses the final add; from the zero C every caller passes that
+// changes nothing (fma(x, y, 0) rounds like x * y), so all tiers produce
+// bit-identical output. This is deliberately stronger than the fp32 GEMM
+// contract (per-tier bit-identity, cross-tier tolerance) and is
+// test-asserted against an integer reference loop in tests/quant_test.cc.
 
 #include <algorithm>
 #include <cstddef>

@@ -997,7 +997,7 @@ Tensor AnchorDeferred(const Tensor& init,
           if (wg) {
             for (int i = 0; i < in; ++i) {
               const float av = xrow[i];
-              if (av == 0.0f) continue;  // mirrors the GEMM zero-skip
+              if (av == 0.0f) continue;
               float* wrow = gate.w->grad.data() + static_cast<size_t>(i) * outn;
               for (int j = 0; j < outn; ++j) wrow[j] += av * grow[j];
             }

@@ -173,9 +173,9 @@ Tensor ConcatRows(const std::vector<Tensor>& parts);
 Tensor JoinRows(const std::vector<Tensor>& parts);
 /// Packs b = parts.size() variable-length blocks into one [b*t, cols]
 /// tensor: part i (len_i <= t rows) lands at rows [i*t, i*t + len_i) and
-/// padded rows are exact zero (so downstream GEMM zero-skips never read
-/// them). Backward routes each part's grad slice back; parents are listed
-/// in reverse part order like JoinRows.
+/// padded rows are exact zero (so they add exact zeros to downstream
+/// GEMMs). Backward routes each part's grad slice back; parents are
+/// listed in reverse part order like JoinRows.
 Tensor PadPackRows(const std::vector<Tensor>& parts, int t);
 /// Stacks same-height tensors horizontally.
 Tensor ConcatCols(const std::vector<Tensor>& parts);

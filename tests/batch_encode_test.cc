@@ -108,9 +108,8 @@ GruConfig SmallGru() {
 }
 
 // Padded slots must never leak into valid outputs, even when the data
-// sitting in them is NaN/Inf - encoder correctness must not depend on
-// the scalar Gemm's zero-skip (retired as a padding firewall: the SIMD
-// micro-kernel tiers turn 0 * NaN into NaN, see kernels.h). The worst
+// sitting in them is NaN/Inf - no GEMM tier skips zero operands, and a
+// fused multiply-add turns 0 * NaN into NaN (see kernels.h). The worst
 // realistic poison is the pad embedding itself: the batched residual
 // stream carries a pad-row projection of it through every layer, so
 // setting the [PAD] table row to NaN/Inf makes every padded slot

@@ -355,7 +355,7 @@ TEST(IvfBlockingIndexTest, IvfKindRoutesNprobe) {
   auto queries = ClusteredUnitRows(40, dim, 15, 0.1f, 18);
   BlockingIndexOptions opts;
   opts.kind = BlockingIndexKind::kIvf;
-  opts.nprobe = 5;
+  opts.ivf.nprobe = 5;
   opts.ivf.seed = 21;
   BlockingIndex facade(items.data(), n, dim, opts);
   IvfIndex direct(items.data(), n, dim, opts.ivf);

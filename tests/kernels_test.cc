@@ -1,23 +1,22 @@
 // Tests for the raw kernel layer under the autograd engine.
 //
-// The naive reference loops in this file are the spec, with the tolerance
-// split documented in kernels.h: the *scalar* tier must match them bit
-// for bit (per-output-element accumulation order is k-increasing in
-// both), while the SIMD micro-kernel tiers accumulate with fused
-// multiply-adds and so match only within a small relative tolerance.
-// Within ANY tier, the threaded overload must match serial bitwise -
-// that is the per-dispatch determinism contract the dispatch-matrix
-// battery below pins for every tier this machine can run.
-//
-// One further scalar-tier-only behavior: the reference loops skip
-// products of exact-zero A elements, so 0 * Inf/NaN contributes 0 there
-// where the plain loop (and the FMA tiers) would produce NaN. No caller
-// may rely on that skip; see "Masking and batching rules" in
-// src/tensor/README.md.
+// The naive reference loops in this file are the spec. Every dispatch
+// tier accumulates each output element along one k-increasing chain that
+// starts from the existing C value, so every tier matches one of two
+// naive chains bit for bit: the plain chain `c += a * b` (a tier whose
+// ISA has no fused multiply-add, like the portable tier on x86-64) or
+// the fused chain `c = fma(a, b, c)` (AVX2, AVX-512, NEON). Within ANY
+// tier, the threaded overload must match serial bitwise - that is the
+// per-dispatch determinism contract the dispatch-matrix battery below
+// pins for every tier this machine can run. Across tiers only a small
+// relative tolerance holds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,11 +36,12 @@ class ScopedTier {
   ScopedTier& operator=(const ScopedTier&) = delete;
 };
 
+constexpr KernelTier kAllTiers[] = {KernelTier::kPortable, KernelTier::kNeon,
+                                    KernelTier::kAvx2, KernelTier::kAvx512};
+
 std::vector<KernelTier> AvailableTiers() {
   std::vector<KernelTier> tiers;
-  for (KernelTier t : {KernelTier::kScalar, KernelTier::kPortable,
-                       KernelTier::kNeon, KernelTier::kAvx2,
-                       KernelTier::kAvx512}) {
+  for (KernelTier t : kAllTiers) {
     if (KernelTierSupported(t)) tiers.push_back(t);
   }
   return tiers;
@@ -54,45 +54,99 @@ std::vector<float> RandomVec(int n, uint64_t seed) {
   return v;
 }
 
-/// Reference GEMM: C += A*B, accumulating directly into C along a scalar
-/// k-increasing chain per output element - the exact per-element order the
-/// blocked kernel guarantees (existing C value first, then products in k
-/// order).
-void NaiveGemm(int m, int n, int k, const float* a, const float* b, float* c) {
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      for (int l = 0; l < k; ++l) {
-        c[static_cast<size_t>(i) * n + j] +=
-            a[static_cast<size_t>(i) * k + l] * b[static_cast<size_t>(l) * n + j];
-      }
-    }
+/// The three GEMM variants: A is [m,k] for kNN and kBT and [k,m] for
+/// kAT; B is [k,n] for kNN and kAT and [n,k] for kBT.
+enum class Op { kNN, kAT, kBT };
+
+const char* OpName(Op op) {
+  switch (op) {
+    case Op::kNN: return "gemm";
+    case Op::kAT: return "gemm_at";
+    case Op::kBT: return "gemm_bt";
+  }
+  return "?";
+}
+
+void RunKernel(Op op, int m, int n, int k, const float* a, const float* b,
+               float* c) {
+  switch (op) {
+    case Op::kNN: Gemm(m, n, k, a, b, c); break;
+    case Op::kAT: GemmAT(m, n, k, a, b, c); break;
+    case Op::kBT: GemmBT(m, n, k, a, b, c); break;
   }
 }
 
-void NaiveGemmAT(int m, int n, int k, const float* a, const float* b,
-                 float* c) {
+/// How a naive reference chain rounds each term.
+enum class Chain { kPlain, kFused };
+
+/// Reference C += op(A) * op(B): each output element accumulates directly
+/// into C along one k-increasing chain. kPlain rounds the product and
+/// the sum separately; kFused rounds each term once through std::fma.
+std::vector<float> Naive(Chain chain, Op op, int m, int n, int k,
+                         const float* a, const float* b,
+                         std::vector<float> c) {
+  // A(i,l) = a[i*ai + l*al] and B(l,j) = b[l*bl + j*bj].
+  const size_t ai = op == Op::kAT ? 1 : k, al = op == Op::kAT ? m : 1;
+  const size_t bl = op == Op::kBT ? 1 : n, bj = op == Op::kBT ? k : 1;
   for (int i = 0; i < m; ++i) {
     for (int j = 0; j < n; ++j) {
+      float& acc = c[static_cast<size_t>(i) * n + j];
       for (int l = 0; l < k; ++l) {
-        c[static_cast<size_t>(i) * n + j] +=
-            a[static_cast<size_t>(l) * m + i] * b[static_cast<size_t>(l) * n + j];
+        const float x = a[i * ai + l * al];
+        const float y = b[l * bl + j * bj];
+        if (chain == Chain::kFused) {
+          acc = std::fma(x, y, acc);
+        } else {
+          // A volatile product: on a target with FMA the compiler would
+          // otherwise contract the multiply and add into one fma.
+          volatile float p = x * y;
+          acc += p;
+        }
       }
     }
   }
+  return c;
 }
 
-void NaiveGemmBT(int m, int n, int k, const float* a, const float* b,
-                 float* c) {
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      double acc = 0.0;
-      for (int l = 0; l < k; ++l) {
-        acc += static_cast<double>(a[static_cast<size_t>(i) * k + l]) *
-               b[static_cast<size_t>(j) * k + l];
-      }
-      c[static_cast<size_t>(i) * n + j] += static_cast<float>(acc);
+/// Over a series of kernel outputs: whether every one equals its
+/// plain-chain reference bit for bit, and whether every one equals its
+/// fused-chain reference. A tier must keep one of the two throughout.
+class OneChain {
+ public:
+  /// Checks `got`, the kernel's result of op(a, b) added to `c0`.
+  void Check(Op op, int m, int n, int k, const float* a, const float* b,
+             const std::vector<float>& c0, const std::vector<float>& got) {
+    const std::string where = std::string(OpName(op)) + " " +
+                              std::to_string(m) + "x" + std::to_string(n) +
+                              "x" + std::to_string(k);
+    if (plain_miss_.empty() &&
+        got != Naive(Chain::kPlain, op, m, n, k, a, b, c0)) {
+      plain_miss_ = where;
+    }
+    if (fused_miss_.empty() &&
+        got != Naive(Chain::kFused, op, m, n, k, a, b, c0)) {
+      fused_miss_ = where;
     }
   }
+
+  ::testing::AssertionResult Holds() const {
+    if (plain_miss_.empty() || fused_miss_.empty()) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "the plain chain first differs at " << plain_miss_
+           << ", the fma chain at " << fused_miss_;
+  }
+
+ private:
+  std::string plain_miss_, fused_miss_;
+};
+
+/// B ([n, k] row-major) in the stored panel layout GemmBTPacked reads.
+std::vector<float> PackedImage(int n, int k, const std::vector<float>& b) {
+  std::vector<float> packed(PackedFloats(n, k), 0.0f);
+  PackRows(n, k, b.data(), 0, packed.data());
+  return packed;
 }
 
 /// Shapes covering 1x1, row/column vectors, block-size multiples, and
@@ -106,69 +160,45 @@ const Shape kShapes[] = {
     {64, 64, 64}, {5, 300, 129}, {130, 7, 259},
 };
 
-TEST(KernelsTest, BlockedGemmMatchesNaiveExactly) {
-  // Bitwise equality with the naive loop is a scalar-tier guarantee; the
-  // SIMD tiers are covered with tolerance by the dispatch battery below.
-  ScopedTier scalar(KernelTier::kScalar);
+/// `op` on the portable tier, which every machine runs, from a zero C:
+/// one naive chain on every shape.
+void ExpectPortableFollowsOneChain(Op op, uint64_t seed) {
+  ScopedTier portable(KernelTier::kPortable);
+  OneChain chain;
   for (const auto& s : kShapes) {
-    const auto a = RandomVec(s.m * s.k, 1 + static_cast<uint64_t>(s.m));
-    const auto b = RandomVec(s.k * s.n, 2 + static_cast<uint64_t>(s.n));
-    std::vector<float> want(static_cast<size_t>(s.m) * s.n, 0.0f);
-    std::vector<float> got = want;
-    NaiveGemm(s.m, s.n, s.k, a.data(), b.data(), want.data());
-    Gemm(s.m, s.n, s.k, a.data(), b.data(), got.data());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "shape " << s.m << "x" << s.n << "x" << s.k
-                                 << " at " << i;
-    }
+    const auto a = RandomVec(s.m * s.k, seed + static_cast<uint64_t>(s.m));
+    const auto b = RandomVec(s.k * s.n, seed + 1 + static_cast<uint64_t>(s.n));
+    const std::vector<float> c0(static_cast<size_t>(s.m) * s.n, 0.0f);
+    std::vector<float> got = c0;
+    RunKernel(op, s.m, s.n, s.k, a.data(), b.data(), got.data());
+    chain.Check(op, s.m, s.n, s.k, a.data(), b.data(), c0, got);
   }
+  EXPECT_TRUE(chain.Holds()) << OpName(op);
+}
+
+TEST(KernelsTest, BlockedGemmMatchesNaiveExactly) {
+  ExpectPortableFollowsOneChain(Op::kNN, 1);
 }
 
 TEST(KernelsTest, GemmAccumulatesIntoExistingC) {
-  ScopedTier scalar(KernelTier::kScalar);
+  ScopedTier portable(KernelTier::kPortable);
   const int m = 3, n = 5, k = 4;
   const auto a = RandomVec(m * k, 11);
   const auto b = RandomVec(k * n, 12);
-  std::vector<float> base(static_cast<size_t>(m) * n, 2.5f);
-  std::vector<float> want = base;
+  const std::vector<float> base(static_cast<size_t>(m) * n, 2.5f);
   std::vector<float> got = base;
-  NaiveGemm(m, n, k, a.data(), b.data(), want.data());
   Gemm(m, n, k, a.data(), b.data(), got.data());
-  EXPECT_EQ(got, want);
+  OneChain chain;
+  chain.Check(Op::kNN, m, n, k, a.data(), b.data(), base, got);
+  EXPECT_TRUE(chain.Holds());
 }
 
 TEST(KernelsTest, GemmATMatchesNaiveExactly) {
-  ScopedTier scalar(KernelTier::kScalar);
-  for (const auto& s : kShapes) {
-    const auto a = RandomVec(s.k * s.m, 3 + static_cast<uint64_t>(s.m));
-    const auto b = RandomVec(s.k * s.n, 4 + static_cast<uint64_t>(s.n));
-    std::vector<float> want(static_cast<size_t>(s.m) * s.n, 0.0f);
-    std::vector<float> got = want;
-    NaiveGemmAT(s.m, s.n, s.k, a.data(), b.data(), want.data());
-    GemmAT(s.m, s.n, s.k, a.data(), b.data(), got.data());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got[i], want[i]) << "shape " << s.m << "x" << s.n << "x" << s.k;
-    }
-  }
+  ExpectPortableFollowsOneChain(Op::kAT, 3);
 }
 
-TEST(KernelsTest, GemmBTMatchesDoubleReference) {
-  // GemmBT never promises bitwise equality with a single-chain loop (the
-  // scalar tier reduces via the 4-lane Dot, the micro tiers via an FMA
-  // chain), so compare the *default dispatch* against a double reference
-  // with a small tolerance.
-  for (const auto& s : kShapes) {
-    const auto a = RandomVec(s.m * s.k, 5 + static_cast<uint64_t>(s.m));
-    const auto b = RandomVec(s.n * s.k, 6 + static_cast<uint64_t>(s.n));
-    std::vector<float> want(static_cast<size_t>(s.m) * s.n, 0.0f);
-    std::vector<float> got = want;
-    NaiveGemmBT(s.m, s.n, s.k, a.data(), b.data(), want.data());
-    GemmBT(s.m, s.n, s.k, a.data(), b.data(), got.data());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_NEAR(got[i], want[i], 1e-4f * (std::fabs(want[i]) + 1.0f))
-          << "shape " << s.m << "x" << s.n << "x" << s.k;
-    }
-  }
+TEST(KernelsTest, GemmBTMatchesNaiveExactly) {
+  ExpectPortableFollowsOneChain(Op::kBT, 5);
 }
 
 TEST(KernelsTest, ThreadedGemmBitIdenticalToSerial) {
@@ -187,10 +217,10 @@ TEST(KernelsTest, ThreadedGemmBitIdenticalToSerial) {
 
 // ---------------------------------------------------------------------
 // Dispatch-matrix battery: every tier this binary+CPU can run, against
-// the naive references, at edge shapes (non-multiple-of-tile m/n/k for
-// every tile geometry in use, m=1, k=0, multi-k-block), plus the
-// per-tier determinism contract (threaded == serial, repeat == repeat)
-// and the cross-tier tolerance bound.
+// the naive chains, at edge shapes (non-multiple-of-tile m/n/k for every
+// tile geometry in use, m=1, k=0, multi-k-block), plus the per-tier
+// determinism contract (threaded == serial, repeat == repeat) and the
+// cross-tier tolerance bound.
 
 /// Edge shapes for the micro-kernel geometries: row tiles of 6, column
 /// panels of 8/16/32 floats depending on tier, k blocks of 256.
@@ -207,40 +237,28 @@ const Shape kDispatchShapes[] = {
 TEST(KernelDispatchTest, EveryTierMatchesNaiveAtEdgeShapes) {
   for (KernelTier tier : AvailableTiers()) {
     ScopedTier scoped(tier);
+    OneChain chain;
     for (const auto& s : kDispatchShapes) {
       const auto a = RandomVec(s.m * s.k, 71 + static_cast<uint64_t>(s.m));
       const auto at = RandomVec(s.k * s.m, 72 + static_cast<uint64_t>(s.m));
       const auto b = RandomVec(s.k * s.n, 73 + static_cast<uint64_t>(s.n));
       const auto bt = RandomVec(s.n * s.k, 74 + static_cast<uint64_t>(s.n));
       // Non-zero initial C: the += contract must hold in every tier.
-      std::vector<float> want(static_cast<size_t>(s.m) * s.n, 0.25f);
-      std::vector<float> got_nn = want, got_at = want, got_bt = want;
-      std::vector<float> want_at = want, want_bt = want;
-      NaiveGemm(s.m, s.n, s.k, a.data(), b.data(), want.data());
-      NaiveGemmAT(s.m, s.n, s.k, at.data(), b.data(), want_at.data());
-      NaiveGemmBT(s.m, s.n, s.k, a.data(), bt.data(), want_bt.data());
+      const std::vector<float> c0(static_cast<size_t>(s.m) * s.n, 0.25f);
+      std::vector<float> got_nn = c0, got_at = c0, got_bt = c0;
+      std::vector<float> got_packed = c0;
       Gemm(s.m, s.n, s.k, a.data(), b.data(), got_nn.data());
       GemmAT(s.m, s.n, s.k, at.data(), b.data(), got_at.data());
       GemmBT(s.m, s.n, s.k, a.data(), bt.data(), got_bt.data());
-      for (size_t i = 0; i < want.size(); ++i) {
-        const char* where = KernelTierName(tier);
-        if (tier == KernelTier::kScalar) {
-          // The reference tier IS the naive chain, bit for bit.
-          ASSERT_EQ(got_nn[i], want[i]) << where << " gemm " << s.m << "x"
-                                        << s.n << "x" << s.k << " at " << i;
-          ASSERT_EQ(got_at[i], want_at[i]) << where << " gemm_at";
-        } else {
-          ASSERT_NEAR(got_nn[i], want[i], 1e-4f * (std::fabs(want[i]) + 1.0f))
-              << where << " gemm " << s.m << "x" << s.n << "x" << s.k;
-          ASSERT_NEAR(got_at[i], want_at[i],
-                      1e-4f * (std::fabs(want_at[i]) + 1.0f))
-              << where << " gemm_at " << s.m << "x" << s.n << "x" << s.k;
-        }
-        ASSERT_NEAR(got_bt[i], want_bt[i],
-                    1e-4f * (std::fabs(want_bt[i]) + 1.0f))
-            << where << " gemm_bt " << s.m << "x" << s.n << "x" << s.k;
-      }
+      GemmBTPacked(s.m, s.n, s.k, a.data(), PackedImage(s.n, s.k, bt).data(),
+                   got_packed.data());
+      chain.Check(Op::kNN, s.m, s.n, s.k, a.data(), b.data(), c0, got_nn);
+      chain.Check(Op::kAT, s.m, s.n, s.k, at.data(), b.data(), c0, got_at);
+      chain.Check(Op::kBT, s.m, s.n, s.k, a.data(), bt.data(), c0, got_bt);
+      chain.Check(Op::kBT, s.m, s.n, s.k, a.data(), bt.data(), c0,
+                  got_packed);
     }
+    EXPECT_TRUE(chain.Holds()) << KernelTierName(tier);
   }
 }
 
@@ -290,17 +308,17 @@ TEST(KernelDispatchTest, ThreadedBitIdenticalToSerialInEveryTier) {
   }
 }
 
-TEST(KernelDispatchTest, TiersAgreeWithScalarWithinTolerance) {
+TEST(KernelDispatchTest, TiersAgreeWithPortableWithinTolerance) {
   // The cross-tier bound: any tier's output stays within a small
-  // relative tolerance of the scalar reference tier. This is the
-  // contract callers get when the same binary dispatches differently on
-  // different machines.
+  // relative tolerance of the portable tier, which every machine runs.
+  // This is the contract callers get when the same binary dispatches
+  // differently on different machines.
   const int m = 23, n = 45, k = 131;
   const auto a = RandomVec(m * k, 95);
   const auto b = RandomVec(k * n, 96);
   std::vector<float> ref(static_cast<size_t>(m) * n, 0.0f);
   {
-    ScopedTier scalar(KernelTier::kScalar);
+    ScopedTier portable(KernelTier::kPortable);
     Gemm(m, n, k, a.data(), b.data(), ref.data());
   }
   for (KernelTier tier : AvailableTiers()) {
@@ -312,13 +330,6 @@ TEST(KernelDispatchTest, TiersAgreeWithScalarWithinTolerance) {
           << KernelTierName(tier) << " at " << i;
     }
   }
-}
-
-/// B ([n, k] row-major) in the stored panel layout GemmBTPacked reads.
-std::vector<float> PackedImage(int n, int k, const std::vector<float>& b) {
-  std::vector<float> packed(PackedFloats(n, k), 0.0f);
-  PackRows(n, k, b.data(), 0, packed.data());
-  return packed;
 }
 
 TEST(PackedGemmBTTest, BitwiseEqualsRowMajorInEveryTierAndShardCount) {
@@ -378,8 +389,7 @@ TEST(PackedGemmBTTest, RowsRoundTripAndPaddingIsZero) {
   }
 }
 
-TEST(KernelDispatchTest, ScalarAndPortableAlwaysSupported) {
-  EXPECT_TRUE(KernelTierSupported(KernelTier::kScalar));
+TEST(KernelDispatchTest, PortableAlwaysSupported) {
   EXPECT_TRUE(KernelTierSupported(KernelTier::kPortable));
   // The active tier must be a supported one, whatever the environment
   // picked.
@@ -393,6 +403,28 @@ TEST(KernelDispatchTest, ScalarAndPortableAlwaysSupported) {
       EXPECT_EQ(ActiveKernelTier(), active);
     }
   }
+}
+
+TEST(KernelDispatchTest, ResetKeepsTheEnvironmentTier) {
+  // A test run that pins its tier through SUDOWOODO_KERNEL_TIER relies on
+  // the pin holding: a name the dispatcher does not recognise, or a tier
+  // this machine cannot run, silently falls back to the best tier.
+  ResetKernelTier();
+  const char* name = std::getenv("SUDOWOODO_KERNEL_TIER");
+  if (name == nullptr || name[0] == '\0') {
+    // No pin: the best tier this binary and CPU support.
+    EXPECT_EQ(ActiveKernelTier(), AvailableTiers().back());
+    return;
+  }
+  const KernelTier* named =
+      std::find_if(std::begin(kAllTiers), std::end(kAllTiers),
+                   [name](KernelTier t) {
+                     return std::string(name) == KernelTierName(t);
+                   });
+  ASSERT_NE(named, std::end(kAllTiers))
+      << "SUDOWOODO_KERNEL_TIER=" << name << " names no kernel tier";
+  EXPECT_EQ(ActiveKernelTier(), *named)
+      << "SUDOWOODO_KERNEL_TIER=" << name << " is not the active tier";
 }
 
 TEST(KernelsTest, DotMatchesDoubleReference) {

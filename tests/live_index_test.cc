@@ -601,8 +601,7 @@ TEST(IvfBlockingIndexMutationTest, AutoGrowthMigratesToIvfPreservingIds) {
   BlockingIndexOptions opts;
   opts.kind = BlockingIndexKind::kAuto;
   opts.exact_threshold = 512;
-  opts.nprobe = 1 << 20;  // probe everything: IVF == exact bitwise
-  opts.ivf = SmallIvf();
+  opts.ivf = SmallIvf(/*nprobe=*/1 << 20);  // IVF == exact bitwise
   BlockingIndex facade(rows.data(), 400, dim, opts);
   ASSERT_FALSE(facade.using_ivf());
 
@@ -649,7 +648,7 @@ TEST(IvfBlockingIndexMutationTest, CreateValidatesOptions) {
   const int dim = 8;
   auto rows = ClusteredUnitRows(20, dim, 2, 0.2f, 55);
   BlockingIndexOptions opts;
-  opts.nprobe = 0;
+  opts.ivf.nprobe = 0;
   EXPECT_EQ(
       BlockingIndex::Create(rows.data(), 20, dim, opts).status().code(),
       StatusCode::kInvalidArgument);
@@ -723,7 +722,7 @@ TEST(LiveIndexModelTest, RandomHistoriesMatchReference) {
     BlockingIndexOptions opts;
     opts.kind = BlockingIndexKind::kAuto;
     opts.exact_threshold = threshold;
-    opts.nprobe = 1 << 20;  // >= any cell count: IVF answers exactly
+    opts.ivf.nprobe = 1 << 20;  // >= any cell count: IVF answers exactly
     opts.ivf.train_iters = 4;
     opts.mutation.compact_tombstone_fraction = fraction;
     BlockingIndex idx(rows.data(), n0, dim, opts);
