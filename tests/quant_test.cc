@@ -205,6 +205,34 @@ TEST(QuantKernelTest, ZeroAndNonFiniteRows) {
   EXPECT_EQ(q[2 * n + 1], 127);
 }
 
+// The int8 dot inside every tier's GemmBTI8, read through a 1x1 panel
+// with unit scales: C = float(dot) * (1 * 1) is exact while |dot| < 2^24
+// (here |dot| <= 301 * 127^2), so C must equal the int64 dot. The odd
+// length exercises every tier's vector tail.
+TEST(QuantKernelTest, DotI8MatchesWideReference) {
+  Rng rng(5);
+  const int n = 301;
+  std::vector<int8_t> a(n), b(n);
+  for (auto& v : a) {
+    v = static_cast<int8_t>(rng.UniformInt(255) - 127);
+  }
+  for (auto& v : b) {
+    v = static_cast<int8_t>(rng.UniformInt(255) - 127);
+  }
+  int64_t want = 0;
+  for (int i = 0; i < n; ++i) {
+    want += static_cast<int64_t>(a[static_cast<size_t>(i)]) *
+            b[static_cast<size_t>(i)];
+  }
+  const float one = 1.0f;
+  for (KernelTier t : AvailableTiers()) {
+    ScopedTier tier(t);
+    float c = 0.0f;
+    ks::GemmBTI8(1, 1, n, a.data(), &one, b.data(), &one, &c);
+    EXPECT_EQ(static_cast<int64_t>(c), want) << ks::KernelTierName(t);
+  }
+}
+
 TEST(QuantKernelTest, GemmBTI8BitwiseAcrossTiersAndThreads) {
   const int m = 13, n = 57, k = 64;
   const std::vector<float> af = ClusteredUnitRows(m, k, 3);
