@@ -235,22 +235,36 @@ Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
 }
 
 void MultiHeadSelfAttention::ForwardPackedInto(
-    const float* x, int b, int t, const std::vector<int>& lengths,
+    const float* x, int b, int t, const std::vector<int>& lengths, int q_rows,
     ThreadPool* pool, int num_shards, float* out) const {
   SUDO_CHECK(!ts::GradEnabled());
-  SUDO_CHECK(b > 0 && t > 0);
+  SUDO_CHECK(b > 0 && t > 0 && q_rows > 0 && q_rows <= t);
   SUDO_CHECK(static_cast<int>(lengths.size()) == b);
   const int dim = n_heads_ * head_dim_;
   const int hd = head_dim_;
   const size_t bt = static_cast<size_t>(b) * t;
+  const size_t bq = static_cast<size_t>(b) * q_rows;
   ts::Workspace& ws = ts::Workspace::ThreadLocal();
   ts::Workspace::Frame frame(ws);
-  // The projections are where the batch pays off: one [b*t, dim] GEMM
-  // each instead of b separate [t, dim] ones, row-sharded over the pool.
-  float* q = ws.Floats(bt * dim);
+  // The projections are where the batch pays off: one GEMM each instead
+  // of b separate ones, row-sharded over the pool. K and V need every
+  // row; Q only the first q_rows of each block, gathered into a compact
+  // [b*q_rows, dim] block (each GEMM element is one k-increasing chain
+  // whatever m is, so the gathered rows keep their bits).
+  const float* xq = x;
+  if (q_rows < t) {
+    float* gathered = ws.Floats(bq * dim);
+    for (int s = 0; s < b; ++s) {
+      const float* src = x + static_cast<size_t>(s) * t * dim;
+      std::copy(src, src + static_cast<size_t>(q_rows) * dim,
+                gathered + static_cast<size_t>(s) * q_rows * dim);
+    }
+    xq = gathered;
+  }
+  float* q = ws.Floats(bq * dim);
   float* k = ws.Floats(bt * dim);
   float* v = ws.Floats(bt * dim);
-  wq_.ForwardInto(x, b * t, q, pool, num_shards);
+  wq_.ForwardInto(xq, b * q_rows, q, pool, num_shards);
   wk_.ForwardInto(x, b * t, k, pool, num_shards);
   wv_.ForwardInto(x, b * t, v, pool, num_shards);
   // Padding firewall: zero the K/V rows past each block's valid prefix.
@@ -274,59 +288,63 @@ void MultiHeadSelfAttention::ForwardPackedInto(
   // Score matrices are per sequence; fan them out across the pool, each
   // sequence writing only its own disjoint slot of the output-projection
   // input and carving head-sized scratch from its worker's thread-local
-  // workspace. Only the valid query rows are computed ([len, t] scores,
-  // not [t, t]); the padded rows of each block stay exact zero, which
-  // bounds the padding overhead (wo_ still projects them, but 0-rows
-  // produce bias-only outputs that are never copied out).
-  float* attn_in = ws.Floats(bt * dim);
-  std::fill(attn_in, attn_in + bt * dim, 0.0f);
+  // workspace. Only the valid query rows are computed ([nq, t] scores
+  // with nq = min(len, q_rows), not [t, t]); the other rows of each
+  // block stay exact zero, which bounds the padding overhead (wo_ still
+  // projects them, but 0-rows produce bias-only outputs that are never
+  // copied out).
+  float* attn_in = ws.Floats(bq * dim);
+  std::fill(attn_in, attn_in + bq * dim, 0.0f);
   auto encode_range = [&](int64_t begin, int64_t end, int /*shard*/) {
     ts::NoGradGuard ng;  // GradEnabled() is thread-local; workers re-disable.
     ts::Workspace& wws = ts::Workspace::ThreadLocal();
     ts::Workspace::Frame wframe(wws);
-    float* qh = wws.Floats(static_cast<size_t>(t) * hd);
+    float* qh = wws.Floats(static_cast<size_t>(q_rows) * hd);
     float* kh = wws.Floats(static_cast<size_t>(t) * hd);
     float* vh = wws.Floats(static_cast<size_t>(t) * hd);
-    float* scores = wws.Floats(static_cast<size_t>(t) * t);
-    float* head_out = wws.Floats(static_cast<size_t>(t) * hd);
-    int* valid = wws.Ints(static_cast<size_t>(t));
+    float* scores = wws.Floats(static_cast<size_t>(q_rows) * t);
+    float* head_out = wws.Floats(static_cast<size_t>(q_rows) * hd);
+    int* valid = wws.Ints(static_cast<size_t>(q_rows));
     for (int64_t s = begin; s < end; ++s) {
       const int len = lengths[static_cast<size_t>(s)];
+      const int nq = std::min(len, q_rows);
       const size_t base = static_cast<size_t>(s) * t;
-      std::fill(valid, valid + len, len);
+      const size_t qbase = static_cast<size_t>(s) * q_rows;
+      std::fill(valid, valid + nq, len);
       for (int h = 0; h < n_heads_; ++h) {
         // Contiguous per-head slices, the raw equivalent of the oracle's
         // SliceRows + SliceCols copies.
+        const size_t col = static_cast<size_t>(h) * hd;
         for (int r = 0; r < t; ++r) {
-          const size_t row = (base + r) * dim + static_cast<size_t>(h) * hd;
+          const size_t row = (base + r) * dim + col;
           std::copy(k + row, k + row + hd, kh + static_cast<size_t>(r) * hd);
           std::copy(v + row, v + row + hd, vh + static_cast<size_t>(r) * hd);
-          if (r < len) {
-            std::copy(q + row, q + row + hd,
-                      qh + static_cast<size_t>(r) * hd);
-          }
         }
-        std::fill(scores, scores + static_cast<size_t>(len) * t, 0.0f);
-        ks::GemmBT(len, t, hd, qh, kh, scores);
-        for (size_t i = 0; i < static_cast<size_t>(len) * t; ++i) {
+        for (int r = 0; r < nq; ++r) {
+          const size_t row = (qbase + r) * dim + col;
+          std::copy(q + row, q + row + hd, qh + static_cast<size_t>(r) * hd);
+        }
+        std::fill(scores, scores + static_cast<size_t>(nq) * t, 0.0f);
+        ks::GemmBT(nq, t, hd, qh, kh, scores);
+        for (size_t i = 0; i < static_cast<size_t>(nq) * t; ++i) {
           scores[i] *= scale;
         }
         // Padded key columns get exact-0 weight, and the padded value
         // rows were zeroed after projection, so the value GEMM adds
         // exact zeros for them in every dispatch tier.
-        ks::RowSoftmaxMasked(len, t, scores, valid, scores);
-        std::fill(head_out, head_out + static_cast<size_t>(len) * hd, 0.0f);
-        ks::Gemm(len, hd, t, scores, vh, head_out);
-        for (int r = 0; r < len; ++r) {
+        ks::RowSoftmaxMasked(nq, t, scores, valid, scores);
+        std::fill(head_out, head_out + static_cast<size_t>(nq) * hd, 0.0f);
+        ks::Gemm(nq, hd, t, scores, vh, head_out);
+        for (int r = 0; r < nq; ++r) {
           std::copy(head_out + static_cast<size_t>(r) * hd,
                     head_out + static_cast<size_t>(r + 1) * hd,
-                    attn_in + (base + r) * dim + static_cast<size_t>(h) * hd);
+                    attn_in + (qbase + r) * dim + col);
         }
       }
     }
   };
   ParallelFor(b, num_shards, encode_range, pool);
-  wo_.ForwardInto(attn_in, b * t, out, pool, num_shards);
+  wo_.ForwardInto(attn_in, b * q_rows, out, pool, num_shards);
 }
 
 Tensor MultiHeadSelfAttention::ForwardPackedTrain(
@@ -482,27 +500,46 @@ void TransformerEncoder::EncodeBucketInto(const PackedBucket& bucket,
     for (int j = 0; j < d; ++j) xr[j] = trow[j] + prow[j];
   }
 
+  // [CLS] pooling reads row 0 of each block, so the last layer needs
+  // every row only as attention keys and values: it runs LayerNorm 1 and
+  // the K/V projections on all rows, and everything else - query,
+  // attention, output projection, residuals, LayerNorm 2, FFN and the
+  // final LayerNorm - on row 0 of each block alone. `rows` is the number
+  // of residual rows kept per block: t, then 1 after the last layer.
   float* ln = ws.Floats(bt * d);
   float* attn_out = ws.Floats(bt * d);
   float* ffn_hidden = ws.Floats(bt * static_cast<size_t>(config_.ffn_dim));
   float* ffn_out = ws.Floats(bt * d);
-  for (const Layer& layer : layers_) {
+  int rows = t;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    const Layer& layer = layers_[l];
+    const int q_rows = l + 1 == layers_.size() ? 1 : t;
     layer.ln1.ForwardInto(x, b * t, ln);
-    layer.attn.ForwardPackedInto(ln, b, t, bucket.lengths, pool, shards,
-                                 attn_out);
-    for (size_t i = 0; i < bt * d; ++i) x[i] = x[i] + attn_out[i];
-    layer.ln2.ForwardInto(x, b * t, ln);
-    layer.ffn.fc1().ForwardInto(ln, b * t, ffn_hidden, pool, shards);
-    ks::GeluForward(static_cast<int>(bt) * config_.ffn_dim, ffn_hidden,
-                    ffn_hidden);
-    layer.ffn.fc2().ForwardInto(ffn_hidden, b * t, ffn_out, pool, shards);
-    for (size_t i = 0; i < bt * d; ++i) x[i] = x[i] + ffn_out[i];
+    layer.attn.ForwardPackedInto(ln, b, t, bucket.lengths, q_rows, pool,
+                                 shards, attn_out);
+    if (q_rows < rows) {
+      // Compact the residual stream to row 0 of each block: row s*t
+      // moves down to row s, below every row still to be read.
+      for (int s = 1; s < b; ++s) {
+        const float* src = x + static_cast<size_t>(s) * t * d;
+        std::copy(src, src + d, x + static_cast<size_t>(s) * d);
+      }
+      rows = q_rows;
+    }
+    const int m = b * rows;
+    const size_t md = static_cast<size_t>(m) * d;
+    for (size_t i = 0; i < md; ++i) x[i] = x[i] + attn_out[i];
+    layer.ln2.ForwardInto(x, m, ln);
+    layer.ffn.fc1().ForwardInto(ln, m, ffn_hidden, pool, shards);
+    ks::GeluForward(m * config_.ffn_dim, ffn_hidden, ffn_hidden);
+    layer.ffn.fc2().ForwardInto(ffn_hidden, m, ffn_out, pool, shards);
+    for (size_t i = 0; i < md; ++i) x[i] = x[i] + ffn_out[i];
   }
-  final_ln_.ForwardInto(x, b * t, ln);
+  final_ln_.ForwardInto(x, b * rows, ln);
 
-  // [CLS] pooling: row 0 of each padded block, scattered to batch order.
+  // [CLS] pooling: row 0 of each block, scattered to batch order.
   for (int i = 0; i < b; ++i) {
-    const float* cls = ln + static_cast<size_t>(i) * t * d;
+    const float* cls = ln + static_cast<size_t>(i) * rows * d;
     float* dst =
         out +
         static_cast<size_t>(bucket.row_index[static_cast<size_t>(i)]) * d;

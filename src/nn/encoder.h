@@ -245,19 +245,24 @@ class MultiHeadSelfAttention {
 
   /// Batched inference forward over padded blocks, on raw workspace
   /// buffers: x is [b*t, dim] holding b length-t blocks, lengths[i] the
-  /// valid prefix of block i; the result lands in caller-owned `out`
-  /// (same shape, must not alias x). The Q/K/V/output projections run as
-  /// single [b*t, dim] GEMMs (row-sharded over `pool` with `num_shards`);
-  /// the per-sequence score matrices fan out across the pool, each worker
-  /// on its own thread-local Workspace. Rows beyond a block's valid
-  /// prefix never reach valid rows: their K/V projection rows are zeroed
-  /// before any GEMM reads them, and the masked softmax gives the padded
-  /// key columns exact-0 weight, so every valid row is bit-identical to
-  /// Forward on the unpadded sequence. Inference only (tape must be
+  /// valid prefix of block i. Only the first q_rows rows of each block
+  /// (1 <= q_rows <= t) are computed as queries: the result lands in
+  /// caller-owned `out`, [b*q_rows, dim] with block i's rows at
+  /// i*q_rows (must not alias x). The encoder passes t for every layer
+  /// but the last, and 1 for the last, whose [CLS] row is all that
+  /// pooling reads. The K/V projections run as single [b*t, dim] GEMMs
+  /// and the Q/output projections as [b*q_rows, dim] GEMMs (row-sharded
+  /// over `pool` with `num_shards`); the per-sequence score matrices fan
+  /// out across the pool, each worker on its own thread-local Workspace.
+  /// Rows beyond a block's valid prefix never reach valid rows: their
+  /// K/V projection rows are zeroed before any GEMM reads them, and the
+  /// masked softmax gives the padded key columns exact-0 weight, so every
+  /// valid query row is bit-identical to the same row of Forward on the
+  /// unpadded sequence, whatever q_rows is. Inference only (tape must be
   /// off); allocation-free after workspace warmup.
   void ForwardPackedInto(const float* x, int b, int t,
-                         const std::vector<int>& lengths, ThreadPool* pool,
-                         int num_shards, float* out) const;
+                         const std::vector<int>& lengths, int q_rows,
+                         ThreadPool* pool, int num_shards, float* out) const;
 
   /// Autograd-capable sibling of ForwardPacked for batched training: the
   /// Q/K/V/output projections are graph MatMuls over the whole [b*t, dim]
@@ -313,10 +318,16 @@ class TransformerEncoder : public Encoder {
   /// Batched inference: packs the batch into padded buckets (reusing the
   /// pack scratch) and runs each bucket's residual stream as [rows*t,
   /// dim] workspace buffers through the blocked (optionally row-sharded)
-  /// GEMMs. Bit-identical to the per-row graph route - every reduction
-  /// (LayerNorm, masked softmax, GEMM accumulation) is row-local, goes
-  /// through the same kernels, and walks the same valid prefix in the
-  /// same order. Zero heap allocations after warmup.
+  /// GEMMs. Every layer but the last computes all rows; the last runs
+  /// LayerNorm 1 and the K/V projections on all rows and everything else
+  /// (query, attention, output projection, residuals, LayerNorm 2, FFN,
+  /// final LayerNorm) on the [CLS] row of each sequence only, since
+  /// pooling reads nothing else. Bit-identical to the per-row graph
+  /// route - every reduction (LayerNorm, masked softmax, GEMM
+  /// accumulation) is row-local, goes through the same kernels, and walks
+  /// the same valid prefix in the same order, and a GEMM output element
+  /// is one k-increasing chain whatever the number of rows. Zero heap
+  /// allocations after warmup.
   void EncodeInferenceImpl(const std::vector<std::vector<int>>& batch,
                            float* out) override;
 

@@ -44,6 +44,7 @@ struct TierKernels {
   detail::GemmMicroFn gemm;
   detail::GemmBTPackedMicroFn gemm_bt_packed;
   detail::GemmBTI8MicroFn gemm_bt_i8;
+  detail::GeluFn gelu;
 };
 
 TierKernels ActiveKernels() {
@@ -51,21 +52,21 @@ TierKernels ActiveKernels() {
 #if SUDOWOODO_HAVE_AVX512
     case KernelTier::kAvx512:
       return {detail::GemmMicroAvx512, detail::GemmBTPackedMicroAvx512,
-              detail::GemmBTI8MicroAvx512};
+              detail::GemmBTI8MicroAvx512, detail::GeluForwardAvx512};
 #endif
 #if SUDOWOODO_HAVE_AVX2
     case KernelTier::kAvx2:
       return {detail::GemmMicroAvx2, detail::GemmBTPackedMicroAvx2,
-              detail::GemmBTI8MicroAvx2};
+              detail::GemmBTI8MicroAvx2, detail::GeluForwardAvx2};
 #endif
 #if SUDOWOODO_HAVE_NEON
     case KernelTier::kNeon:
       return {detail::GemmMicroNeon, detail::GemmBTPackedMicroNeon,
-              detail::GemmBTI8MicroNeon};
+              detail::GemmBTI8MicroNeon, detail::GeluForwardNeon};
 #endif
     default:
       return {detail::GemmMicroPortable, detail::GemmBTPackedMicroPortable,
-              detail::GemmBTI8MicroPortable};
+              detail::GemmBTI8MicroPortable, detail::GeluForwardPortable};
   }
 }
 
@@ -369,13 +370,7 @@ void LayerNormRows(int m, int n, const float* x, const float* gamma,
 }
 
 void GeluForward(int n, const float* x, float* y) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  for (int i = 0; i < n; ++i) {
-    const float v = x[i];
-    const float inner = kC * (v + kA * v * v * v);
-    y[i] = 0.5f * v * (1.0f + std::tanh(inner));
-  }
+  ActiveKernels().gelu(n, x, y);
 }
 
 }  // namespace sudowoodo::tensor::kernels

@@ -42,9 +42,10 @@ class ThreadPool;  // common/thread_pool.h; only the pointer is used here.
 
 namespace sudowoodo::tensor::kernels {
 
-/// GEMM dispatch tiers, worst to best: the register-blocked micro-kernel
-/// compiled for progressively wider vectors. Every tier is deterministic
-/// on its own; tiers differ from each other by rounding only.
+/// Dispatch tiers, worst to best: the register-blocked micro-kernel (and
+/// GELU and the int8 panel) compiled for progressively wider vectors.
+/// Every tier is deterministic on its own; the float GEMM tiers differ
+/// from each other by rounding only, GELU and GemmBTI8 not at all.
 enum class KernelTier {
   kPortable = 0, // 4-wide generic vectors, always available
   kNeon = 1,     // NEON (aarch64)
@@ -52,7 +53,7 @@ enum class KernelTier {
   kAvx512 = 3,   // AVX-512F (x86-64)
 };
 
-/// The tier the GEMMs currently dispatch to. Resolved once from the
+/// The tier the kernels currently dispatch to. Resolved once from the
 /// environment and CPUID on first use:
 /// SUDOWOODO_KERNEL_TIER=portable|neon|avx2|avx512 picks a specific tier
 /// (ignored when unsupported or unrecognised), otherwise the best tier
@@ -165,14 +166,14 @@ void DequantizeRowsI8(int m, int n, const int8_t* q, const float* scales,
 ///
 /// Determinism: STRONGER than the float GEMMs. The int32 accumulation is
 /// exact for k <= 133152 (|dot| <= k * 127^2 fits in int32), and the
-/// rescale is a fixed float expression per element, so from a zero C
-/// (what every caller passes) the output is bit-identical across ALL
-/// tiers, thread counts, and blockings - the per-tier TUs exist only so
-/// the integer loop vectorizes with the widest available ISA. On a
-/// nonzero C the FMA tiers fuse the final add, so tiers then differ by
-/// rounding like the float GEMMs. The float conversion of the dot is
-/// exact while |dot| < 2^24 (always true for k <= 1040, far above the
-/// embedding dims used here).
+/// rescale is a fixed float expression per element, c + float(dot) *
+/// (a_scale[i] * b_scale[j]), rounded op by op: every tier compiles it
+/// with contraction off, so no tier fuses the final add. The output is
+/// therefore bit-identical across ALL tiers, thread counts, and
+/// blockings, from any starting C - the per-tier TUs exist only so the
+/// integer loop vectorizes with the widest available ISA. The float
+/// conversion of the dot is exact while |dot| < 2^24 (always true for
+/// k <= 1040, far above the embedding dims used here).
 void GemmBTI8(int m, int n, int k, const int8_t* a, const float* a_scale,
               const int8_t* b, const float* b_scale, float* c,
               ThreadPool* pool = nullptr, int num_shards = 1);
@@ -234,7 +235,14 @@ void LayerNormRows(int m, int n, const float* x, const float* gamma,
                    float* inv_std);
 
 /// Elementwise tanh-approximation GELU forward, shared (like LayerNormRows)
-/// between tensor::Gelu and the workspace inference paths. In-place
+/// between tensor::Gelu and the workspace inference paths:
+/// y = 0.5f * x * (1.0f + tanhf(kC * (x + kA * x * x * x))), each op
+/// rounded as written. Dispatched per tier (4 lanes on portable and
+/// NEON, 8 on AVX2, 16 on AVX-512), with tanhf a lane-wise port of
+/// fdlibm's tanhf and expm1f - the code glibc runs for std::tanh(float) -
+/// compiled with contraction off. The output is bit-identical across
+/// tiers and does not depend on the libm the binary links: it is the
+/// scalar fdlibm chain bit for bit, NaN payloads included. In-place
 /// (y == x) is allowed.
 void GeluForward(int n, const float* x, float* y);
 

@@ -8,7 +8,4 @@
 #define SUDOWOODO_MICRO_ENTRY GemmMicroAvx2
 #define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroAvx2
 #include "tensor/kernels_micro_impl.h"
-
-#define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroAvx2
-#include "tensor/kernels_quant_impl.h"
 #endif

@@ -8,7 +8,4 @@
 #define SUDOWOODO_MICRO_ENTRY GemmMicroAvx512
 #define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroAvx512
 #include "tensor/kernels_micro_impl.h"
-
-#define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroAvx512
-#include "tensor/kernels_quant_impl.h"
 #endif

@@ -3,7 +3,10 @@
 // Each tier lives in its own translation unit (kernels_portable.cc,
 // kernels_avx2.cc, kernels_avx512.cc, kernels_neon.cc) compiled with the
 // matching ISA flags; all of them include kernels_micro_impl.h, which
-// holds the one shared implementation parameterized by vector width. The
+// holds the one shared implementation parameterized by vector width.
+// Beside each sits a contraction-off unit (kernels_<tier>_exact.cc: the
+// same ISA flags plus -ffp-contract=off) for the kernels that must round
+// as written on every tier: GELU and the int8 scoring panel. The
 // dispatcher in kernels.cc guards every call with a CPUID check, so the
 // wider-ISA functions never execute on hardware that lacks the
 // instructions. Declarations are unconditional; definitions exist only in
@@ -67,8 +70,9 @@ void GemmBTPackedMicroAvx512(int m_begin, int m_end, int n, int k,
 /// dots. Every tier computes bit-identical output (integer accumulation
 /// is exact; the rescale is a fixed scalar float expression) - the tiers
 /// differ only in how fast the compiler's autovectorizer runs the
-/// integer loop under that TU's ISA flags. Defined in the same per-tier
-/// TUs as the float micro-kernel, via kernels_quant_impl.h.
+/// integer loop under that TU's ISA flags. Defined in the per-tier
+/// contraction-off TUs (kernels_<tier>_exact.cc), via
+/// kernels_quant_impl.h, so no tier fuses the rescale's final add.
 using GemmBTI8MicroFn = void (*)(int m_begin, int m_end, int n, int k,
                                  const int8_t* a, const float* a_scale,
                                  const int8_t* b, const float* b_scale,
@@ -86,6 +90,17 @@ void GemmBTI8MicroAvx2(int m_begin, int m_end, int n, int k, const int8_t* a,
 void GemmBTI8MicroAvx512(int m_begin, int m_end, int n, int k,
                          const int8_t* a, const float* a_scale,
                          const int8_t* b, const float* b_scale, float* c);
+
+/// One tier's GELU forward (GeluForward in kernels.h): y[i] = the
+/// tanh-approximation GELU of x[i] for i < n, in vectors of 4, 8 or 16
+/// lanes. Every tier is bit-identical to the scalar fdlibm chain; defined
+/// in the per-tier contraction-off TUs via kernels_gelu_impl.h.
+using GeluFn = void (*)(int n, const float* x, float* y);
+
+void GeluForwardPortable(int n, const float* x, float* y);
+void GeluForwardNeon(int n, const float* x, float* y);
+void GeluForwardAvx2(int n, const float* x, float* y);
+void GeluForwardAvx512(int n, const float* x, float* y);
 
 }  // namespace sudowoodo::tensor::kernels::detail
 

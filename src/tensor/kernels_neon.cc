@@ -9,7 +9,4 @@
 #define SUDOWOODO_MICRO_ENTRY GemmMicroNeon
 #define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroNeon
 #include "tensor/kernels_micro_impl.h"
-
-#define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroNeon
-#include "tensor/kernels_quant_impl.h"
 #endif

@@ -8,6 +8,3 @@
 #define SUDOWOODO_MICRO_ENTRY GemmMicroPortable
 #define SUDOWOODO_MICRO_PACKED_ENTRY GemmBTPackedMicroPortable
 #include "tensor/kernels_micro_impl.h"
-
-#define SUDOWOODO_QUANT_ENTRY GemmBTI8MicroPortable
-#include "tensor/kernels_quant_impl.h"

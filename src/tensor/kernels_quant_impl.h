@@ -1,8 +1,9 @@
 // The int8 scoring panel shared by every SIMD tier, the quantized
 // sibling of kernels_micro_impl.h.
 //
-// Included (not compiled standalone) by the same one-.cc-per-tier TUs as
-// the float micro-kernel, with this macro defined first:
+// Included (not compiled standalone) by the contraction-off .cc of each
+// tier (kernels_<tier>_exact.cc: the tier's ISA flags plus
+// -ffp-contract=off), with this macro defined first:
 //
 //   SUDOWOODO_QUANT_ENTRY  name of the exported entry point
 //
@@ -20,10 +21,10 @@
 //
 //   c += float(dot) * (a_scale[i] * b_scale[j])
 //
-// Three correctly-rounded scalar ops in a fixed order, except that an
-// FMA tier fuses the final add; from the zero C every caller passes that
-// changes nothing (fma(x, y, 0) rounds like x * y), so all tiers produce
-// bit-identical output. This is deliberately stronger than the fp32 GEMM
+// Three correctly-rounded scalar ops in a fixed order. The units that
+// include this file compile with contraction off, so no tier fuses the
+// final add into an FMA, and all tiers produce bit-identical output from
+// any starting C. This is deliberately stronger than the fp32 GEMM
 // contract (per-tier bit-identity, cross-tier tolerance) and is
 // test-asserted against an integer reference loop in tests/quant_test.cc.
 

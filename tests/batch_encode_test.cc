@@ -78,12 +78,17 @@ void ExpectBatchedBitIdentical(const ConfigT& config, int batch_size,
   }
 }
 
-TransformerConfig SmallTransformer() {
+// The batched route computes only the [CLS] row in its last layer, so
+// the inference batteries run 1 layer (where the last layer is also the
+// first), 2 and 3.
+constexpr int kLayerCounts[] = {1, 2, 3};
+
+TransformerConfig SmallTransformer(int n_layers = 2) {
   TransformerConfig config;
   config.vocab_size = 200;
   config.max_len = 24;
   config.dim = 16;
-  config.n_layers = 2;
+  config.n_layers = n_layers;
   config.n_heads = 2;
   config.ffn_dim = 32;
   config.dropout = 0.1f;  // must be a no-op at inference either way
@@ -140,10 +145,15 @@ void ExpectPoisonedPaddingHarmless(const ConfigT& config, float poison,
 }
 
 TEST(BatchEncodePaddingPoisonTest, TransformerSurvivesNaNAndInfPadding) {
-  ExpectPoisonedPaddingHarmless<TransformerEncoder>(
-      SmallTransformer(), std::numeric_limits<float>::quiet_NaN(), 301);
-  ExpectPoisonedPaddingHarmless<TransformerEncoder>(
-      SmallTransformer(), std::numeric_limits<float>::infinity(), 302);
+  for (int layers : kLayerCounts) {
+    SCOPED_TRACE(layers);
+    ExpectPoisonedPaddingHarmless<TransformerEncoder>(
+        SmallTransformer(layers), std::numeric_limits<float>::quiet_NaN(),
+        301);
+    ExpectPoisonedPaddingHarmless<TransformerEncoder>(
+        SmallTransformer(layers), std::numeric_limits<float>::infinity(),
+        302);
+  }
 }
 
 TEST(BatchEncodePaddingPoisonTest, FastBagSurvivesNaNAndInfPadding) {
@@ -161,9 +171,12 @@ TEST(BatchEncodePaddingPoisonTest, GruSurvivesNaNAndInfPadding) {
 }
 
 TEST(BatchEncodeEquivalenceTest, TransformerBitIdenticalAcrossBatchSizes) {
-  for (int b : {1, 7, 64, 257}) {
-    ExpectBatchedBitIdentical<TransformerEncoder>(SmallTransformer(), b,
-                                                  100 + b);
+  for (int layers : kLayerCounts) {
+    SCOPED_TRACE(layers);
+    for (int b : {1, 7, 64, 257}) {
+      ExpectBatchedBitIdentical<TransformerEncoder>(SmallTransformer(layers),
+                                                    b, 100 + b);
+    }
   }
 }
 
@@ -256,16 +269,19 @@ TEST(BatchEncodeEquivalenceTest, GruTrainingGradsBitIdentical) {
 
 TEST(BatchEncodeEquivalenceTest, BatchedPathThreadCountInvariant) {
   const auto batch = RaggedBatch(40, 200, 17);
-  TransformerEncoder serial(SmallTransformer());
-  const auto want = serial.EmbedNormalized(batch);
-  for (int num_threads : {2, 4}) {
-    TransformerEncoder threaded(SmallTransformer());
-    threaded.set_num_threads(num_threads);
-    const auto got = threaded.EmbedNormalized(batch);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) {
-      for (size_t j = 0; j < want[i].size(); ++j) {
-        ASSERT_EQ(got[i][j], want[i][j]) << "num_threads " << num_threads;
+  for (int layers : kLayerCounts) {
+    TransformerEncoder serial(SmallTransformer(layers));
+    const auto want = serial.EmbedNormalized(batch);
+    for (int num_threads : {2, 4}) {
+      TransformerEncoder threaded(SmallTransformer(layers));
+      threaded.set_num_threads(num_threads);
+      const auto got = threaded.EmbedNormalized(batch);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        for (size_t j = 0; j < want[i].size(); ++j) {
+          ASSERT_EQ(got[i][j], want[i][j])
+              << "layers " << layers << " num_threads " << num_threads;
+        }
       }
     }
   }

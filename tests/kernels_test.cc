@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -482,6 +484,274 @@ TEST(KernelsTest, L2NormRows) {
       want += v * v;
     }
     EXPECT_NEAR(norms[static_cast<size_t>(i)], std::sqrt(want), 1e-4);
+  }
+}
+
+// --- GELU: every tier against a scalar fdlibm port -------------------------
+//
+// GeluForward evaluates tanh through a lane-wise port of fdlibm's tanhf
+// and expm1f, the code glibc runs for std::tanh(float). The spec is the
+// scalar port below, written in this file so the test depends on no
+// libm; CMakeLists.txt compiles this file with -ffp-contract=off so the
+// reference rounds every operation as written, as the kernel does.
+
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+float FromBits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+constexpr float kInvLn2 = 1.4426950216e+00f;  // expm1f's 1/ln2
+
+// fdlibm s_expm1f.c (Ian Lance Taylor's float conversion), errno aside.
+float RefExpm1f(float x) {
+  constexpr float kOne = 1.0f, kHuge = 1.0e+30f, kTiny = 1.0e-30f;
+  constexpr float kOThreshold = 8.8721679688e+01f;
+  constexpr float kLn2Hi = 6.9313812256e-01f, kLn2Lo = 9.0580006145e-06f;
+  constexpr float kQ1 = -3.3333335072e-02f, kQ2 = 1.5873016091e-03f,
+                  kQ3 = -7.9365076090e-05f, kQ4 = 4.0082177293e-06f,
+                  kQ5 = -2.0109921195e-07f;
+  uint32_t hx = Bits(x);
+  const uint32_t xsb = hx & 0x80000000u;
+  hx &= 0x7fffffffu;
+  if (hx >= 0x4195b844u) {  // |x| >= 27 ln2
+    if (hx >= 0x42b17218u) {
+      if (hx > 0x7f800000u) return x + x;                   // NaN
+      if (hx == 0x7f800000u) return xsb == 0 ? x : -1.0f;   // +-inf
+      if (x > kOThreshold) return kHuge * kHuge;            // overflow
+    }
+    if (xsb != 0) return kTiny - kOne;  // x < -27 ln2: -1
+  }
+  float hi, lo, c = 0.0f, t;
+  int32_t k;
+  if (hx > 0x3eb17218u) {  // |x| > 0.5 ln2
+    if (hx < 0x3f851592u) {  // and |x| < 1.5 ln2
+      if (xsb == 0) {
+        hi = x - kLn2Hi;
+        lo = kLn2Lo;
+        k = 1;
+      } else {
+        hi = x + kLn2Hi;
+        lo = -kLn2Lo;
+        k = -1;
+      }
+    } else {
+      k = static_cast<int32_t>(kInvLn2 * x + (xsb == 0 ? 0.5f : -0.5f));
+      t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25
+    t = kHuge + x;
+    return x - (t - (kHuge + x));
+  } else {
+    k = 0;
+  }
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      kOne + hxs * (kQ1 + hxs * (kQ2 + hxs * (kQ3 + hxs * (kQ4 + hxs * kQ5))));
+  t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) return x - (x * e - hxs);
+  e = (x * (e - c) - c);
+  e -= hxs;
+  if (k == -1) return 0.5f * (x - e) - 0.5f;
+  if (k == 1) {
+    if (x < -0.25f) return -2.0f * (e - (x + 0.5f));
+    return kOne + 2.0f * (x - e);
+  }
+  const uint32_t kexp = static_cast<uint32_t>(k) << 23;
+  if (k <= -2 || k > 56) {
+    const float y = kOne - (e - x);
+    return FromBits(Bits(y) + kexp) - kOne;
+  }
+  float y;
+  if (k < 23) {
+    t = FromBits(0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    y = t - (e - x);
+  } else {
+    t = FromBits(static_cast<uint32_t>(0x7f - k) << 23);  // 2^-k
+    y = x - (e + t);
+    y += kOne;
+  }
+  return FromBits(Bits(y) + kexp);
+}
+
+// fdlibm s_tanhf.c.
+float RefTanhf(float x) {
+  constexpr float kOne = 1.0f, kTwo = 2.0f, kTiny = 1.0e-30f;
+  const uint32_t jx = Bits(x);
+  const uint32_t ix = jx & 0x7fffffffu;
+  const bool neg = (jx & 0x80000000u) != 0;
+  if (ix >= 0x7f800000u) return neg ? kOne / x - kOne : kOne / x + kOne;
+  float z;
+  if (ix < 0x41b00000u) {  // |x| < 22
+    if (ix == 0) return x;
+    if (ix < 0x24000000u) return x * (kOne + x);  // |x| < 2^-55
+    if (ix >= 0x3f800000u) {                      // |x| >= 1
+      const float t = RefExpm1f(kTwo * std::fabs(x));
+      z = kOne - kTwo / (t + kTwo);
+    } else {
+      const float t = RefExpm1f(-kTwo * std::fabs(x));
+      z = -t / (t + kTwo);
+    }
+  } else {
+    z = kOne - kTiny;
+  }
+  return neg ? -z : z;
+}
+
+float RefGeluInner(float v) {
+  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+  constexpr float kA = 0.044715f;
+  return kC * (v + kA * v * v * v);
+}
+
+float RefGelu(float v) {
+  return 0.5f * v * (1.0f + RefTanhf(RefGeluInner(v)));
+}
+
+/// Runs GeluForward on every tier this machine supports and requires
+/// every output to equal RefGelu bit for bit.
+void ExpectGeluBitExact(const std::vector<float>& x, const char* what) {
+  std::vector<uint32_t> want(x.size());
+  for (size_t i = 0; i < x.size(); ++i) want[i] = Bits(RefGelu(x[i]));
+  for (KernelTier tier : AvailableTiers()) {
+    ScopedTier scoped(tier);
+    std::vector<float> y(x.size());
+    GeluForward(static_cast<int>(x.size()), x.data(), y.data());
+    size_t bad = 0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (Bits(y[i]) == want[i]) continue;
+      if (bad++ < 3) {
+        ADD_FAILURE() << what << " " << KernelTierName(tier) << ": x bits "
+                      << std::hex << Bits(x[i]) << " got " << Bits(y[i])
+                      << " want " << want[i];
+      }
+    }
+    EXPECT_EQ(bad, 0u) << what << " " << KernelTierName(tier);
+  }
+}
+
+TEST(GeluKernelTest, EveryTierMatchesFdlibmOnStridedBitPatterns) {
+  std::vector<float> x;
+  for (uint64_t b = 0; b < (uint64_t{1} << 32); b += 4099) {
+    x.push_back(FromBits(static_cast<uint32_t>(b)));
+  }
+  ExpectGeluBitExact(x, "every 4099th pattern");
+}
+
+/// The smallest v >= 0 whose GELU inner value reaches `target` (inner is
+/// non-decreasing in v, so a bisection over bit patterns finds it).
+uint32_t FirstVReaching(float target) {
+  uint32_t lo = 0, hi = 0x7f800000u;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (RefGeluInner(FromBits(mid)) >= target) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// The smallest |x| at which tanhf's call expm1f(2|x|) reduces by k >= k0.
+float FirstTanhArgWithK(int k0) {
+  uint32_t lo = 0x3f800000u, hi = 0x41b00000u;
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    const float arg = 2.0f * FromBits(mid);
+    if (static_cast<int>(kInvLn2 * arg + 0.5f) >= k0) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return FromBits(lo);
+}
+
+TEST(GeluKernelTest, EveryTierMatchesFdlibmAtBranchThresholds) {
+  // Every branch threshold of tanhf and of the expm1f calls it makes,
+  // as a value of tanhf's argument x: tanhf's 2^-55, 1 and 22; expm1f's
+  // 2^-25, 0.5 ln2 and 1.5 ln2 on -2|x|, its 27 ln2 filter on 2|x|, and
+  // the reductions where k reaches 23 and 57 (new exponent branches).
+  const std::vector<float> thresholds = {
+      FromBits(0x24000000u),      FromBits(0x3f800000u),
+      FromBits(0x41b00000u),      FromBits(0x33000000u) * 0.5f,
+      FromBits(0x3eb17218u) * 0.5f, FromBits(0x3f851592u) * 0.5f,
+      FromBits(0x4195b844u) * 0.5f, FirstTanhArgWithK(23),
+      FirstTanhArgWithK(57)};
+  std::vector<float> x;
+  for (float th : thresholds) {
+    // The GELU input whose inner value crosses the threshold, +-8 ulps:
+    // inner moves roughly 1 to 3 of its own ulps per ulp of v, so this
+    // brackets every threshold by at least +-2 of tanhf's ulps. Both
+    // signs.
+    const uint32_t v = FirstVReaching(th);
+    for (uint32_t b = v - 8; b <= v + 8; ++b) {
+      x.push_back(FromBits(b));
+      x.push_back(-FromBits(b));
+    }
+    // The threshold itself as a GELU input, +-2 ulps.
+    for (uint32_t b = Bits(th) - 2; b <= Bits(th) + 2; ++b) {
+      x.push_back(FromBits(b));
+      x.push_back(-FromBits(b));
+    }
+  }
+  ExpectGeluBitExact(x, "branch thresholds");
+}
+
+TEST(GeluKernelTest, EveryTierMatchesFdlibmOnZerosInfinitiesAndNaNs) {
+  std::vector<float> x;
+  for (uint32_t b :
+       {0x00000000u, 0x80000000u,   // +-0
+        0x7f800000u, 0xff800000u,   // +-inf
+        0x7fc00000u, 0xffc00000u,   // quiet NaNs
+        0x7fc12345u, 0xffd00001u,   // quiet NaNs with payloads
+        0x7f800001u, 0xffa00000u,   // signaling NaNs
+        0x7fbfffffu, 0xff812345u,   // signaling NaNs with payloads
+        0x00000001u, 0x807fffffu,   // denormals
+        0x7f7fffffu, 0xff7fffffu}) {  // +-FLT_MAX
+    x.push_back(FromBits(b));
+  }
+  ExpectGeluBitExact(x, "special values");
+}
+
+TEST(GeluKernelTest, EveryLengthAndInPlace) {
+  // Lengths 0-33 cover every tier's full vectors and every tail; the
+  // floats past n must stay untouched.
+  for (int n = 0; n <= 33; ++n) {
+    const std::vector<float> x = RandomVec(n + 1, 900 + n);
+    for (KernelTier tier : AvailableTiers()) {
+      ScopedTier scoped(tier);
+      std::vector<float> y(static_cast<size_t>(n) + 1, -7.0f);
+      GeluForward(n, x.data(), y.data());
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(y[static_cast<size_t>(i)]),
+                  Bits(RefGelu(x[static_cast<size_t>(i)])))
+            << KernelTierName(tier) << " n " << n << " i " << i;
+      }
+      ASSERT_EQ(y[static_cast<size_t>(n)], -7.0f)
+          << KernelTierName(tier) << " wrote past n " << n;
+      std::vector<float> inplace = x;
+      GeluForward(n, inplace.data(), inplace.data());
+      for (int i = 0; i < n; ++i) {
+        ASSERT_EQ(Bits(inplace[static_cast<size_t>(i)]),
+                  Bits(y[static_cast<size_t>(i)]))
+            << KernelTierName(tier) << " in place, n " << n;
+      }
+      ASSERT_EQ(inplace[static_cast<size_t>(n)], x[static_cast<size_t>(n)]);
+    }
   }
 }
 

@@ -274,6 +274,52 @@ TEST(QuantKernelTest, GemmBTI8BitwiseAcrossTiersAndThreads) {
   }
 }
 
+// Into a nonzero C the rescale's final add matters: an FMA tier that
+// fused `c + float(dot) * scale` would round once where the plain chain
+// rounds twice. The int8 panel compiles with contraction off on every
+// tier, so every tier must still equal the plain chain bit for bit.
+TEST(QuantKernelTest, GemmBTI8IntoNonzeroCBitwiseAcrossTiers) {
+  const int m = 13, n = 57, k = 64;
+  const std::vector<float> af = ClusteredUnitRows(m, k, 5);
+  const std::vector<float> bf = ClusteredUnitRows(n, k, 6);
+  std::vector<int8_t> aq(static_cast<size_t>(m) * k), bq(static_cast<size_t>(n) * k);
+  std::vector<float> as(m), bs(n);
+  ks::QuantizeRowsI8(m, k, af.data(), aq.data(), as.data());
+  ks::QuantizeRowsI8(n, k, bf.data(), bq.data(), bs.data());
+  std::vector<float> c0(static_cast<size_t>(m) * n);
+  Rng rng(7);
+  for (auto& v : c0) v = static_cast<float>(rng.Gaussian());
+
+  std::vector<float> ref = c0;
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < n; ++j) {
+      int32_t dot = 0;
+      for (int l = 0; l < k; ++l) {
+        dot += static_cast<int32_t>(aq[static_cast<size_t>(i * k + l)]) *
+               bq[static_cast<size_t>(j * k + l)];
+      }
+      ref[static_cast<size_t>(i * n + j)] +=
+          static_cast<float>(dot) * (as[static_cast<size_t>(i)] *
+                                     bs[static_cast<size_t>(j)]);
+    }
+  }
+  for (KernelTier t : AvailableTiers()) {
+    ScopedTier tier(t);
+    std::vector<float> got = c0;
+    ks::GemmBTI8(m, n, k, aq.data(), as.data(), bq.data(), bs.data(),
+                 got.data());
+    size_t differ = 0;
+    for (size_t i = 0; i < got.size(); ++i) {
+      uint32_t g, r;
+      std::memcpy(&g, &got[i], sizeof g);
+      std::memcpy(&r, &ref[i], sizeof r);
+      differ += g != r;
+    }
+    EXPECT_EQ(differ, 0u) << ks::KernelTierName(t) << ": " << differ << " of "
+                          << got.size() << " outputs differ";
+  }
+}
+
 // ---------------------------------------------------------------------
 // The bounded selector (index/top_k.h) against a full sort
 // ---------------------------------------------------------------------

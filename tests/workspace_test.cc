@@ -6,7 +6,8 @@
 //      writing raw buffers through the kernels) produces exactly the
 //      floats of the non-workspace per-row Tensor oracle (EncodeBatch in
 //      eval mode with the tape on: the graph route), for all three
-//      encoder kinds at B in {1, 7, 64, 257}.
+//      encoder kinds at B in {1, 7, 64, 257} (the Transformer at 1, 2
+//      and 3 layers).
 //   2. Allocation freedom: after one warmup call, steady-state batched
 //      encoding performs ZERO heap allocations - counted by the global
 //      operator-new replacement in common/alloc_count.h (this file is the
@@ -49,12 +50,12 @@ std::vector<std::vector<int>> RaggedBatch(int n, int vocab, uint64_t seed) {
   return batch;
 }
 
-TransformerConfig SmallTransformer(int vocab) {
+TransformerConfig SmallTransformer(int vocab, int n_layers = 2) {
   TransformerConfig config;
   config.vocab_size = vocab;
   config.max_len = 24;
   config.dim = 16;
-  config.n_layers = 2;
+  config.n_layers = n_layers;
   config.n_heads = 2;
   config.ffn_dim = 32;
   return config;
@@ -104,8 +105,13 @@ void ExpectWorkspaceBitIdentical(const ConfigT& config, int batch_size,
 
 TEST(WorkspaceEncodeTest, BitIdenticalToPerRowOracleBattery) {
   for (int batch_size : {1, 7, 64, 257}) {
-    ExpectWorkspaceBitIdentical<TransformerEncoder>(SmallTransformer(200),
-                                                    batch_size, 11);
+    // The last layer computes only the [CLS] row; at 1 layer it is also
+    // the first.
+    for (int layers : {1, 2, 3}) {
+      SCOPED_TRACE(layers);
+      ExpectWorkspaceBitIdentical<TransformerEncoder>(
+          SmallTransformer(200, layers), batch_size, 11);
+    }
     ExpectWorkspaceBitIdentical<FastBagEncoder>(SmallFastBag(200), batch_size,
                                                 13);
     ExpectWorkspaceBitIdentical<GruEncoder>(SmallGru(200), batch_size, 17);
