@@ -26,7 +26,11 @@ class AdamW {
   AdamW(std::vector<tensor::Tensor> params, const AdamWOptions& options);
 
   /// Applies one update from the accumulated gradients, then leaves the
-  /// gradients untouched (call ZeroGrad separately).
+  /// gradients untouched (call ZeroGrad separately). optimizer.cc is
+  /// built with -fno-math-errno (CMakeLists.txt) so the per-element loop,
+  /// whose std::sqrt could otherwise set errno, runs in vector lanes;
+  /// IEEE sqrt and division round the same in every lane, so the weights
+  /// are bit-identical to the scalar loop's.
   void Step();
 
   /// Clears all parameter gradients.

@@ -45,6 +45,7 @@ struct TierKernels {
   detail::GemmBTPackedMicroFn gemm_bt_packed;
   detail::GemmBTI8MicroFn gemm_bt_i8;
   detail::GeluFn gelu;
+  detail::GeluBackwardFn gelu_backward;
 };
 
 TierKernels ActiveKernels() {
@@ -52,21 +53,25 @@ TierKernels ActiveKernels() {
 #if SUDOWOODO_HAVE_AVX512
     case KernelTier::kAvx512:
       return {detail::GemmMicroAvx512, detail::GemmBTPackedMicroAvx512,
-              detail::GemmBTI8MicroAvx512, detail::GeluForwardAvx512};
+              detail::GemmBTI8MicroAvx512, detail::GeluForwardAvx512,
+              detail::GeluBackwardAvx512};
 #endif
 #if SUDOWOODO_HAVE_AVX2
     case KernelTier::kAvx2:
       return {detail::GemmMicroAvx2, detail::GemmBTPackedMicroAvx2,
-              detail::GemmBTI8MicroAvx2, detail::GeluForwardAvx2};
+              detail::GemmBTI8MicroAvx2, detail::GeluForwardAvx2,
+              detail::GeluBackwardAvx2};
 #endif
 #if SUDOWOODO_HAVE_NEON
     case KernelTier::kNeon:
       return {detail::GemmMicroNeon, detail::GemmBTPackedMicroNeon,
-              detail::GemmBTI8MicroNeon, detail::GeluForwardNeon};
+              detail::GemmBTI8MicroNeon, detail::GeluForwardNeon,
+              detail::GeluBackwardNeon};
 #endif
     default:
       return {detail::GemmMicroPortable, detail::GemmBTPackedMicroPortable,
-              detail::GemmBTI8MicroPortable, detail::GeluForwardPortable};
+              detail::GemmBTI8MicroPortable, detail::GeluForwardPortable,
+              detail::GeluBackwardPortable};
   }
 }
 
@@ -371,6 +376,10 @@ void LayerNormRows(int m, int n, const float* x, const float* gamma,
 
 void GeluForward(int n, const float* x, float* y) {
   ActiveKernels().gelu(n, x, y);
+}
+
+void GeluBackward(int n, const float* x, const float* dy, float* dx) {
+  ActiveKernels().gelu_backward(n, x, dy, dx);
 }
 
 }  // namespace sudowoodo::tensor::kernels

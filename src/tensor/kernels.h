@@ -246,6 +246,18 @@ void LayerNormRows(int m, int n, const float* x, const float* gamma,
 /// (y == x) is allowed.
 void GeluForward(int n, const float* x, float* y);
 
+/// GELU backward, accumulating: dx[i] += d * dy[i], where d is the
+/// derivative of GeluForward's approximation at x[i] in tensor::Gelu's
+/// backward expression order (not the forward's):
+///   x3 = x*x*x; inner = kC * (x + kA * x3); t = tanhf(inner);
+///   sech2 = 1 - t*t;
+///   d = 0.5f*(1 + t) + 0.5f*x*sech2*kC*(1 + 3.0f*kA*x*x),
+/// each op rounded as written, tanhf the same lane-wise fdlibm port, in
+/// the same contraction-off units. Bit-identical across tiers and to the
+/// scalar chain over glibc's tanhf. Each of x, dy and dx must either be
+/// the same buffer as another or not overlap it at all.
+void GeluBackward(int n, const float* x, const float* dy, float* dx);
+
 }  // namespace sudowoodo::tensor::kernels
 
 #endif  // SUDOWOODO_TENSOR_KERNELS_H_

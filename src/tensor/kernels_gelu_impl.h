@@ -1,14 +1,16 @@
-// The tanh-approximation GELU forward, shared by every SIMD tier.
+// The tanh-approximation GELU forward and backward, shared by every SIMD
+// tier.
 //
 // Included (not compiled standalone) by one contraction-off .cc per tier
 // (kernels_<tier>_exact.cc, built with that tier's ISA flags plus
 // -ffp-contract=off), with these macros defined first:
 //
-//   SUDOWOODO_GELU_LANES  floats per vector (4/8/16)
-//   SUDOWOODO_GELU_ENTRY  name of the exported entry point
+//   SUDOWOODO_GELU_LANES           floats per vector (4/8/16)
+//   SUDOWOODO_GELU_ENTRY           name of the exported forward
+//   SUDOWOODO_GELU_BACKWARD_ENTRY  name of the exported backward
 //
-// GeluForward was a scalar loop over std::tanh: glibc's tanhf, which is
-// fdlibm's s_tanhf.c over its s_expm1f.c. This file ports those two
+// Both directions were scalar loops over std::tanh: glibc's tanhf, which
+// is fdlibm's s_tanhf.c over its s_expm1f.c. This file ports those two
 // routines lane by lane. Every branch of the scalar code becomes a lane
 // mask: each lane evaluates the arithmetic of every branch and a select
 // keeps the one its scalar twin would have taken, so each lane performs
@@ -123,11 +125,24 @@ inline vf TanhLanes(vf x) {
                           : z;
 }
 
+constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kA = 0.044715f;
+
 inline vf GeluLanes(vf v) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
   const vf inner = kC * (v + kA * v * v * v);
   return 0.5f * v * (1.0f + TanhLanes(inner));
+}
+
+/// dGELU/dx in the backward's own expression order, which is not the
+/// forward's: x*x*x is formed first, so `inner` may differ from
+/// GeluLanes' in its last bit.
+inline vf GeluGradLanes(vf x) {
+  const vf x3 = x * x * x;
+  const vf inner = kC * (x + kA * x3);
+  const vf t = TanhLanes(inner);
+  const vf sech2 = 1.0f - t * t;
+  return 0.5f * (1.0f + t) +
+         0.5f * x * sech2 * kC * (1.0f + 3.0f * kA * x * x);
 }
 
 }  // namespace
@@ -147,6 +162,28 @@ void SUDOWOODO_GELU_ENTRY(int n, const float* x, float* y) {
     __builtin_memcpy(&v, x + i, rest);
     v = GeluLanes(v);
     __builtin_memcpy(y + i, &v, rest);
+  }
+}
+
+void SUDOWOODO_GELU_BACKWARD_ENTRY(int n, const float* x, const float* dy,
+                                   float* dx) {
+  int i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    vf v, g, acc;
+    __builtin_memcpy(&v, x + i, sizeof v);
+    __builtin_memcpy(&g, dy + i, sizeof g);
+    __builtin_memcpy(&acc, dx + i, sizeof acc);
+    acc += GeluGradLanes(v) * g;
+    __builtin_memcpy(dx + i, &acc, sizeof acc);
+  }
+  if (i < n) {
+    const size_t rest = static_cast<size_t>(n - i) * sizeof(float);
+    vf v{}, g{}, acc{};
+    __builtin_memcpy(&v, x + i, rest);
+    __builtin_memcpy(&g, dy + i, rest);
+    __builtin_memcpy(&acc, dx + i, rest);
+    acc += GeluGradLanes(v) * g;
+    __builtin_memcpy(dx + i, &acc, rest);
   }
 }
 

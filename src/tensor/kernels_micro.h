@@ -102,6 +102,17 @@ void GeluForwardNeon(int n, const float* x, float* y);
 void GeluForwardAvx2(int n, const float* x, float* y);
 void GeluForwardAvx512(int n, const float* x, float* y);
 
+/// One tier's GELU backward (GeluBackward in kernels.h): dx[i] += the
+/// GELU derivative at x[i] times dy[i] for i < n, in the same lanes and
+/// units as the forward, bit-identical to the scalar chain on every tier.
+using GeluBackwardFn = void (*)(int n, const float* x, const float* dy,
+                                float* dx);
+
+void GeluBackwardPortable(int n, const float* x, const float* dy, float* dx);
+void GeluBackwardNeon(int n, const float* x, const float* dy, float* dx);
+void GeluBackwardAvx2(int n, const float* x, const float* dy, float* dx);
+void GeluBackwardAvx512(int n, const float* x, const float* dy, float* dx);
+
 }  // namespace sudowoodo::tensor::kernels::detail
 
 #endif  // SUDOWOODO_TENSOR_KERNELS_MICRO_H_

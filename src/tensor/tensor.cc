@@ -354,26 +354,17 @@ Tensor Gelu(const Tensor& a) {
   // tanh approximation of GELU. The forward is one call into
   // kernels::GeluForward - the same compiled float chain the workspace
   // inference paths run - so graph and graph-free GELU are bit-identical.
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
+  // The backward is kernels::GeluBackward, in its own expression order.
   auto out = NewNode(a.rows(), a.cols());
-  const size_t sz = out->size();
-  kernels::GeluForward(static_cast<int>(sz), a.data(), out->value.data());
+  const int sz = static_cast<int>(out->size());
+  kernels::GeluForward(sz, a.data(), out->value.data());
   auto ai = a.impl();
   TensorImpl* o = out.get();
   Attach(out, {ai}, [ai, o, sz]() {
     if (!ai->requires_grad) return;
     ai->EnsureGrad();
-    for (size_t i = 0; i < sz; ++i) {
-      const float x = ai->value[i];
-      const float x3 = x * x * x;
-      const float inner = kC * (x + kA * x3);
-      const float t = std::tanh(inner);
-      const float sech2 = 1.0f - t * t;
-      const float d = 0.5f * (1.0f + t) +
-                      0.5f * x * sech2 * kC * (1.0f + 3.0f * kA * x * x);
-      ai->grad[i] += d * o->grad[i];
-    }
+    kernels::GeluBackward(sz, ai->value.data(), o->grad.data(),
+                          ai->grad.data());
   });
   return WrapNode(out);
 }
@@ -689,18 +680,26 @@ Tensor SegmentMeanRows(const Tensor& packed, int t,
   Attach(out, {pi}, [pi, o, b0, b1, t, b, d]() {
     if (!pi->requires_grad) return;
     pi->EnsureGrad();
+    // One division per output element, then one add of the quotient to
+    // each row of the range - the same rounding as RowMean's backward on
+    // the transposed slice. Every grad element gets at most one add, so
+    // the rows can run outer over a stack chunk of quotients and walk the
+    // packed grad contiguously.
+    constexpr int kChunk = 64;
+    float q[kChunk];
     for (int i = 0; i < b; ++i) {
       const int r0 = (*b0)[static_cast<size_t>(i)];
       const int r1 = (*b1)[static_cast<size_t>(i)];
       if (r0 == r1) continue;
       const float count = static_cast<float>(r1 - r0);
       const float* g = o->grad.data() + static_cast<size_t>(i) * d;
-      for (int j = 0; j < d; ++j) {
-        // One division per output element, then broadcast - the same
-        // rounding as RowMean's backward on the transposed slice.
-        const float gj = g[j] / count;
+      float* block = pi->grad.data() + static_cast<size_t>(i) * t * d;
+      for (int j0 = 0; j0 < d; j0 += kChunk) {
+        const int w = std::min(kChunk, d - j0);
+        for (int j = 0; j < w; ++j) q[j] = g[j0 + j] / count;
         for (int r = r0; r < r1; ++r) {
-          pi->grad[(static_cast<size_t>(i) * t + r) * d + j] += gj;
+          float* dst = block + static_cast<size_t>(r) * d + j0;
+          for (int j = 0; j < w; ++j) dst[j] += q[j];
         }
       }
     }

@@ -489,11 +489,12 @@ TEST(KernelsTest, L2NormRows) {
 
 // --- GELU: every tier against a scalar fdlibm port -------------------------
 //
-// GeluForward evaluates tanh through a lane-wise port of fdlibm's tanhf
-// and expm1f, the code glibc runs for std::tanh(float). The spec is the
-// scalar port below, written in this file so the test depends on no
-// libm; CMakeLists.txt compiles this file with -ffp-contract=off so the
-// reference rounds every operation as written, as the kernel does.
+// GeluForward and GeluBackward evaluate tanh through a lane-wise port of
+// fdlibm's tanhf and expm1f, the code glibc runs for std::tanh(float).
+// The spec is the scalar port below, written in this file so the test
+// depends on no libm; CMakeLists.txt compiles this file with
+// -ffp-contract=off so the reference rounds every operation as written,
+// as the kernels do.
 
 uint32_t Bits(float f) {
   uint32_t u;
@@ -610,35 +611,71 @@ float RefTanhf(float x) {
   return neg ? -z : z;
 }
 
-float RefGeluInner(float v) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  constexpr float kA = 0.044715f;
-  return kC * (v + kA * v * v * v);
-}
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+
+float RefGeluInner(float v) { return kGeluC * (v + kGeluA * v * v * v); }
 
 float RefGelu(float v) {
   return 0.5f * v * (1.0f + RefTanhf(RefGeluInner(v)));
 }
 
-/// Runs GeluForward on every tier this machine supports and requires
-/// every output to equal RefGelu bit for bit.
+// The backward's inner value: x*x*x first, so not always RefGeluInner's.
+float RefGeluGradInner(float x) {
+  const float x3 = x * x * x;
+  return kGeluC * (x + kGeluA * x3);
+}
+
+float RefGeluGrad(float x) {
+  const float t = RefTanhf(RefGeluGradInner(x));
+  const float sech2 = 1.0f - t * t;
+  return 0.5f * (1.0f + t) +
+         0.5f * x * sech2 * kGeluC * (1.0f + 3.0f * kGeluA * x * x);
+}
+
+/// What GeluBackward leaves in dx[i].
+float RefGeluBackward(float x, float dy, float dx) {
+  return dx + RefGeluGrad(x) * dy;
+}
+
+/// Counts outputs whose bits differ from `want`, reporting the first few.
+size_t CountMismatches(const std::vector<float>& x,
+                       const std::vector<float>& got,
+                       const std::vector<uint32_t>& want,
+                       const std::string& what) {
+  size_t bad = 0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (Bits(got[i]) == want[i]) continue;
+    if (bad++ < 3) {
+      ADD_FAILURE() << what << ": x bits " << std::hex << Bits(x[i])
+                    << " got " << Bits(got[i]) << " want " << want[i];
+    }
+  }
+  return bad;
+}
+
+/// Runs GeluForward and GeluBackward (into a nonzero dx) on every tier
+/// this machine supports and requires every output to equal RefGelu and
+/// RefGeluBackward bit for bit.
 void ExpectGeluBitExact(const std::vector<float>& x, const char* what) {
-  std::vector<uint32_t> want(x.size());
-  for (size_t i = 0; i < x.size(); ++i) want[i] = Bits(RefGelu(x[i]));
+  const int n = static_cast<int>(x.size());
+  const std::vector<float> dy = RandomVec(n, 77);
+  const std::vector<float> dx0 = RandomVec(n, 78);
+  std::vector<uint32_t> want(x.size()), want_dx(x.size());
+  for (size_t i = 0; i < x.size(); ++i) {
+    want[i] = Bits(RefGelu(x[i]));
+    want_dx[i] = Bits(RefGeluBackward(x[i], dy[i], dx0[i]));
+  }
   for (KernelTier tier : AvailableTiers()) {
     ScopedTier scoped(tier);
+    const std::string name = std::string(what) + " " + KernelTierName(tier);
     std::vector<float> y(x.size());
-    GeluForward(static_cast<int>(x.size()), x.data(), y.data());
-    size_t bad = 0;
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (Bits(y[i]) == want[i]) continue;
-      if (bad++ < 3) {
-        ADD_FAILURE() << what << " " << KernelTierName(tier) << ": x bits "
-                      << std::hex << Bits(x[i]) << " got " << Bits(y[i])
-                      << " want " << want[i];
-      }
-    }
-    EXPECT_EQ(bad, 0u) << what << " " << KernelTierName(tier);
+    GeluForward(n, x.data(), y.data());
+    EXPECT_EQ(CountMismatches(x, y, want, name + " forward"), 0u) << name;
+    std::vector<float> dx = dx0;
+    GeluBackward(n, x.data(), dy.data(), dx.data());
+    EXPECT_EQ(CountMismatches(x, dx, want_dx, name + " backward"), 0u)
+        << name;
   }
 }
 
@@ -650,13 +687,14 @@ TEST(GeluKernelTest, EveryTierMatchesFdlibmOnStridedBitPatterns) {
   ExpectGeluBitExact(x, "every 4099th pattern");
 }
 
-/// The smallest v >= 0 whose GELU inner value reaches `target` (inner is
-/// non-decreasing in v, so a bisection over bit patterns finds it).
-uint32_t FirstVReaching(float target) {
+/// The smallest v >= 0 whose GELU inner value (forward's or backward's)
+/// reaches `target` (inner is non-decreasing in v, so a bisection over
+/// bit patterns finds it).
+uint32_t FirstVReaching(float target, float (*inner)(float)) {
   uint32_t lo = 0, hi = 0x7f800000u;
   while (lo < hi) {
     const uint32_t mid = lo + (hi - lo) / 2;
-    if (RefGeluInner(FromBits(mid)) >= target) {
+    if (inner(FromBits(mid)) >= target) {
       hi = mid;
     } else {
       lo = mid + 1;
@@ -696,11 +734,13 @@ TEST(GeluKernelTest, EveryTierMatchesFdlibmAtBranchThresholds) {
     // The GELU input whose inner value crosses the threshold, +-8 ulps:
     // inner moves roughly 1 to 3 of its own ulps per ulp of v, so this
     // brackets every threshold by at least +-2 of tanhf's ulps. Both
-    // signs.
-    const uint32_t v = FirstVReaching(th);
-    for (uint32_t b = v - 8; b <= v + 8; ++b) {
-      x.push_back(FromBits(b));
-      x.push_back(-FromBits(b));
+    // signs, for the forward's inner value and the backward's.
+    for (float (*inner)(float) : {RefGeluInner, RefGeluGradInner}) {
+      const uint32_t v = FirstVReaching(th, inner);
+      for (uint32_t b = v - 8; b <= v + 8; ++b) {
+        x.push_back(FromBits(b));
+        x.push_back(-FromBits(b));
+      }
     }
     // The threshold itself as a GELU input, +-2 ulps.
     for (uint32_t b = Bits(th) - 2; b <= Bits(th) + 2; ++b) {
@@ -751,6 +791,36 @@ TEST(GeluKernelTest, EveryLengthAndInPlace) {
             << KernelTierName(tier) << " in place, n " << n;
       }
       ASSERT_EQ(inplace[static_cast<size_t>(n)], x[static_cast<size_t>(n)]);
+    }
+  }
+}
+
+TEST(GeluKernelTest, BackwardEveryLengthAndSharedGradBuffer) {
+  // Lengths 0-33 into a nonzero dx; the float past n must stay untouched.
+  // dy == dx (one buffer) accumulates d * dx into dx.
+  for (int n = 0; n <= 33; ++n) {
+    const std::vector<float> x = RandomVec(n + 1, 950 + n);
+    const std::vector<float> dy = RandomVec(n + 1, 1000 + n);
+    const std::vector<float> dx0 = RandomVec(n + 1, 1050 + n);
+    for (KernelTier tier : AvailableTiers()) {
+      ScopedTier scoped(tier);
+      std::vector<float> dx = dx0;
+      GeluBackward(n, x.data(), dy.data(), dx.data());
+      std::vector<float> shared = dx0;
+      GeluBackward(n, x.data(), shared.data(), shared.data());
+      for (int i = 0; i < n; ++i) {
+        const size_t u = static_cast<size_t>(i);
+        ASSERT_EQ(Bits(dx[u]), Bits(RefGeluBackward(x[u], dy[u], dx0[u])))
+            << KernelTierName(tier) << " n " << n << " i " << i;
+        ASSERT_EQ(Bits(shared[u]),
+                  Bits(RefGeluBackward(x[u], dx0[u], dx0[u])))
+            << KernelTierName(tier) << " dy == dx, n " << n << " i " << i;
+      }
+      const size_t past = static_cast<size_t>(n);
+      ASSERT_EQ(Bits(dx[past]), Bits(dx0[past]))
+          << KernelTierName(tier) << " wrote past n " << n;
+      ASSERT_EQ(Bits(shared[past]), Bits(dx0[past]))
+          << KernelTierName(tier) << " dy == dx wrote past n " << n;
     }
   }
 }

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -286,6 +290,131 @@ TEST(AdamWTest, ClipGradNormScales) {
   EXPECT_NEAR(pre, 5.0f, 1e-5f);
   EXPECT_NEAR(x.grad()[0], 0.6f, 1e-5f);
   EXPECT_NEAR(x.grad()[1], 0.8f, 1e-5f);
+}
+
+// AdamW's clip and update as scalar loops, the spec for the optimizer's
+// vectorized build: packed sqrt and division round as the scalar ones
+// do, so every weight, moment and clipped grad must match bit for bit.
+struct ScalarAdamW {
+  AdamWOptions options;
+  std::vector<std::vector<float>> m, v;
+  int64_t step = 0;
+
+  float ClipGradNorm(std::vector<std::vector<float>>* grads, float max_norm) {
+    double total = 0.0;
+    for (const auto& g : *grads) {
+      for (float x : g) total += static_cast<double>(x) * x;
+    }
+    const float norm = static_cast<float>(std::sqrt(total));
+    if (norm > max_norm && norm > 0.0f) {
+      const float scale = max_norm / norm;
+      for (auto& g : *grads) {
+        for (float& x : g) x *= scale;
+      }
+    }
+    return norm;
+  }
+
+  void Step(std::vector<std::vector<float>>* weights,
+            const std::vector<std::vector<float>>& grads) {
+    ++step;
+    const float bc1 = 1.0f - std::pow(options.beta1, static_cast<float>(step));
+    const float bc2 = 1.0f - std::pow(options.beta2, static_cast<float>(step));
+    for (size_t p = 0; p < weights->size(); ++p) {
+      float* w = (*weights)[p].data();
+      const float* g = grads[p].data();
+      float* mp = m[p].data();
+      float* vp = v[p].data();
+      for (size_t i = 0; i < grads[p].size(); ++i) {
+        mp[i] = options.beta1 * mp[i] + (1.0f - options.beta1) * g[i];
+        vp[i] = options.beta2 * vp[i] + (1.0f - options.beta2) * g[i] * g[i];
+        const float mhat = mp[i] / bc1;
+        const float vhat = vp[i] / bc2;
+        w[i] -= options.lr * (mhat / (std::sqrt(vhat) + options.eps) +
+                              options.weight_decay * w[i]);
+      }
+    }
+  }
+};
+
+uint32_t FloatBits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof u);
+  return u;
+}
+
+TEST(AdamWTest, StepMatchesScalarReference) {
+  // Sizes 1, 3, 17 and 1000 hit every vector tail; a frozen parameter
+  // sits between them. Grads mix Gaussians with +-0, denormals and large
+  // values; odd steps clip (max_norm 1), even steps do not, so large
+  // grads reach the moments unscaled and overflow v to inf; the last
+  // step feeds NaN, which also disables that step's clip.
+  const std::vector<int> sizes = {1, 3, 17, 1000};
+  Rng rng(2024);
+  std::vector<Tensor> params;
+  ScalarAdamW ref;
+  ref.options.lr = 3e-3f;
+  ref.options.weight_decay = 0.05f;
+  std::vector<std::vector<float>> ref_w;
+  for (int n : sizes) {
+    params.push_back(Tensor::Randn(1, n, 0.5f, &rng, /*requires_grad=*/true));
+    ref_w.emplace_back(params.back().data(), params.back().data() + n);
+    ref.m.emplace_back(static_cast<size_t>(n), 0.0f);
+    ref.v.emplace_back(static_cast<size_t>(n), 0.0f);
+    if (n == 3) params.push_back(Tensor::Constant(1, 5, 0.25f));
+  }
+  AdamW optimizer(params, ref.options);
+  const float kSpecials[] = {0.0f,   -0.0f,  1e-40f, -1e-45f, 1.1e-38f,
+                             1e25f,  -3e24f, 7e20f,  -1e-39f};
+  constexpr int kSteps = 9;
+  for (int step = 1; step <= kSteps; ++step) {
+    if (step == 5) {
+      optimizer.set_lr(1e-3f);
+      ref.options.lr = 1e-3f;
+    }
+    std::vector<std::vector<float>> grads;
+    for (int n : sizes) {
+      std::vector<float> g(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) {
+        float x = static_cast<float>(rng.Gaussian());
+        if (i % 5 == 0) x = kSpecials[(i / 5 + step) % 9];
+        if (step == kSteps && i % 7 == 3) {
+          x = std::numeric_limits<float>::quiet_NaN();
+        }
+        g[static_cast<size_t>(i)] = x;
+      }
+      grads.push_back(std::move(g));
+    }
+    size_t k = 0;
+    for (Tensor& p : params) {
+      if (!p.requires_grad()) continue;
+      p.ZeroGrad();
+      std::copy(grads[k].begin(), grads[k].end(), p.grad());
+      ++k;
+    }
+    const float max_norm = step % 2 == 1 ? 1.0f : 1e30f;
+    const float want_norm = ref.ClipGradNorm(&grads, max_norm);
+    EXPECT_EQ(FloatBits(optimizer.ClipGradNorm(max_norm)),
+              FloatBits(want_norm))
+        << "step " << step;
+    optimizer.Step();
+    ref.Step(&ref_w, grads);
+    k = 0;
+    for (const Tensor& p : params) {
+      if (!p.requires_grad()) {
+        for (size_t i = 0; i < p.size(); ++i) EXPECT_EQ(p.data()[i], 0.25f);
+        continue;
+      }
+      for (size_t i = 0; i < p.size(); ++i) {
+        ASSERT_EQ(FloatBits(p.grad()[i]), FloatBits(grads[k][i]))
+            << "step " << step << " param " << k << " grad " << i;
+        ASSERT_EQ(FloatBits(p.data()[i]), FloatBits(ref_w[k][i]))
+            << "step " << step << " param " << k << " weight " << i;
+      }
+      ++k;
+    }
+  }
+  EXPECT_EQ(optimizer.step_count(), kSteps);
 }
 
 TEST(WeightsTest, SnapshotRestoreRoundTrip) {
