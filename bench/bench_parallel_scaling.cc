@@ -18,6 +18,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/json_out.h"
+#include "common/parallel.h"
 #include "common/random_vectors.h"
 #include "common/rng.h"
 #include "common/timer.h"
@@ -68,6 +69,14 @@ auto WarmMedian(const Once& once, double* seconds, bool* repeatable) {
   std::sort(times.begin(), times.end());
   *seconds = times[times.size() / 2];
   return first;
+}
+
+// About 2.4 us of arithmetic on the 4-vCPU AVX-512 dev VM: a dependent
+// chain of multiply-adds from `x`, so the compiler can neither fold,
+// hoist nor vectorize it, and every call does the same work.
+float ShardWork(float x) {
+  for (int i = 0; i < 800; ++i) x = x * 0.999999f + 1e-6f;
+  return x;
 }
 
 void Run(const std::string& json_path) {
@@ -460,6 +469,61 @@ void Run(const std::string& json_path) {
       }
     }
     table4.Print();
+  }
+
+  // --- fan-out cost: one ParallelFor on the global pool ---------------------
+  // What a fork-join costs its caller, with an empty body and with about
+  // 2.4 us of work per shard (ShardWork). Each record is the median of
+  // per-call times after a warm-up, plus heap allocations per call.
+  {
+    constexpr int kWarmup = 200, kCalls = 5000;
+    struct alignas(64) Slot {
+      float value = 0.0f;
+    };
+    Slot sink[4];  // one cache line per shard: no false sharing
+    WallTimer work_timer;
+    for (int i = 0; i < kCalls; ++i) sink[0].value = ShardWork(sink[0].value);
+    const double work_us = work_timer.ElapsedSeconds() / kCalls * 1e6;
+    std::printf(
+        "\nFan-out: %d ParallelFor calls per record, %.2f us of work per "
+        "working shard\n",
+        kCalls, work_us);
+    TablePrinter table6("ParallelFor fan-out cost");
+    table6.SetHeader({"body", "num_shards", "us/call", "allocs/call"});
+    std::vector<double> times(kCalls);
+    for (const bool work : {false, true}) {
+      for (const int shards : {2, 4}) {
+        const auto body = [&](int64_t, int64_t, int shard) {
+          if (work) sink[shard].value = ShardWork(sink[shard].value);
+        };
+        for (int i = 0; i < kWarmup; ++i) ParallelFor(shards, shards, body);
+        AllocCounterStart();
+        for (double& t : times) {
+          WallTimer timer;
+          ParallelFor(shards, shards, body);
+          t = timer.ElapsedSeconds();
+        }
+        const auto allocs = AllocCounterStop();
+        std::vector<double> sorted = times;
+        std::sort(sorted.begin(), sorted.end());
+        const double seconds = sorted[sorted.size() / 2];
+        const double allocs_per_call =
+            static_cast<double>(allocs.count) / kCalls;
+        const char* body_name = work ? "work" : "empty";
+        table6.AddRow({body_name, std::to_string(shards),
+                       StrFormat("%.2f", seconds * 1e6),
+                       StrFormat("%.2f", allocs_per_call)});
+        auto& r = records.Add();
+        r.Str("bench", "fanout");
+        r.Str("body", body_name);
+        r.Int("num_shards", shards);
+        r.Int("calls", kCalls);
+        r.Num("seconds", seconds);
+        r.Num("allocs_per_call", allocs_per_call);
+      }
+    }
+    table6.Print();
+    if (sink[0].value == 0.0f) std::printf("(sink)\n");  // keeps the work
   }
 
   bench::WriteOrReport(records, json_path);

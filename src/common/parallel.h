@@ -1,24 +1,23 @@
-// Deterministic data-parallel loops on top of ThreadPool.
+// Deterministic data-parallel loops on top of ThreadPool::Run.
 //
 // ParallelFor splits [0, n) into `num_shards` *fixed* contiguous ranges -
-// the shard boundaries depend only on (n, num_shards), never on worker
-// count or scheduling - and invokes the body once per shard. Callers write
-// each index's result into a pre-sized output slot (or accumulate
-// per-shard and merge in shard order), which makes the parallel result
-// bit-identical to the serial one: every existing unit test doubles as a
-// parallel-correctness oracle.
+// a shard's range is ShardOf(n, num_shards, shard), a function of those
+// three numbers only, never of worker count or scheduling - and invokes
+// the body once per shard. Callers write each index's result into a
+// pre-sized output slot (or accumulate per-shard and merge in shard
+// order), which makes the parallel result bit-identical to the serial
+// one: every existing unit test doubles as a parallel-correctness oracle.
 //
-// num_shards <= 1 (or n <= 1) bypasses the pool entirely and runs the
+// num_threads <= 1 (or n == 1) bypasses the pool entirely and runs the
 // loop on the calling thread, so `num_threads = 1` is exactly the serial
-// code path, not a 1-worker simulation of it.
+// code path, not a 1-worker simulation of it. A threaded call allocates
+// nothing either: the shard ranges are computed, not stored.
 
 #ifndef SUDOWOODO_COMMON_PARALLEL_H_
 #define SUDOWOODO_COMMON_PARALLEL_H_
 
 #include <algorithm>
-#include <exception>
-#include <future>
-#include <vector>
+#include <cstdint>
 
 #include "common/thread_pool.h"
 
@@ -28,73 +27,43 @@ namespace sudowoodo {
 struct ShardRange {
   int64_t begin = 0;
   int64_t end = 0;
-  int shard = 0;
 };
 
-/// The fixed shard decomposition of [0, n) into at most `num_shards`
-/// near-equal contiguous ranges (empty ranges are dropped).
-inline std::vector<ShardRange> MakeShards(int64_t n, int num_shards) {
-  std::vector<ShardRange> shards;
-  if (n <= 0) return shards;
-  // Clamp in 64-bit: casting n to int first would overflow for
-  // n > 2^31-1 and (sign-wrapped negative) silently collapse the
-  // decomposition to a single shard. num_shards itself always fits.
-  num_shards = static_cast<int>(
-      std::max<int64_t>(1, std::min<int64_t>(num_shards, n)));
+/// Shard `shard` (0 <= shard < num_shards) of the fixed decomposition of
+/// [0, n) into `num_shards` near-equal contiguous ranges: the first
+/// n % num_shards shards get one index more than the rest. Shards past n
+/// (num_shards > n) are empty.
+inline ShardRange ShardOf(int64_t n, int num_shards, int shard) {
   const int64_t base = n / num_shards;
-  const int64_t extra = n % num_shards;  // first `extra` shards get +1
-  int64_t begin = 0;
-  for (int s = 0; s < num_shards; ++s) {
-    const int64_t len = base + (s < extra ? 1 : 0);
-    shards.push_back({begin, begin + len, s});
-    begin += len;
-  }
-  return shards;
+  const int64_t extra = n % num_shards;
+  const int64_t begin = base * shard + std::min<int64_t>(shard, extra);
+  return {begin, begin + base + (shard < extra ? 1 : 0)};
 }
 
 /// Runs body(begin, end, shard) over the fixed shard decomposition of
-/// [0, n). Shards other than the first run on `pool` (defaulting to
-/// ThreadPool::Global() when nullptr); the first runs on the calling
-/// thread. Blocks until every shard finishes; the first exception (in
-/// shard order) is rethrown.
+/// [0, n) into min(num_threads, n) shards, on `pool` (defaulting to
+/// ThreadPool::Global() when nullptr) with the calling thread taking part.
+/// Blocks until every shard finishes; the exception of the lowest-numbered
+/// throwing shard is rethrown.
 template <typename Body>
 void ParallelFor(int64_t n, int num_threads, const Body& body,
                  ThreadPool* pool_override = nullptr) {
   if (n <= 0) return;
   if (num_threads <= 1 || n == 1) {
-    // Serial fast path: no shard vector, no futures - the inference
-    // workspace paths rely on this performing zero heap allocations.
+    // Serial fast path: never touches (or creates) the global pool.
     body(0, n, 0);
     return;
   }
-  const std::vector<ShardRange> shards = MakeShards(n, num_threads);
-  if (shards.empty()) return;
-  if (shards.size() == 1) {
-    body(shards[0].begin, shards[0].end, shards[0].shard);
-    return;
-  }
+  // Clamp in 64-bit: casting n to int first would overflow for
+  // n > 2^31-1 and (sign-wrapped negative) silently collapse the
+  // decomposition to a single shard. num_threads itself always fits.
+  const int num_shards = static_cast<int>(std::min<int64_t>(num_threads, n));
   ThreadPool& pool =
       pool_override != nullptr ? *pool_override : ThreadPool::Global();
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards.size() - 1);
-  for (size_t s = 1; s < shards.size(); ++s) {
-    const ShardRange r = shards[s];
-    futures.push_back(pool.Submit([&body, r] { body(r.begin, r.end, r.shard); }));
-  }
-  std::exception_ptr first_error;
-  try {
-    body(shards[0].begin, shards[0].end, shards[0].shard);
-  } catch (...) {
-    first_error = std::current_exception();
-  }
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  pool.Run(num_shards, [&](int shard) {
+    const ShardRange r = ShardOf(n, num_shards, shard);
+    body(r.begin, r.end, shard);
+  });
 }
 
 /// Element-wise convenience: body(i) for each i in [0, n).

@@ -4,12 +4,6 @@
 
 namespace sudowoodo {
 
-namespace {
-// Which pool (if any) owns the current thread. Lets Submit detect nested
-// submission and run inline instead of deadlocking.
-thread_local const ThreadPool* g_current_pool = nullptr;
-}  // namespace
-
 ThreadPool::ThreadPool(int num_workers) {
   num_workers = std::max(num_workers, 0);
   workers_.reserve(static_cast<size_t>(num_workers));
@@ -22,10 +16,13 @@ ThreadPool::~ThreadPool() { Shutdown(); }
 
 void ThreadPool::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    // Every Run from here on is inline. Wait out the job in flight, so
+    // that no shard of this pool runs once Shutdown returns.
+    std::unique_lock<std::mutex> lock(mu_);
     shutdown_ = true;
+    done_cv_.wait(lock, [this] { return job_ == nullptr; });
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   // Serialize concurrent Shutdown calls; joinable() makes repeats no-ops.
   std::lock_guard<std::mutex> join_lock(join_mu_);
   for (auto& w : workers_) {
@@ -33,42 +30,57 @@ void ThreadPool::Shutdown() {
   }
 }
 
-bool ThreadPool::InWorkerThread() const { return g_current_pool == this; }
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> future = task.get_future();
-  if (workers_.empty() || InWorkerThread()) {
-    task();  // inline: 0-worker pool, or nested submit from a worker
-    return future;
-  }
-  {
+void ThreadPool::RunJob(int num_shards, const void* body, ShardFn fn) {
+  Job job(fn, body, num_shards);
+  int wake = std::min(num_shards - 1, num_workers());
+  if (wake > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!shutdown_) {
-      queue_.push_back(std::move(task));
-      cv_.notify_one();
-      return future;
+    if (job_ != nullptr || shutdown_) {
+      wake = 0;  // a nested call, another thread's job, or shut down
+    } else {
+      job_ = &job;
+      open_ = wake;
     }
   }
-  // Shutting down (or already shut down): the workers may have exited, so
-  // queueing could strand the task with a never-ready future. Run inline
-  // instead - the documented Submit-vs-Shutdown contract.
-  task();
-  return future;
+  for (int i = 0; i < wake; ++i) work_cv_.notify_one();
+  Claim(&job);  // inline (wake == 0), this thread alone: in shard order
+  if (wake > 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    open_ = 0;  // close the job: no worker joins it from here on
+    done_cv_.wait(lock, [this] { return joined_ == 0; });
+    job_ = nullptr;  // no worker reads `job` after this
+    if (shutdown_) done_cv_.notify_all();
+  }
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+void ThreadPool::Claim(Job* job) {
+  for (int s; (s = job->next_shard++) < job->num_shards;) {
+    try {
+      job->fn(job->body, s);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job->error || s < job->error_shard) {
+        job->error = std::current_exception();
+        job->error_shard = s;
+      }
+    }
+  }
 }
 
 void ThreadPool::WorkerLoop() {
-  g_current_pool = this;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // exceptions land in the task's future
+    work_cv_.wait(lock, [this] { return open_ > 0 || shutdown_; });
+    if (open_ == 0) return;  // shut down
+    --open_;
+    ++joined_;
+    Job* job = job_;
+    lock.unlock();
+    Claim(job);
+    lock.lock();
+    // notify_all: a Shutdown waiting for the job shares done_cv_.
+    if (--joined_ == 0) done_cv_.notify_all();
   }
 }
 

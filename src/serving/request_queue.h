@@ -11,8 +11,8 @@
 // waiting for co-batch company.
 //
 // Boundedness is backpressure, not loss: Push blocks while the queue is
-// full (TryPush refuses instead), so an open-loop client that outruns the
-// worker stalls rather than growing the heap without bound.
+// full, so an open-loop client that outruns the worker stalls rather than
+// growing the heap without bound.
 //
 // Close() is the graceful-shutdown half: it wakes everyone, makes further
 // pushes fail without consuming the item, and lets PopBatch drain what
@@ -48,15 +48,6 @@ class BoundedBatchQueue {
     not_full_.wait(lock,
                    [&] { return queue_.size() < capacity_ || closed_; });
     if (closed_) return false;
-    queue_.push_back(Entry{Clock::now(), std::move(item)});
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking Push: false (item untouched) when full or closed.
-  bool TryPush(T& item) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_ || queue_.size() >= capacity_) return false;
     queue_.push_back(Entry{Clock::now(), std::move(item)});
     not_empty_.notify_one();
     return true;

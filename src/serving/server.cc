@@ -142,30 +142,6 @@ std::future<Response> Server::Submit(Request request) {
   return future;
 }
 
-bool Server::TrySubmit(Request request, std::future<Response>* out) {
-  std::promise<Response> promise;
-  std::future<Response> future = promise.get_future();
-  const Status st = Validate(request);
-  if (!st.ok()) {
-    Response r;
-    r.status = st;
-    promise.set_value(std::move(r));
-    *out = std::move(future);
-    return true;
-  }
-  Pending pending;
-  pending.deadline = request.timeout_us > 0
-                         ? Clock::now() +
-                               std::chrono::microseconds(request.timeout_us)
-                         : Clock::time_point::max();
-  pending.request = std::move(request);
-  pending.promise = std::move(promise);
-  if (!queue_.TryPush(pending)) return false;
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  *out = std::move(future);
-  return true;
-}
-
 void Server::WorkerLoop(ModelReplica replica) {
   std::vector<Pending> batch;
   std::vector<float> encode_scratch;  // capacity retained across flushes

@@ -152,10 +152,6 @@ class Server {
   /// status; the future never dangles.
   std::future<Response> Submit(Request request);
 
-  /// Non-blocking Submit: refuses (false, `*out` untouched) when the
-  /// queue is full instead of waiting.
-  bool TrySubmit(Request request, std::future<Response>* out);
-
   /// Graceful shutdown: stops accepting, *drains* every request already
   /// accepted (each gets its computed response, or a timeout if its
   /// deadline passed while draining), then joins the workers. Idempotent.

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
 
 #include "common/parallel.h"
 #include "tensor/kernels_micro.h"
@@ -14,27 +13,18 @@ namespace sudowoodo::tensor::kernels {
 
 namespace {
 
-/// Shared fan-out for the row-sharded GEMM variants: fixed contiguous
-/// shards of the m output rows on the caller's pool, shard 0 on the
-/// calling thread (mirrors ParallelFor). Each output element is computed
-/// whole by exactly one worker, so the result is bit-identical to serial
-/// for any shard count or pool size.
+/// Shared fan-out for the row-sharded GEMM variants: ParallelFor over the
+/// m output rows on the caller's pool (`pool == nullptr` is serial). Each
+/// output element is computed whole by exactly one shard, so the result is
+/// bit-identical to serial for any shard count or pool size.
 template <typename RowsFn>
 void ShardRows(int m, ThreadPool* pool, int num_shards, const RowsFn& rows) {
-  if (pool == nullptr || num_shards <= 1 || m <= 1) {
-    rows(0, m);
-    return;
-  }
-  const std::vector<ShardRange> shards = MakeShards(m, num_shards);
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards.size() - 1);
-  for (size_t s = 1; s < shards.size(); ++s) {
-    const ShardRange r = shards[s];
-    futures.push_back(pool->Submit(
-        [&rows, r] { rows(static_cast<int>(r.begin), static_cast<int>(r.end)); }));
-  }
-  rows(static_cast<int>(shards[0].begin), static_cast<int>(shards[0].end));
-  for (auto& f : futures) f.get();
+  ParallelFor(
+      m, pool != nullptr ? num_shards : 1,
+      [&rows](int64_t begin, int64_t end, int) {
+        rows(static_cast<int>(begin), static_cast<int>(end));
+      },
+      pool);
 }
 
 /// One tier's micro-kernel workers. Tiers this binary was not built with

@@ -2,9 +2,14 @@
 // common/parallel.h) and for the determinism contract of the parallelized
 // hot paths: every parallel result must be bit-identical to num_threads=1.
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/fuzzyjoin.h"
@@ -28,86 +33,162 @@ namespace {
 
 // --- ThreadPool -------------------------------------------------------------
 
+// Runs `num_shards` shards on `pool` and reports whether they all ran
+// exactly once, on the calling thread, in shard order: an inline run.
+bool RunsInlineInOrder(ThreadPool& pool, int num_shards) {
+  const auto n = static_cast<size_t>(num_shards);
+  std::vector<std::atomic<int>> visits(n);
+  std::vector<std::thread::id> ran_on(n);
+  std::vector<int> order(n, -1);
+  std::atomic<size_t> started{0};
+  pool.Run(num_shards, [&](int shard) {
+    const auto s = static_cast<size_t>(shard);
+    ++visits[s];
+    ran_on[s] = std::this_thread::get_id();
+    const size_t pos = started++;
+    if (pos < n) order[pos] = shard;
+  });
+  bool ok = started.load() == n;
+  for (size_t s = 0; s < n; ++s) {
+    ok = ok && visits[s].load() == 1 &&
+         ran_on[s] == std::this_thread::get_id() &&
+         order[s] == static_cast<int>(s);
+  }
+  return ok;
+}
+
 TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_workers(), 0);
-  std::thread::id submitter = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.Submit([&] { ran_on = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(ran_on, submitter);
+  EXPECT_TRUE(RunsInlineInOrder(pool, 5));
+  EXPECT_TRUE(RunsInlineInOrder(pool, 1));
+  pool.Run(0, [](int) { FAIL() << "no shard to run"; });
+}
+
+TEST(ThreadPoolTest, SingleShardRunsInline) {
+  ThreadPool pool(3);
+  EXPECT_TRUE(RunsInlineInOrder(pool, 1));
 }
 
 TEST(ThreadPoolTest, SingleWorkerRunsAllTasks) {
   ThreadPool pool(1);
   std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&count] { ++count; }));
+  for (int call = 0; call < 100; ++call) {
+    std::vector<std::atomic<int>> visits(4);
+    pool.Run(4, [&](int shard) {
+      ++visits[static_cast<size_t>(shard)];
+      ++count;
+    });
+    for (const auto& v : visits) ASSERT_EQ(v.load(), 1);
   }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(count.load(), 400);
 }
 
 TEST(ThreadPoolTest, ManyWorkersRunAllTasks) {
   ThreadPool pool(8);
   EXPECT_EQ(pool.num_workers(), 8);
   std::atomic<int64_t> sum{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 1; i <= 1000; ++i) {
-    futures.push_back(pool.Submit([&sum, i] { sum += i; }));
-  }
-  for (auto& f : futures) f.get();
+  std::vector<std::atomic<int>> visits(1000);
+  pool.Run(1000, [&](int shard) {
+    sum += shard + 1;
+    ++visits[static_cast<size_t>(shard)];
+  });
   EXPECT_EQ(sum.load(), 1000 * 1001 / 2);
+  for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool survives a throwing task.
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
+TEST(ThreadPoolTest, ThrowingShardsRethrowTheLowestAndThePoolSurvives) {
+  ThreadPool pool(3);
+  for (int call = 0; call < 50; ++call) {
+    std::vector<std::atomic<int>> visits(8);
+    std::string caught;
+    try {
+      pool.Run(8, [&](int shard) {
+        ++visits[static_cast<size_t>(shard)];
+        if (shard == 2 || shard == 5 || shard == 7) {
+          throw std::runtime_error(std::to_string(shard));
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    ASSERT_EQ(caught, "2");  // the lowest-numbered throwing shard
+    for (const auto& v : visits) ASSERT_EQ(v.load(), 1);  // all still ran
+  }
+  // Inline runs (here: a 0-worker pool) keep the same rule.
+  ThreadPool inline_pool(0);
+  int ran = 0;
+  std::string caught;
+  try {
+    inline_pool.Run(4, [&](int shard) {
+      ++ran;
+      if (shard >= 1) throw std::runtime_error(std::to_string(shard));
+    });
+  } catch (const std::runtime_error& e) {
+    caught = e.what();
+  }
+  EXPECT_EQ(caught, "1");
+  EXPECT_EQ(ran, 4);
+  // The pool serves the next call.
+  std::atomic<int> count{0};
+  pool.Run(4, [&count](int) { ++count; });
+  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ThreadPoolTest, NestedSubmitFromWorkerDoesNotDeadlock) {
-  ThreadPool pool(1);  // the harshest case: one worker submits to itself
-  std::atomic<int> inner_runs{0};
-  auto outer = pool.Submit([&] {
-    std::vector<std::future<void>> inner;
-    for (int i = 0; i < 4; ++i) {
-      inner.push_back(pool.Submit([&inner_runs] { ++inner_runs; }));
-    }
-    for (auto& f : inner) f.get();
+  ThreadPool pool(1);  // the harshest case: one worker, nested calls
+  bool inner_inline[2] = {false, false};
+  pool.Run(2, [&](int shard) {
+    // A nested call, on the worker or on the caller, runs inline.
+    inner_inline[shard] = RunsInlineInOrder(pool, 4);
   });
-  outer.get();
-  EXPECT_EQ(inner_runs.load(), 4);
+  EXPECT_TRUE(inner_inline[0]);
+  EXPECT_TRUE(inner_inline[1]);
+}
+
+TEST(ThreadPoolTest, CallFindingAnotherJobRunningRunsInline) {
+  ThreadPool pool(2);
+  std::atomic<bool> outer_started{false};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    pool.Run(3, [&](int) {
+      outer_started = true;
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (!outer_started.load()) std::this_thread::yield();
+  // The owner's job is in flight until `release`: this call cannot have
+  // the team and must not wait for it.
+  EXPECT_TRUE(RunsInlineInOrder(pool, 4));
+  release = true;
+  owner.join();
 }
 
 TEST(ThreadPoolTest, DestructorJoinsCleanly) {
   std::atomic<int> count{0};
   {
     ThreadPool pool(4);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] { ++count; });
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 3; ++t) {
+      callers.emplace_back([&] {
+        for (int call = 0; call < 50; ++call) {
+          pool.Run(4, [&count](int) { ++count; });
+        }
+      });
     }
-  }  // ~ThreadPool drains and joins
-  EXPECT_EQ(count.load(), 50);
+    for (auto& c : callers) c.join();
+  }  // ~ThreadPool joins the workers
+  EXPECT_EQ(count.load(), 3 * 50 * 4);
 }
 
-// Regression battery for the Submit-vs-Shutdown contract: Submit during
-// or after shutdown was previously undefined (a task pushed after the
-// workers exited was silently stranded and its future never completed).
-// The contract now: late submissions run inline on the submitting thread,
-// so every returned future completes.
+// The Run-vs-Shutdown contract: a Run during or after Shutdown runs inline
+// on the calling thread, so no shard is ever stranded, and Shutdown waits
+// for the job in flight.
 
 TEST(ThreadPoolTest, SubmitAfterShutdownRunsInline) {
   ThreadPool pool(2);
   pool.Shutdown();
-  std::thread::id submitter = std::this_thread::get_id();
-  std::thread::id ran_on;
-  pool.Submit([&] { ran_on = std::this_thread::get_id(); }).get();
-  EXPECT_EQ(ran_on, submitter);
+  EXPECT_TRUE(RunsInlineInOrder(pool, 3));
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotentAndConcurrent) {
@@ -118,31 +199,68 @@ TEST(ThreadPoolTest, ShutdownIsIdempotentAndConcurrent) {
   }
   for (auto& c : closers) c.join();
   pool.Shutdown();  // and again after everyone joined
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
+  EXPECT_TRUE(RunsInlineInOrder(pool, 3));
 }
 
-TEST(ThreadPoolTest, SubmitRacingShutdownNeverStrandsAFuture) {
-  // Hammer the race from both sides: submitters keep submitting while
-  // another thread shuts the pool down mid-stream. Whatever side each
-  // submission lands on (queued-and-drained or inline), its future must
-  // complete and the task must run exactly once. Run under TSan in CI.
+TEST(ThreadPoolTest, ShutdownWaitsForTheJobInFlight) {
+  ThreadPool pool(2);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    const std::thread::id owner_id = std::this_thread::get_id();
+    pool.Run(3, [&](int) {
+      ++started;
+      while (!release.load()) std::this_thread::yield();
+      // Two workers hold two shards until `release`, so the calling thread
+      // runs one too. It finishes last, after both workers have left the
+      // job, and Shutdown must still wait for it.
+      if (std::this_thread::get_id() == owner_id) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      ++finished;
+    });
+  });
+  while (started.load() == 0) std::this_thread::yield();
+  std::atomic<bool> shut{false};
+  int finished_at_shutdown = -1;
+  std::thread closer([&] {
+    pool.Shutdown();
+    finished_at_shutdown = finished.load();
+    shut = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(shut.load()) << "Shutdown returned while shards were running";
+  release = true;
+  owner.join();
+  closer.join();
+  EXPECT_EQ(finished_at_shutdown, 3);
+}
+
+TEST(ThreadPoolTest, RunRacingShutdownRunsEveryShardOnce) {
+  // Hammer the race from both sides: callers keep calling Run while
+  // another thread shuts the pool down mid-stream. Whichever side of the
+  // shutdown each call lands on (the team or inline), every shard must run
+  // exactly once and every call must return. Run under TSan in CI.
   for (int round = 0; round < 10; ++round) {
     ThreadPool pool(2);
     std::atomic<int> runs{0};
+    std::atomic<int> bad_calls{0};
     std::atomic<bool> go{false};
-    constexpr int kSubmitters = 3;
+    constexpr int kCallers = 3;
     constexpr int kPerThread = 50;
-    std::vector<std::thread> submitters;
-    for (int t = 0; t < kSubmitters; ++t) {
-      submitters.emplace_back([&] {
+    std::vector<std::thread> callers;
+    for (int t = 0; t < kCallers; ++t) {
+      callers.emplace_back([&] {
         while (!go.load()) std::this_thread::yield();
-        std::vector<std::future<void>> futures;
         for (int i = 0; i < kPerThread; ++i) {
-          futures.push_back(pool.Submit([&runs] { ++runs; }));
+          std::atomic<int> visits[3] = {0, 0, 0};
+          pool.Run(3, [&](int shard) {
+            ++visits[shard];
+            ++runs;
+          });
+          for (const auto& v : visits) bad_calls += v.load() != 1;
         }
-        for (auto& f : futures) f.get();
       });
     }
     std::thread closer([&] {
@@ -150,54 +268,174 @@ TEST(ThreadPoolTest, SubmitRacingShutdownNeverStrandsAFuture) {
       pool.Shutdown();
     });
     go = true;
-    for (auto& s : submitters) s.join();
+    for (auto& c : callers) c.join();
     closer.join();
-    EXPECT_EQ(runs.load(), kSubmitters * kPerThread);
+    EXPECT_EQ(runs.load(), kCallers * kPerThread * 3);
+    EXPECT_EQ(bad_calls.load(), 0);
+  }
+}
+
+TEST(ThreadPoolTest, SeededStressOfRunNestingThrowsCallersAndShutdown) {
+  // Random shard counts 1-9, shards that nest a Run on the same pool,
+  // shards that throw, three concurrent callers, and a Shutdown racing
+  // them. Every shard and nested shard must run exactly once, every throw
+  // must surface as the lowest-numbered throwing shard's, and nothing may
+  // hang. Seeded, so a failing round replays; run under TSan in CI.
+  constexpr int kRounds = 40;
+  constexpr int kCallers = 3;
+  constexpr int kCallsPerCaller = 30;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    ThreadPool pool(1 + round % 3);
+    std::atomic<bool> go{false};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        Rng rng(static_cast<uint64_t>(1000 * round + c));
+        while (!go.load()) std::this_thread::yield();
+        for (int call = 0; call < kCallsPerCaller; ++call) {
+          const int num_shards = 1 + rng.UniformInt(9);
+          int nested[9] = {}, throws[9] = {};
+          int lowest_throw = -1;
+          for (int s = 0; s < num_shards; ++s) {
+            nested[s] = rng.UniformInt(3) == 0 ? 1 + rng.UniformInt(4) : 0;
+            throws[s] = rng.UniformInt(6) == 0;
+            if (throws[s] && lowest_throw < 0) lowest_throw = s;
+          }
+          std::atomic<int> visits[9] = {};
+          std::atomic<int> nested_visits[9] = {};
+          int caught = -1;
+          try {
+            pool.Run(num_shards, [&](int s) {
+              ++visits[s];
+              if (nested[s] > 0) {
+                pool.Run(nested[s], [&](int) { ++nested_visits[s]; });
+              }
+              if (throws[s]) throw std::runtime_error(std::to_string(s));
+            });
+          } catch (const std::runtime_error& e) {
+            caught = std::stoi(e.what());
+          }
+          bool ok = caught == lowest_throw;
+          for (int s = 0; s < num_shards; ++s) {
+            ok = ok && visits[s].load() == 1 &&
+                 nested_visits[s].load() == nested[s];
+          }
+          failures += !ok;
+        }
+      });
+    }
+    Rng rng(static_cast<uint64_t>(round));
+    const int closer_delay_us = rng.UniformInt(400);
+    std::thread closer([&] {
+      while (!go.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(closer_delay_us));
+      pool.Shutdown();
+    });
+    go = true;
+    for (auto& t : callers) t.join();
+    closer.join();
+    EXPECT_EQ(failures.load(), 0);
   }
 }
 
 // --- ParallelFor ------------------------------------------------------------
 
+// The shard decomposition as MakeShards built it before ShardOf replaced
+// it: a vector of the min(num_shards, n) near-equal contiguous ranges.
+std::vector<std::pair<int64_t, int64_t>> ReferenceShards(int64_t n,
+                                                         int num_shards) {
+  std::vector<std::pair<int64_t, int64_t>> shards;
+  if (n <= 0) return shards;
+  num_shards = static_cast<int>(
+      std::max<int64_t>(1, std::min<int64_t>(num_shards, n)));
+  const int64_t base = n / num_shards;
+  const int64_t extra = n % num_shards;
+  int64_t begin = 0;
+  for (int s = 0; s < num_shards; ++s) {
+    const int64_t len = base + (s < extra ? 1 : 0);
+    shards.emplace_back(begin, begin + len);
+    begin += len;
+  }
+  return shards;
+}
+
+// The (begin, end) ParallelFor hands each shard, indexed by shard. The
+// body records its range and never iterates it, so n may be huge.
+std::vector<std::pair<int64_t, int64_t>> ParallelForShards(int64_t n,
+                                                           int num_threads,
+                                                           ThreadPool* pool) {
+  std::vector<std::pair<int64_t, int64_t>> got(
+      static_cast<size_t>(std::max(num_threads, 1)), {-1, -1});
+  std::atomic<int> calls{0};
+  ParallelFor(
+      n, num_threads,
+      [&](int64_t begin, int64_t end, int shard) {
+        got[static_cast<size_t>(shard)] = {begin, end};
+        ++calls;
+      },
+      pool);
+  got.resize(static_cast<size_t>(calls.load()));
+  return got;
+}
+
 TEST(ParallelForTest, ShardsAreFixedContiguousAndCoverTheRange) {
-  const auto shards = MakeShards(10, 3);
-  ASSERT_EQ(shards.size(), 3u);
-  EXPECT_EQ(shards[0].begin, 0);
-  EXPECT_EQ(shards[0].end, 4);  // 10 = 4 + 3 + 3
-  EXPECT_EQ(shards[1].begin, 4);
-  EXPECT_EQ(shards[1].end, 7);
-  EXPECT_EQ(shards[2].begin, 7);
-  EXPECT_EQ(shards[2].end, 10);
-  EXPECT_TRUE(MakeShards(0, 4).empty());
+  // 10 = 4 + 3 + 3
+  EXPECT_EQ(ShardOf(10, 3, 0).begin, 0);
+  EXPECT_EQ(ShardOf(10, 3, 0).end, 4);
+  EXPECT_EQ(ShardOf(10, 3, 1).begin, 4);
+  EXPECT_EQ(ShardOf(10, 3, 1).end, 7);
+  EXPECT_EQ(ShardOf(10, 3, 2).begin, 7);
+  EXPECT_EQ(ShardOf(10, 3, 2).end, 10);
+  ThreadPool pool(3);
+  EXPECT_TRUE(ParallelForShards(0, 4, &pool).empty());
   // More shards than items degrades to one item per shard.
-  EXPECT_EQ(MakeShards(2, 8).size(), 2u);
+  EXPECT_EQ(ParallelForShards(2, 8, &pool).size(), 2u);
+  // ShardOf, and ParallelFor's clamp, give exactly the ranges MakeShards
+  // gave, for every small shape.
+  for (int64_t n = 0; n <= 300; ++n) {
+    for (int num_shards = 1; num_shards <= 9; ++num_shards) {
+      const auto want = ReferenceShards(n, num_shards);
+      for (size_t s = 0; s < want.size(); ++s) {
+        const ShardRange r =
+            ShardOf(n, static_cast<int>(want.size()), static_cast<int>(s));
+        ASSERT_EQ(r.begin, want[s].first) << n << "/" << num_shards;
+        ASSERT_EQ(r.end, want[s].second) << n << "/" << num_shards;
+      }
+      ASSERT_EQ(ParallelForShards(n, num_shards, &pool), want)
+          << n << "/" << num_shards;
+    }
+  }
 }
 
 TEST(ParallelForTest, ShardMathStaysExactBeyondInt32) {
   // Regression: the shard-count clamp used to narrow n to int, so any
   // n > 2^31-1 wrapped (usually negative) and collapsed the whole
   // decomposition to one shard. The clamp must stay in 64-bit.
+  ThreadPool pool(3);
   const int64_t huge = (int64_t{1} << 33) + 5;
   for (int num_shards : {2, 4, 7}) {
-    const auto shards = MakeShards(huge, num_shards);
+    const auto shards = ParallelForShards(huge, num_shards, &pool);
     ASSERT_EQ(shards.size(), static_cast<size_t>(num_shards)) << num_shards;
     int64_t expect_begin = 0;
-    for (size_t s = 0; s < shards.size(); ++s) {
-      EXPECT_EQ(shards[s].begin, expect_begin);  // contiguous, in order
-      EXPECT_EQ(shards[s].shard, static_cast<int>(s));
-      EXPECT_GT(shards[s].end, shards[s].begin);
-      expect_begin = shards[s].end;
+    for (const auto& [begin, end] : shards) {
+      EXPECT_EQ(begin, expect_begin);  // contiguous, in order
+      EXPECT_GT(end, begin);
+      expect_begin = end;
     }
     EXPECT_EQ(expect_begin, huge);  // full coverage, no overflow
     // Near-equal split: lengths differ by at most one.
     const int64_t base = huge / num_shards;
-    for (const auto& r : shards) {
-      const int64_t len = r.end - r.begin;
+    for (const auto& [begin, end] : shards) {
+      const int64_t len = end - begin;
       EXPECT_TRUE(len == base || len == base + 1) << len;
     }
+    EXPECT_EQ(shards, ReferenceShards(huge, num_shards));
   }
   // The clamp itself, just past the wrap boundary: n still exceeds the
   // shard count, so every shard must materialize.
-  EXPECT_EQ(MakeShards((int64_t{1} << 31) + 7, 8).size(), 8u);
+  EXPECT_EQ(ParallelForShards((int64_t{1} << 31) + 7, 8, &pool).size(), 8u);
 }
 
 TEST(ParallelForTest, EveryIndexVisitedExactlyOnce) {

@@ -72,15 +72,6 @@ TEST(BoundedBatchQueueTest, ZeroWaitTakesWhatIsQueued) {
   EXPECT_EQ(batch.size(), 3u);
 }
 
-TEST(BoundedBatchQueueTest, TryPushRefusesWhenFull) {
-  BoundedBatchQueue<int> q(2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.TryPush(a));
-  EXPECT_TRUE(q.TryPush(b));
-  EXPECT_FALSE(q.TryPush(c));
-  EXPECT_EQ(q.size(), 2u);
-}
-
 TEST(BoundedBatchQueueTest, PushBlocksUntilConsumerFreesSpace) {
   BoundedBatchQueue<int> q(1);
   int first = 1;

@@ -17,13 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "index/embedding_cache.h"
 #include "nn/encoder.h"
 #include "nn/gru.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
 
@@ -164,6 +169,55 @@ TEST(WorkspaceAllocationTest, CacheAllHitSteadyStateIsAllocationFree) {
   const auto counts = AllocCounterStop();
   EXPECT_EQ(counts.count, 0u) << counts.bytes << " bytes";
   EXPECT_GE(cache.stats().hits, 5u * batch.size());
+}
+
+TEST(WorkspaceAllocationTest, ThreadedFanOutIsAllocationFree) {
+  // A 4-thread pool: the calling thread and three workers. Neither a
+  // ParallelFor nor a row-sharded GEMM may allocate once warm.
+  ThreadPool pool(3);
+  constexpr int m = 64, n = 48, k = 40;
+  Rng rng(37);
+  std::vector<float> a(static_cast<size_t>(m) * k);
+  std::vector<float> b(static_cast<size_t>(k) * n);
+  for (float& v : a) v = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+  for (float& v : b) v = static_cast<float>(rng.UniformReal(-1.0, 1.0));
+  std::vector<float> c(static_cast<size_t>(m) * n, 0.0f);
+  // Warm-up. Any thread may claim any shard, so hold all four threads in
+  // one fan-out at once and let each grow its thread-local GEMM pack
+  // buffer: otherwise a worker's first claim could fall in the count.
+  std::atomic<int> arrived{0};
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(30);
+  ParallelFor(
+      4, 4,
+      [&](int64_t, int64_t, int shard) {
+        ++arrived;
+        while (arrived.load() < 4 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        ts::kernels::Gemm(1, n, k, a.data() + static_cast<size_t>(shard) * k,
+                          b.data(), c.data() + static_cast<size_t>(shard) * n);
+      },
+      &pool);
+  ASSERT_EQ(arrived.load(), 4);
+  std::atomic<int64_t> covered{0};
+  const auto count_rows = [&covered](int64_t begin, int64_t end, int) {
+    covered += end - begin;
+  };
+  ParallelFor(256, 4, count_rows, &pool);
+  ts::kernels::Gemm(m, n, k, a.data(), b.data(), c.data(), &pool, 4);
+
+  AllocCounterStart();
+  for (int call = 0; call < 1000; ++call) {
+    ParallelFor(256, 4, count_rows, &pool);
+  }
+  for (int call = 0; call < 1000; ++call) {
+    ts::kernels::Gemm(m, n, k, a.data(), b.data(), c.data(), &pool, 4);
+  }
+  const auto counts = AllocCounterStop();
+  EXPECT_EQ(counts.count, 0u) << counts.bytes << " bytes";
+  EXPECT_EQ(covered.load(), 1001 * 256);
 }
 
 TEST(WorkspaceTest, FrameRewindReusesMemory) {
