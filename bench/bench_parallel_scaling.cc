@@ -375,8 +375,9 @@ void Run(const std::string& json_path) {
   // AdamW steps through the Pretrainer. Counter-based dropout plus the
   // canonical ascending-row gradient accumulation make every
   // configuration produce bit-identical per-step losses (asserted below);
-  // the timing columns show what batching/threading buys. On a 1-core
-  // container the thread rows cannot win wall-clock; re-measure on
+  // the timing columns show what batching/threading buys, and
+  // allocs_per_step the heap allocations one Run makes per step. On a
+  // 1-core container the thread rows cannot win wall-clock; re-measure on
   // multi-core hardware.
   {
     Rng crng(29);
@@ -419,7 +420,8 @@ void Run(const std::string& json_path) {
                 n_items);
     TablePrinter table4("Contrastive training: per-row vs batched vs threads");
     table4.SetHeader({"encoder", "mode", "num_threads", "seconds",
-                      "steps/s", "speedup", "identical_losses"});
+                      "steps/s", "speedup", "allocs/step",
+                      "identical_losses"});
     for (const TrainCase& c : cases) {
       std::vector<float> baseline_losses;
       double per_row_serial = 0.0;
@@ -430,20 +432,28 @@ void Run(const std::string& json_path) {
         opts.corpus_cap = n_items;
         opts.num_clusters = 8;
         opts.num_threads = mc.threads;
-        // Every run trains a fresh encoder built from the one config.
+        // Every run trains a fresh encoder built from the one config. One
+        // more run after the timed ones counts the heap allocations made
+        // inside Pretrainer::Run.
+        bool count_allocs = false;
+        uint64_t run_allocs = 0;
         auto train = [&] {
           auto encoder = c.make();
           encoder->set_batched_training(mc.batched);
           contrastive::Pretrainer trainer(encoder.get(), &vocab, opts);
+          if (count_allocs) AllocCounterStart();
           WallTimer timer;
           const Status st = trainer.Run(corpus);
           const double seconds = timer.ElapsedSeconds();
+          if (count_allocs) run_allocs = AllocCounterStop().count;
           SUDO_CHECK(st.ok());
           return std::make_pair(seconds, trainer.stats().step_loss);
         };
         double seconds = 0.0;
         bool repeatable = false;
         const auto losses = WarmMedian(train, &seconds, &repeatable);
+        count_allocs = true;
+        repeatable = repeatable && train().second == losses;
         if (!mc.batched) {
           per_row_serial = seconds;
           baseline_losses = losses;
@@ -451,10 +461,12 @@ void Run(const std::string& json_path) {
         const bool identical = repeatable && losses == baseline_losses;
         const char* mode = mc.batched ? "batched" : "per_row";
         const double steps = static_cast<double>(losses.size());
+        const double allocs_per_step = static_cast<double>(run_allocs) / steps;
         table4.AddRow({c.name, mode, std::to_string(mc.threads),
                        StrFormat("%.3f", seconds),
                        StrFormat("%.2f", steps / seconds),
                        StrFormat("%.2fx", per_row_serial / seconds),
+                       StrFormat("%.0f", allocs_per_step),
                        identical ? "yes" : "NO"});
         auto& r = records.Add();
         r.Str("bench", "training_step");
@@ -465,6 +477,7 @@ void Run(const std::string& json_path) {
         r.Num("seconds", seconds);
         r.Num("steps_per_second", steps / seconds);
         r.Num("speedup_vs_per_row_serial", per_row_serial / seconds);
+        r.Num("allocs_per_step", allocs_per_step);
         r.Bool("identical_to_per_row", identical);
       }
     }

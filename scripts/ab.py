@@ -48,7 +48,8 @@ BENCH_METRICS = ("seconds", "speedup", "speedup_vs_per_row_serial",
                  "speedup_vs_batch1", "steps_per_second", "gflops",
                  "recall_at_k", "fp32_recall_at_k", "qps", "p50_us",
                  "p99_us", "mean_batch", "allocs_per_call",
-                 "alloc_bytes_per_call", "bytes_resident", "bytes_ratio")
+                 "alloc_bytes_per_call", "allocs_per_step", "bytes_resident",
+                 "bytes_ratio")
 HIGHER_HINTS = ("throughput", "qps", "speedup", "recall", "quality",
                 "gflops", "steps_per_second", "hit_ratio", "replay_exact",
                 "flush_size", "using_ivf", "live_items")

@@ -89,7 +89,8 @@ METRIC_FIELDS = ("seconds", "speedup", "speedup_vs_per_row_serial",
                  "speedup_vs_batch1", "steps_per_second", "gflops",
                  "recall_at_k", "fp32_recall_at_k", "qps", "p50_us",
                  "p99_us", "offered_qps", "mean_batch", "allocs_per_call",
-                 "alloc_bytes_per_call", "bytes_resident", "bytes_ratio")
+                 "alloc_bytes_per_call", "allocs_per_step", "bytes_resident",
+                 "bytes_ratio")
 CORRECTNESS_FIELDS = ("identical_to_serial", "identical_to_per_row",
                       "matches_reference", "identical_to_serial_training",
                       "identical_to_uncached")

@@ -335,6 +335,23 @@ class BenchCompareTest(unittest.TestCase):
         self.assert_clean(proc)
         self.assertEqual(proc.returncode, 0, msg=proc.stdout)
 
+    def test_allocs_per_step_is_not_identity(self):
+        # allocs_per_step is a metric: a training_step record whose
+        # allocation count changed must still match its baseline record,
+        # not surface as new + missing-baseline.
+        base = {"bench": "training_step", "encoder": "fastbag_d64",
+                "mode": "batched", "n_items": 256, "num_threads": 1,
+                "seconds": 0.02, "steps_per_second": 400.0,
+                "speedup_vs_per_row_serial": 1.2, "allocs_per_step": 3000.0,
+                "identical_to_per_row": True}
+        self.write("baseline/BENCH_p.json", [base])
+        fresh = self.write("BENCH_p.json", [dict(base, allocs_per_step=300.0)])
+        proc = self.run_compare(fresh)
+        self.assert_clean(proc)
+        self.assertEqual(proc.returncode, 0, msg=proc.stdout)
+        self.assertNotIn("no baseline", proc.stdout)
+        self.assertNotIn("baseline-only", proc.stdout)
+
     def test_bytes_resident_growth_fails(self):
         self.write("baseline/BENCH_ann.json",
                    [ann_record(0.93, bytes_resident=1800000)])

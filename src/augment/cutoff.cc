@@ -25,6 +25,22 @@ void CutoffPlan::TokenRange(int seq_len, int* begin, int* end) const {
   }
 }
 
+void CutoffPlan::ZeroCutEntries(int seq_len, int dim, float* mask) const {
+  if (kind == CutoffKind::kFeature) {
+    for (int j : feature_dims) {
+      if (j < 0 || j >= dim) continue;
+      for (int r = 0; r < seq_len; ++r) {
+        mask[static_cast<size_t>(r) * dim + j] = 0.0f;
+      }
+    }
+    return;
+  }
+  int begin = 0, end = 0;
+  TokenRange(seq_len, &begin, &end);
+  std::fill(mask + static_cast<size_t>(begin) * dim,
+            mask + static_cast<size_t>(end) * dim, 0.0f);
+}
+
 CutoffPlan SampleCutoff(CutoffKind kind, int dim, double ratio, Rng* rng) {
   CutoffPlan plan;
   plan.kind = kind;

@@ -43,6 +43,12 @@ struct CutoffPlan {
   /// Row (token) index range [begin, end) to zero for a sequence of length
   /// seq_len. Empty range for feature/none cutoffs.
   void TokenRange(int seq_len, int* begin, int* end) const;
+
+  /// Zeroes the entries of `mask`, a [seq_len, dim] row-major block of
+  /// 0/1 factors for a sequence of seq_len tokens, that this plan cuts
+  /// off: the feature columns in range, or the TokenRange rows. kNone
+  /// leaves it untouched. The one mask rule of every encoder's cutoff.
+  void ZeroCutEntries(int seq_len, int dim, float* mask) const;
 };
 
 /// Samples a batch-wise plan. `dim` is the embedding width (for feature

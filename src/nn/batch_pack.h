@@ -1,8 +1,9 @@
-// Padded-pack utility for batched inference encoding: turns a ragged list
-// of token-id sequences into one or more dense [B, T] id blocks (row-major,
-// padded with pad_id) plus per-row valid lengths, so the encoders can run
-// whole batches through the blocked GEMM kernels instead of fanning out
-// per-row forwards.
+// Padded-pack utility for batched encoding: turns a ragged list of
+// token-id sequences into one or more dense [B, T] id blocks (row-major,
+// padded with pad_id) plus per-row valid lengths, so the Transformer and
+// GRU encoders can run whole batches through the blocked GEMM kernels
+// instead of fanning out per-row forwards. (FastBag needs no padded
+// block: it pools its ragged rows straight from the token table.)
 //
 // Length bucketing bounds padding waste: rows are ordered by (truncated)
 // length and greedily cut into buckets such that padding a bucket to its

@@ -166,20 +166,8 @@ std::vector<std::vector<float>> Encoder::EmbedNormalized(
 
 Tensor ApplyCutoff(const Tensor& emb, const augment::CutoffPlan& plan) {
   if (plan.kind == augment::CutoffKind::kNone) return emb;
-  const int t = emb.rows(), d = emb.cols();
-  Tensor mask = Tensor::Constant(t, d, 1.0f);
-  if (plan.kind == augment::CutoffKind::kFeature) {
-    for (int j : plan.feature_dims) {
-      if (j < 0 || j >= d) continue;
-      for (int i = 0; i < t; ++i) mask.set(i, j, 0.0f);
-    }
-  } else {
-    int begin = 0, end = 0;
-    plan.TokenRange(t, &begin, &end);
-    for (int i = begin; i < end; ++i) {
-      for (int j = 0; j < d; ++j) mask.set(i, j, 0.0f);
-    }
-  }
+  Tensor mask = Tensor::Constant(emb.rows(), emb.cols(), 1.0f);
+  plan.ZeroCutEntries(emb.rows(), emb.cols(), mask.data());
   return ts::Mul(emb, mask);
 }
 
@@ -188,20 +176,8 @@ Tensor PackedCutoffMask(const augment::CutoffPlan& plan,
   const int b = bucket.rows(), t = bucket.t;
   Tensor mask = Tensor::Constant(b * t, d, 1.0f);
   for (int i = 0; i < b; ++i) {
-    const int len = bucket.lengths[static_cast<size_t>(i)];
-    float* block = mask.data() + static_cast<size_t>(i) * t * d;
-    if (plan.kind == augment::CutoffKind::kFeature) {
-      for (int j : plan.feature_dims) {
-        if (j < 0 || j >= d) continue;
-        for (int r = 0; r < len; ++r) block[static_cast<size_t>(r) * d + j] = 0.0f;
-      }
-    } else if (plan.kind != augment::CutoffKind::kNone) {
-      int begin = 0, end = 0;
-      plan.TokenRange(len, &begin, &end);
-      for (int r = begin; r < end; ++r) {
-        for (int j = 0; j < d; ++j) block[static_cast<size_t>(r) * d + j] = 0.0f;
-      }
-    }
+    plan.ZeroCutEntries(bucket.lengths[static_cast<size_t>(i)], d,
+                        mask.data() + static_cast<size_t>(i) * t * d);
   }
   return mask;
 }
@@ -642,6 +618,13 @@ FastBagEncoder::FastBagEncoder(const FastBagConfig& config)
   mlp_ = Mlp(4 * config.dim, config.hidden_dim, config.dim, &init_rng);
 }
 
+int FastBagEncoder::SegmentSplit(const int* ids, int len) const {
+  for (int j = 0; j < len; ++j) {
+    if (ids[j] == config_.sep_token_id) return j > 0 && j + 1 < len ? j : -1;
+  }
+  return -1;
+}
+
 Tensor FastBagEncoder::PoolOne(const std::vector<int>& ids,
                                const augment::CutoffPlan* cutoff) {
   std::vector<int> trunc =
@@ -649,21 +632,14 @@ Tensor FastBagEncoder::PoolOne(const std::vector<int>& ids,
   Tensor emb = token_emb_.Forward(trunc);  // [T, dim]
   if (cutoff != nullptr) emb = ApplyCutoff(emb, *cutoff);
 
-  // Locate the first [SEP]; if present, pool the two segments separately.
-  int sep = -1;
-  for (size_t i = 0; i < trunc.size(); ++i) {
-    if (trunc[i] == config_.sep_token_id) {
-      sep = static_cast<int>(i);
-      break;
-    }
-  }
   auto mean_rows = [](const Tensor& m) {
     // [1, dim] column means via transpose + RowMean.
     return ts::Transpose(ts::RowMean(ts::Transpose(m)));
   };
   Tensor m1, m2;
   const int t_len = emb.rows();
-  if (sep > 0 && sep + 1 < t_len) {
+  const int sep = SegmentSplit(trunc.data(), t_len);
+  if (sep >= 0) {
     m1 = mean_rows(ts::SliceRows(emb, 0, sep));
     m2 = mean_rows(ts::SliceRows(emb, sep + 1, t_len - sep - 1));
   } else {
@@ -674,70 +650,24 @@ Tensor FastBagEncoder::PoolOne(const std::vector<int>& ids,
   return ts::ConcatCols({m1, m2, ts::Abs(ts::Sub(m1, m2)), ts::Mul(m1, m2)});
 }
 
-void FastBagEncoder::PoolBucketInto(const PackedBucket& bucket,
-                                    float* feats) {
-  const int d = config_.dim;
-  const int b = bucket.rows(), t = bucket.t;
-  const size_t bt = static_cast<size_t>(b) * t;
-  ts::Workspace& ws = ts::Workspace::ThreadLocal();
-  ts::Workspace::Frame frame(ws);
-  // Embedding gather on the workspace (the raw equivalent of the oracle's
-  // GatherRows copy).
-  float* emb = ws.Floats(bt * d);
-  const float* tok = token_emb_.table().data();
-  for (size_t r = 0; r < bt; ++r) {
-    const int id = bucket.ids[r];
-    SUDO_CHECK(id >= 0 && id < token_emb_.vocab_size());
-    std::copy(tok + static_cast<size_t>(id) * d,
-              tok + static_cast<size_t>(id + 1) * d, emb + r * d);
-  }
-  // Segment split per row, matching PoolOne: the first [SEP] inside the
-  // valid prefix, provided both segments are non-empty.
-  int* sep = ws.Ints(static_cast<size_t>(b));
-  int* l1 = ws.Ints(static_cast<size_t>(b));
-  for (int i = 0; i < b; ++i) {
-    sep[i] = -1;
-    l1[i] = bucket.lengths[static_cast<size_t>(i)];
-    const int* row = bucket.ids.data() + static_cast<size_t>(i) * t;
-    const int len = bucket.lengths[static_cast<size_t>(i)];
-    for (int j = 0; j < len; ++j) {
-      if (row[j] == config_.sep_token_id) {
-        if (j > 0 && j + 1 < len) sep[i] = j;
-        break;
-      }
+int FastBagEncoder::FlattenRows(const std::vector<std::vector<int>>& batch,
+                                int* ids, int* offsets, int* splits) const {
+  int pos = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const std::vector<int>& seq = batch[i];
+    const int len = std::min(static_cast<int>(seq.size()), config_.max_len);
+    offsets[i] = pos;
+    if (len == 0) ids[pos] = config_.pad_id;  // TruncateOrPad's rule
+    std::copy(seq.begin(), seq.begin() + len, ids + pos);
+    const int n_ids = std::max(len, 1);
+    for (int j = pos; j < pos + n_ids; ++j) {
+      SUDO_CHECK(ids[j] >= 0 && ids[j] < token_emb_.vocab_size());
     }
-    if (sep[i] >= 0) l1[i] = sep[i];
+    splits[i] = SegmentSplit(ids + pos, n_ids);
+    pos += n_ids;
   }
-  // m1 is a mask-aware mean-pool over each block's first segment (the
-  // whole valid prefix when there is no split).
-  float* m1 = ws.Floats(static_cast<size_t>(b) * d);
-  ks::MaskedMeanPool(b, t, d, emb, l1, m1);
-  float* m2 = ws.Floats(static_cast<size_t>(b) * d);
-  for (int i = 0; i < b; ++i) {
-    float* m2_row = m2 + static_cast<size_t>(i) * d;
-    if (sep[i] >= 0) {
-      ks::ColMeanRange(emb + static_cast<size_t>(i) * t * d, d, sep[i] + 1,
-                       bucket.lengths[static_cast<size_t>(i)], m2_row);
-    } else {
-      std::copy(m1 + static_cast<size_t>(i) * d,
-                m1 + static_cast<size_t>(i + 1) * d, m2_row);
-    }
-  }
-  // [m1, m2, |m1-m2|, m1⊙m2] scattered into batch order; the same
-  // elementwise arithmetic as the per-row ConcatCols feature build.
-  for (int i = 0; i < b; ++i) {
-    const float* a = m1 + static_cast<size_t>(i) * d;
-    const float* c = m2 + static_cast<size_t>(i) * d;
-    float* dst =
-        feats +
-        static_cast<size_t>(bucket.row_index[static_cast<size_t>(i)]) * 4 * d;
-    for (int j = 0; j < d; ++j) {
-      dst[j] = a[j];
-      dst[d + j] = c[j];
-      dst[2 * d + j] = std::fabs(a[j] - c[j]);
-      dst[3 * d + j] = a[j] * c[j];
-    }
-  }
+  offsets[batch.size()] = pos;
+  return pos;
 }
 
 void FastBagEncoder::EncodeInferenceImpl(
@@ -748,13 +678,13 @@ void FastBagEncoder::EncodeInferenceImpl(
   const int n = static_cast<int>(batch.size());
   ts::Workspace& ws = ts::Workspace::ThreadLocal();
   ts::Workspace::Frame frame(ws);
+  int* ids = ws.Ints(static_cast<size_t>(n) * config_.max_len);
+  int* offsets = ws.Ints(static_cast<size_t>(n) + 1);
+  int* splits = ws.Ints(static_cast<size_t>(n));
+  FlattenRows(batch, ids, offsets, splits);
   float* feats = ws.Floats(static_cast<size_t>(n) * 4 * d);
-  const int n_buckets = PackBatchesInto(
-      batch, MakePackOptions(config_.max_len, config_.pad_id),
-      &pack_scratch_);
-  for (int i = 0; i < n_buckets; ++i) {
-    PoolBucketInto(pack_scratch_.bucket(i), feats);
-  }
+  ks::BagPairFeatures(n, d, token_emb_.table().data(), ids, offsets, splits,
+                      /*mask=*/nullptr, feats);
   // Raw tail, op for op the inference Tensor tail: residual on the mean
   // of the two segment means, plus the MLP's interaction corrections,
   // layer-normed straight into `out`.
@@ -779,53 +709,24 @@ Tensor FastBagEncoder::PoolBatchedTraining(
     const std::vector<std::vector<int>>& batch,
     const augment::CutoffPlan* cutoff) {
   const int d = config_.dim;
-  const auto buckets = PackBatches(
-      batch, MakeTrainPackOptions(config_.max_len, config_.pad_id));
-  std::vector<Tensor> feat_rows(batch.size());
-  for (const PackedBucket& bucket : buckets) {
-    const int b = bucket.rows(), t = bucket.t;
-    Tensor emb = token_emb_.Forward(bucket.ids);  // [b*t, dim], one gather
-    if (cutoff != nullptr) {
-      emb = ts::Mul(emb, PackedCutoffMask(*cutoff, bucket, d));
-    }
-    // Segment split per row, matching PoolOne: the first [SEP] inside the
-    // valid prefix, provided both segments are non-empty.
-    std::vector<int> sep(static_cast<size_t>(b), -1);
-    std::vector<int> b1(static_cast<size_t>(b), 0);  // segment-1 begin = 0
-    std::vector<int> e1 = bucket.lengths;
-    std::vector<int> b2(static_cast<size_t>(b), 0);
-    std::vector<int> e2(static_cast<size_t>(b), 0);  // empty = skip row
-    for (int i = 0; i < b; ++i) {
-      const int* row = bucket.ids.data() + static_cast<size_t>(i) * t;
-      const int len = bucket.lengths[static_cast<size_t>(i)];
-      for (int j = 0; j < len; ++j) {
-        if (row[j] == config_.sep_token_id) {
-          if (j > 0 && j + 1 < len) sep[static_cast<size_t>(i)] = j;
-          break;
-        }
-      }
-      if (sep[static_cast<size_t>(i)] >= 0) {
-        e1[static_cast<size_t>(i)] = sep[static_cast<size_t>(i)];
-        b2[static_cast<size_t>(i)] = sep[static_cast<size_t>(i)] + 1;
-        e2[static_cast<size_t>(i)] = len;
-      }
-    }
-    Tensor m1 = ts::SegmentMeanRows(emb, t, b1, e1);
-    Tensor m2seg = ts::SegmentMeanRows(emb, t, b2, e2);
-    // Per-row feature assembly mirrors PoolOne node for node - including
-    // m2 := m1 aliasing for single-segment rows, which pins the order of
-    // the same-buffer gradient double-adds the feature ops produce.
-    for (int i = 0; i < b; ++i) {
-      Tensor m1r = ts::SliceRows(m1, i, 1);
-      Tensor m2r =
-          sep[static_cast<size_t>(i)] >= 0 ? ts::SliceRows(m2seg, i, 1) : m1r;
-      feat_rows[static_cast<size_t>(
-          bucket.row_index[static_cast<size_t>(i)])] =
-          ts::ConcatCols(
-              {m1r, m2r, ts::Abs(ts::Sub(m1r, m2r)), ts::Mul(m1r, m2r)});
+  const size_t n = batch.size();
+  std::vector<int> ids(n * static_cast<size_t>(config_.max_len));
+  std::vector<int> offsets(n + 1);
+  std::vector<int> splits(n);
+  ids.resize(static_cast<size_t>(
+      FlattenRows(batch, ids.data(), offsets.data(), splits.data())));
+  // A kNone plan multiplies by ones, which changes no bit: no mask.
+  std::vector<float> mask;
+  if (cutoff != nullptr && cutoff->kind != augment::CutoffKind::kNone) {
+    mask.assign(ids.size() * static_cast<size_t>(d), 1.0f);
+    for (size_t i = 0; i < n; ++i) {
+      cutoff->ZeroCutEntries(offsets[i + 1] - offsets[i], d,
+                             mask.data() + static_cast<size_t>(offsets[i]) * d);
     }
   }
-  return ts::JoinRows(feat_rows);
+  return ts::BagPairFeatures(token_emb_.table(), std::move(ids),
+                             std::move(offsets), std::move(splits),
+                             std::move(mask));
 }
 
 Tensor FastBagEncoder::EncodeBatchImpl(

@@ -152,7 +152,7 @@ class Encoder {
                                  bool training) = 0;
 
   /// Subclass hook for graph-free inference into `out` (batch order):
-  /// the padded-pack batched route on the per-thread Workspace.
+  /// the batched route on the per-thread Workspace.
   virtual void EncodeInferenceImpl(const std::vector<std::vector<int>>& batch,
                                    float* out) = 0;
 
@@ -214,9 +214,9 @@ class Encoder {
   /// this to their config seed so both their paths derive equal keys.
   uint64_t drop_seed_ = 0;
 
-  /// Reusable packing buffers for the batched inference routes (vector
-  /// capacity retained across calls - the allocation-free part of the
-  /// serving contract). Subclass EncodeInferenceImpl uses this.
+  /// Reusable packing buffers for the padded-pack inference routes of the
+  /// Transformer and the GRU (vector capacity retained across calls - the
+  /// allocation-free part of the serving contract).
   PackScratch pack_scratch_;
 
  private:
@@ -413,10 +413,12 @@ class FastBagEncoder : public Encoder {
                          const augment::CutoffPlan* cutoff,
                          bool training) override;
 
-  /// Batched inference on the workspace: per-bucket embedding gather +
-  /// masked mean-pool kernels into a [B, 4*dim] feature block, then the
-  /// raw MLP/LayerNorm tail straight into `out`. Bit-identical to the
-  /// per-row graph route; zero heap allocations after warmup.
+  /// Batched inference on the workspace: the batch's ragged rows,
+  /// flattened without padding, pool straight from the token table into
+  /// a [B, 4*dim] feature block (kernels::BagPairFeatures, no packing
+  /// and no gathered copy), then the raw MLP/LayerNorm tail writes
+  /// `out`. Bit-identical to the per-row graph route; zero heap
+  /// allocations after warmup.
   void EncodeInferenceImpl(const std::vector<std::vector<int>>& batch,
                            float* out) override;
 
@@ -425,16 +427,22 @@ class FastBagEncoder : public Encoder {
   Tensor PoolOne(const std::vector<int>& ids,
                  const augment::CutoffPlan* cutoff);
 
-  /// Workspace pooling for one bucket: writes each packed row's
-  /// [m1, m2, |m1-m2|, m1⊙m2] features to feats row row_index[i]
-  /// (feats is [B, 4*dim] in batch order); bit-identical to PoolOne.
-  void PoolBucketInto(const PackedBucket& bucket, float* feats);
+  /// The segment split of one truncated row: the position of its first
+  /// [SEP] when both segments around it are non-empty, else -1.
+  int SegmentSplit(const int* ids, int len) const;
 
-  /// Batched training pooling: one graph embedding gather + fused segment
-  /// mean-pool per order-preserving bucket, then per-row feature assembly
-  /// that mirrors PoolOne's node structure exactly (including the m2 := m1
-  /// aliasing for single-segment rows, which pins the gradient
-  /// double-accumulation order). Bit-identical to per-row PoolOne.
+  /// Writes every row of `batch` under TruncateOrPad's rule back to back
+  /// into `ids` (room for batch.size() * max_len), row i from offsets[i],
+  /// and its SegmentSplit to splits[i]; returns the id count, which is
+  /// also offsets[batch.size()]. SUDO_CHECKs every id against the
+  /// vocabulary.
+  int FlattenRows(const std::vector<std::vector<int>>& batch, int* ids,
+                  int* offsets, int* splits) const;
+
+  /// Batched training pooling: the flattened rows and, under a cutoff
+  /// plan, a 0/1 mask over their tokens (CutoffPlan::ZeroCutEntries per
+  /// row) go to one tensor::BagPairFeatures node for the whole batch.
+  /// Values and gradients are bit-identical to per-row PoolOne.
   Tensor PoolBatchedTraining(const std::vector<std::vector<int>>& batch,
                              const augment::CutoffPlan* cutoff);
 
@@ -446,7 +454,8 @@ class FastBagEncoder : public Encoder {
 };
 
 /// Applies a cutoff plan to a [T, dim] embedding matrix by elementwise
-/// multiplication with a constant 0/1 mask (exposed for testing).
+/// multiplication with a constant 0/1 mask (CutoffPlan::ZeroCutEntries;
+/// exposed for testing).
 Tensor ApplyCutoff(const Tensor& emb, const augment::CutoffPlan& plan);
 
 /// Packed-bucket counterpart of ApplyCutoff's mask: a constant
@@ -454,7 +463,7 @@ Tensor ApplyCutoff(const Tensor& emb, const augment::CutoffPlan& plan);
 /// carries the plan evaluated at that row's own length (cutoff positions
 /// are length-relative fractions) and padded rows stay 1. Multiplying the
 /// packed embedding by this is bit-identical, row for row, to per-row
-/// ApplyCutoff.
+/// ApplyCutoff. The Transformer and GRU training routes use it.
 Tensor PackedCutoffMask(const augment::CutoffPlan& plan,
                         const PackedBucket& bucket, int d);
 

@@ -314,23 +314,53 @@ void RowSoftmaxMasked(int m, int n, const float* x, const int* valid,
   }
 }
 
-void ColMeanRange(const float* x, int d, int r0, int r1, float* out) {
-  // Row-major sweep; out[j] still accumulates strictly r-increasing, so
-  // the sum matches the scalar per-column chain bit for bit.
+namespace {
+
+/// out[j] = mean over positions [r0, r1) of table[ids[r]][j], times
+/// mask[r][j] when there is a mask. The sweep is row-major, yet each
+/// out[j] accumulates strictly r-increasing, so the sum is the scalar
+/// per-column chain bit for bit.
+void SegmentMean(int d, const float* table, const int* ids, const float* mask,
+                 int r0, int r1, float* out) {
   std::fill(out, out + d, 0.0f);
   for (int r = r0; r < r1; ++r) {
-    const float* xr = x + static_cast<size_t>(r) * d;
-    for (int j = 0; j < d; ++j) out[j] += xr[j];
+    const float* x = table + static_cast<size_t>(ids[r]) * d;
+    if (mask == nullptr) {
+      for (int j = 0; j < d; ++j) out[j] += x[j];
+    } else {
+      const float* m = mask + static_cast<size_t>(r) * d;
+      for (int j = 0; j < d; ++j) out[j] += x[j] * m[j];
+    }
   }
   const float count = static_cast<float>(r1 - r0);
   for (int j = 0; j < d; ++j) out[j] /= count;
 }
 
-void MaskedMeanPool(int b, int t, int d, const float* x, const int* lengths,
-                    float* out) {
-  for (int i = 0; i < b; ++i) {
-    ColMeanRange(x + static_cast<size_t>(i) * t * d, d, 0, lengths[i],
-                 out + static_cast<size_t>(i) * d);
+}  // namespace
+
+void BagPairFeatures(int n, int d, const float* table, const int* ids,
+                     const int* offsets, const int* splits, const float* mask,
+                     float* out) {
+  for (int i = 0; i < n; ++i) {
+    const int begin = offsets[i];
+    const int len = offsets[i + 1] - begin;
+    const int s = splits[i];
+    const int* row_ids = ids + begin;
+    const float* row_mask =
+        mask == nullptr ? nullptr : mask + static_cast<size_t>(begin) * d;
+    float* a = out + static_cast<size_t>(i) * 4 * d;
+    float* c = a + d;
+    if (s >= 0) {
+      SegmentMean(d, table, row_ids, row_mask, 0, s, a);
+      SegmentMean(d, table, row_ids, row_mask, s + 1, len, c);
+    } else {
+      SegmentMean(d, table, row_ids, row_mask, 0, len, a);
+      std::copy(a, a + d, c);
+    }
+    for (int j = 0; j < d; ++j) {
+      a[2 * d + j] = std::fabs(a[j] - c[j]);
+      a[3 * d + j] = a[j] * c[j];
+    }
   }
 }
 

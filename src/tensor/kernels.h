@@ -209,18 +209,21 @@ void RowSoftmaxMasked(int m, int n, const float* x, const int* valid,
 /// norms[i] = sqrt(sum_j x[i,j]^2) for x of shape [m,n].
 void L2NormRows(int m, int n, const float* x, float* norms);
 
-/// Column means over the row range [r0, r1) of x [t, d]:
-/// out[j] = (sum_{r=r0}^{r1-1} x[r,j]) / (r1 - r0). Each out[j]
-/// accumulates in a single r-increasing scalar chain - the same rounding
-/// as a per-row RowMean over the transposed slice, which is what the
-/// per-row mean-pool path computes.
-void ColMeanRange(const float* x, int d, int r0, int r1, float* out);
-
-/// Mask-aware mean pooling over a padded batch: x is b blocks of t rows
-/// each ([b*t, d] row-major); out[i,:] = mean of the first lengths[i]
-/// rows of block i (1 <= lengths[i] <= t). out is [b, d].
-void MaskedMeanPool(int b, int t, int d, const float* x, const int* lengths,
-                    float* out);
+/// FastBag's segment-pair pooling of n ragged token rows, read straight
+/// from an embedding table [*, d]. Row i holds the ids
+/// ids[offsets[i], offsets[i+1]) (at least one); splits[i] = s with
+/// 0 < s < len - 1 pools the segments [0, s) and [s + 1, len) around a
+/// separator, -1 pools the whole row as one segment. `mask`, when
+/// non-null, holds a 0/1 factor per (id, column) of the flattened rows
+/// ([offsets[n], d]) that multiplies each gathered value (cutoff DA; a
+/// cut Inf or NaN becomes NaN). Row i of out [n, 4d] is [m1, m2, |m1 - m2|,
+/// m1 * m2], with m2 = m1 for one segment. A segment mean is
+/// (((0 + x_r0) + x_r0+1) + ...) / count per element: one r-increasing
+/// chain, the rounding of the per-row Transpose/RowMean/Transpose chain.
+/// tensor::BagPairFeatures and FastBag's inference route both call this.
+void BagPairFeatures(int n, int d, const float* table, const int* ids,
+                     const int* offsets, const int* splits, const float* mask,
+                     float* out);
 
 /// Per-row layer-norm forward: y[i,:] = xhat[i,:] * gamma + beta with
 /// xhat = (x - mean) / sqrt(var + eps), mean/var reduced per row in one

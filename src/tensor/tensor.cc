@@ -654,53 +654,86 @@ Tensor RowMean(const Tensor& a) {
   return WrapNode(out);
 }
 
-Tensor SegmentMeanRows(const Tensor& packed, int t,
-                       const std::vector<int>& begins,
-                       const std::vector<int>& ends) {
-  SUDO_CHECK(t > 0 && packed.rows() % t == 0);
-  const int b = packed.rows() / t, d = packed.cols();
-  SUDO_CHECK(static_cast<int>(begins.size()) == b &&
-             static_cast<int>(ends.size()) == b);
-  auto out = NewNode(b, d);
-  for (int i = 0; i < b; ++i) {
-    const int r0 = begins[static_cast<size_t>(i)];
-    const int r1 = ends[static_cast<size_t>(i)];
-    SUDO_CHECK(0 <= r0 && r0 <= r1 && r1 <= t);
-    // An empty range means "skip this block": its output row stays zero
-    // and its backward contributes nothing (a caller that aliases the row
-    // elsewhere must not read it).
-    if (r0 == r1) continue;
-    kernels::ColMeanRange(packed.data() + static_cast<size_t>(i) * t * d, d,
-                          r0, r1, out->value.data() + static_cast<size_t>(i) * d);
+Tensor BagPairFeatures(const Tensor& table, std::vector<int> ids,
+                       std::vector<int> offsets, std::vector<int> splits,
+                       std::vector<float> mask) {
+  const int n = static_cast<int>(splits.size()), d = table.cols();
+  SUDO_CHECK(n > 0 && offsets.size() == splits.size() + 1 &&
+             offsets[0] == 0 && offsets.back() == static_cast<int>(ids.size()));
+  SUDO_CHECK(mask.empty() || mask.size() == ids.size() * d);
+  for (size_t i = 0; i < splits.size(); ++i) {
+    const int len = offsets[i + 1] - offsets[i], s = splits[i];
+    SUDO_CHECK(len >= 1 && (s == -1 || (s > 0 && s + 1 < len)));
   }
-  auto pi = packed.impl();
+  for (int id : ids) SUDO_CHECK(id >= 0 && id < table.rows());
+  auto out = NewNode(n, 4 * d);
+  kernels::BagPairFeatures(n, d, table.data(), ids.data(), offsets.data(),
+                           splits.data(), mask.empty() ? nullptr : mask.data(),
+                           out->value.data());
+  struct Rows {
+    std::vector<int> ids, offsets, splits;
+    std::vector<float> mask;
+  };
+  auto rows = std::make_shared<Rows>(Rows{std::move(ids), std::move(offsets),
+                                          std::move(splits), std::move(mask)});
+  auto ti = table.impl();
   TensorImpl* o = out.get();
-  auto b0 = std::make_shared<std::vector<int>>(begins);
-  auto b1 = std::make_shared<std::vector<int>>(ends);
-  Attach(out, {pi}, [pi, o, b0, b1, t, b, d]() {
-    if (!pi->requires_grad) return;
-    pi->EnsureGrad();
-    // One division per output element, then one add of the quotient to
-    // each row of the range - the same rounding as RowMean's backward on
-    // the transposed slice. Every grad element gets at most one add, so
-    // the rows can run outer over a stack chunk of quotients and walk the
-    // packed grad contiguously.
+  Attach(out, {ti}, [ti, o, rows, n, d]() {
+    if (!ti->requires_grad) return;
+    ti->EnsureGrad();
+    const Rows& rs = *rows;
+    // Adds positions [r0, r1)'s emb grads, 0 + q, or 0 + ((0 + q) * m)
+    // through the cutoff mask, into their table rows, positions
+    // ascending: what a segment mean's backward, the mask Mul's and
+    // GatherRows' scatter add in the per-row chain.
+    auto scatter = [&](int r0, int r1, int j0, int w, const float* q) {
+      for (int r = r0; r < r1; ++r) {
+        float* dst = ti->grad.data() + static_cast<size_t>(rs.ids[r]) * d + j0;
+        if (rs.mask.empty()) {
+          for (int j = 0; j < w; ++j) dst[j] += 0.0f + q[j];
+        } else {
+          const float* m = rs.mask.data() + static_cast<size_t>(r) * d + j0;
+          for (int j = 0; j < w; ++j) dst[j] += 0.0f + (0.0f + q[j]) * m[j];
+        }
+      }
+    };
+    // Rows ascending. m1's and m2's gradients accumulate in the order the
+    // per-row subgraph's sweep adds into them - ConcatCols, then Mul, then
+    // Abs -> Sub - and a one-segment row's m2 aliases m1, which takes
+    // both halves of each; then q = (0 + g) / count. The separator's
+    // position would add +0, which changes only a -0, and a table grad
+    // never holds -0 (ZeroGrad writes +0; a sum is -0 only when both
+    // operands are), so it is skipped. Quotients go in 64-column stack
+    // chunks; every grad element still sees its adds in (row, position)
+    // order.
     constexpr int kChunk = 64;
-    float q[kChunk];
-    for (int i = 0; i < b; ++i) {
-      const int r0 = (*b0)[static_cast<size_t>(i)];
-      const int r1 = (*b1)[static_cast<size_t>(i)];
-      if (r0 == r1) continue;
-      const float count = static_cast<float>(r1 - r0);
-      const float* g = o->grad.data() + static_cast<size_t>(i) * d;
-      float* block = pi->grad.data() + static_cast<size_t>(i) * t * d;
+    float q1[kChunk], q2[kChunk];
+    for (int i = 0; i < n; ++i) {
+      const int begin = rs.offsets[i], len = rs.offsets[i + 1] - begin;
+      const int s = rs.splits[i];
+      const float* g = o->grad.data() + static_cast<size_t>(i) * 4 * d;
+      const float* a = o->value.data() + static_cast<size_t>(i) * 4 * d;
+      const float* c = a + d;
       for (int j0 = 0; j0 < d; j0 += kChunk) {
         const int w = std::min(kChunk, d - j0);
-        for (int j = 0; j < w; ++j) q[j] = g[j0 + j] / count;
-        for (int r = r0; r < r1; ++r) {
-          float* dst = block + static_cast<size_t>(r) * d + j0;
-          for (int j = 0; j < w; ++j) dst[j] += q[j];
+        for (int k = 0; k < w; ++k) {
+          const int j = j0 + k;
+          const float g0 = g[j], g1 = g[d + j], g3 = g[3 * d + j];
+          const float gs =
+              0.0f + (a[j] - c[j] >= 0.0f ? 1.0f : -1.0f) * g[2 * d + j];
+          if (s >= 0) {
+            const float ga = ((0.0f + g0) + g3 * c[j]) + gs;
+            const float gc = ((0.0f + g1) + g3 * a[j]) + -gs;
+            q1[k] = (0.0f + ga) / static_cast<float>(s);
+            q2[k] = (0.0f + gc) / static_cast<float>(len - s - 1);
+          } else {
+            const float ga =
+                (((((0.0f + g0) + g1) + g3 * a[j]) + g3 * a[j]) + gs) + -gs;
+            q1[k] = (0.0f + ga) / static_cast<float>(len);
+          }
         }
+        scatter(begin, begin + (s >= 0 ? s : len), j0, w, q1);
+        if (s >= 0) scatter(begin + s + 1, begin + len, j0, w, q2);
       }
     }
   });

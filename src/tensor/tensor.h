@@ -193,19 +193,21 @@ Tensor WhereRows(const std::vector<int>& take_a, const Tensor& a,
                  const Tensor& b);
 /// Column vector [m,1] of row means.
 Tensor RowMean(const Tensor& a);
-/// Per-block column means over row ranges of a packed [b*t, d] tensor:
-/// out[i,:] = mean of rows [i*t + begins[i], i*t + ends[i]) of block i.
-/// An empty range (begins[i] == ends[i]) skips the block: its output row
-/// stays zero and it neither receives nor emits gradient - callers use
-/// this for rows whose segment does not exist. Forward accumulates each
-/// element in a
-/// single r-increasing chain (kernels::ColMeanRange) and backward adds
-/// grad/count to each contributing row - the same rounding as the
-/// per-row Transpose/RowMean/Transpose chain, which is what makes the
-/// batched FastBag segment pooling bit-identical to per-row.
-Tensor SegmentMeanRows(const Tensor& packed, int t,
-                       const std::vector<int>& begins,
-                       const std::vector<int>& ends);
+/// FastBag's segment-pair pooling of a batch of ragged token rows, read
+/// straight from an embedding table [vocab, d], as one node:
+/// kernels::BagPairFeatures' [n, 4d] features [m1, m2, |m1 - m2|,
+/// m1 ⊙ m2] (see there for the layout of ids, offsets, splits and mask;
+/// an empty mask means none). Every id must index a table row. Values
+/// and table gradients are bit-identical to the per-row chain
+/// GatherRows, Mul by the mask, SliceRows per segment,
+/// Transpose/RowMean/Transpose, then ConcatCols({m1, m2, Abs(Sub(m1,
+/// m2)), Mul(m1, m2)}) with m2 := m1 for one segment, joined by JoinRows.
+/// The backward adds into the table gradient rows ascending, then
+/// positions ascending within a row, as that chain does; see "Training
+/// batching rules" in src/tensor/README.md.
+Tensor BagPairFeatures(const Tensor& table, std::vector<int> ids,
+                       std::vector<int> offsets, std::vector<int> splits,
+                       std::vector<float> mask);
 Tensor SumAll(const Tensor& a);
 Tensor MeanAll(const Tensor& a);
 

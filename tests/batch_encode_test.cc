@@ -15,7 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -200,18 +204,24 @@ TEST(BatchEncodeEquivalenceTest, GruBitIdenticalAcrossBatchSizes) {
 // (set_batched_training(false)). This is what makes full loss
 // *trajectories* identical: any last-bit gradient difference would be
 // amplified by the optimizer within a step or two. Dropout is active
-// (counter-keyed masks) and a span-cutoff plan is applied to mimic the
-// pretrainer's augmented view.
-template <typename EncoderT, typename ConfigT>
-void ExpectTrainingBitIdentical(const ConfigT& config, int batch_size,
-                                bool with_cutoff, uint64_t seed) {
-  const auto batch = RaggedBatch(batch_size, config.vocab_size, seed);
+// (counter-keyed masks) and a cutoff plan mimics the pretrainer's
+// augmented view.
+
+// The cutoff plan of one training case; feature cutoff also names a
+// column past SmallBag's 16, which must be skipped.
+augment::CutoffPlan TestPlan(augment::CutoffKind kind) {
   augment::CutoffPlan plan;
-  plan.kind = augment::CutoffKind::kSpan;
+  plan.kind = kind;
   plan.ratio = 0.2;
   plan.start_frac = 0.4;
-  const augment::CutoffPlan* cutoff = with_cutoff ? &plan : nullptr;
+  if (kind == augment::CutoffKind::kFeature) plan.feature_dims = {1, 5, 9, 40};
+  return plan;
+}
 
+template <typename EncoderT, typename ConfigT>
+void ExpectTrainingBitIdentical(const ConfigT& config,
+                                const std::vector<std::vector<int>>& batch,
+                                const augment::CutoffPlan* cutoff) {
   EncoderT per_row(config);
   per_row.set_batched_training(false);
   EncoderT batched(config);  // same seed => same weights & dropout keys
@@ -222,7 +232,7 @@ void ExpectTrainingBitIdentical(const ConfigT& config, int batch_size,
   ASSERT_EQ(got.cols(), want.cols());
   for (size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(got.data()[i], want.data()[i])
-        << "value " << i << " B " << batch_size << " cutoff " << with_cutoff;
+        << "value " << i << " B " << batch.size();
   }
 
   ts::Backward(ts::MeanAll(want));
@@ -232,39 +242,51 @@ void ExpectTrainingBitIdentical(const ConfigT& config, int batch_size,
   for (size_t p = 0; p < pw.size(); ++p) {
     for (size_t i = 0; i < pw[p].size(); ++i) {
       ASSERT_EQ(pg[p].grad()[i], pw[p].grad()[i])
-          << "param " << p << " elem " << i << " B " << batch_size
-          << " cutoff " << with_cutoff;
+          << "param " << p << " elem " << i << " B " << batch.size();
     }
   }
 }
 
-TEST(BatchEncodeEquivalenceTest, TransformerTrainingGradsBitIdentical) {
+// No cutoff (batches seeded seed + b) and span cutoff (seed + 10 + b)
+// over ragged batches of 1, 7 and 33 rows.
+template <typename EncoderT, typename ConfigT>
+void ExpectTrainingBitIdenticalBattery(const ConfigT& config, uint64_t seed) {
+  const augment::CutoffPlan span = TestPlan(augment::CutoffKind::kSpan);
   for (int b : {1, 7, 33}) {
-    ExpectTrainingBitIdentical<TransformerEncoder>(SmallTransformer(), b,
-                                                   /*with_cutoff=*/false,
-                                                   700 + b);
-    ExpectTrainingBitIdentical<TransformerEncoder>(SmallTransformer(), b,
-                                                   /*with_cutoff=*/true,
-                                                   710 + b);
+    SCOPED_TRACE(b);
+    ExpectTrainingBitIdentical<EncoderT>(
+        config, RaggedBatch(b, config.vocab_size, seed + b), nullptr);
+    ExpectTrainingBitIdentical<EncoderT>(
+        config, RaggedBatch(b, config.vocab_size, seed + 10 + b), &span);
   }
 }
 
+TEST(BatchEncodeEquivalenceTest, TransformerTrainingGradsBitIdentical) {
+  ExpectTrainingBitIdenticalBattery<TransformerEncoder>(SmallTransformer(),
+                                                        700);
+}
+
 TEST(BatchEncodeEquivalenceTest, FastBagTrainingGradsBitIdentical) {
+  ExpectTrainingBitIdenticalBattery<FastBagEncoder>(SmallBag(), 720);
+  // Every cutoff kind, over a batch that also holds an empty row (pooled
+  // as one [PAD]) and a row of one id.
   for (int b : {1, 7, 33}) {
-    ExpectTrainingBitIdentical<FastBagEncoder>(SmallBag(), b,
-                                               /*with_cutoff=*/false, 720 + b);
-    ExpectTrainingBitIdentical<FastBagEncoder>(SmallBag(), b,
-                                               /*with_cutoff=*/true, 730 + b);
+    auto batch = RaggedBatch(b, SmallBag().vocab_size, 760 + b);
+    batch[static_cast<size_t>(b) / 2].clear();
+    if (b > 1) batch[0] = {7};
+    for (auto kind : {augment::CutoffKind::kNone, augment::CutoffKind::kToken,
+                      augment::CutoffKind::kFeature,
+                      augment::CutoffKind::kSpan}) {
+      SCOPED_TRACE(static_cast<int>(kind));
+      SCOPED_TRACE(b);
+      const augment::CutoffPlan plan = TestPlan(kind);
+      ExpectTrainingBitIdentical<FastBagEncoder>(SmallBag(), batch, &plan);
+    }
   }
 }
 
 TEST(BatchEncodeEquivalenceTest, GruTrainingGradsBitIdentical) {
-  for (int b : {1, 7, 33}) {
-    ExpectTrainingBitIdentical<GruEncoder>(SmallGru(), b,
-                                           /*with_cutoff=*/false, 740 + b);
-    ExpectTrainingBitIdentical<GruEncoder>(SmallGru(), b,
-                                           /*with_cutoff=*/true, 750 + b);
-  }
+  ExpectTrainingBitIdenticalBattery<GruEncoder>(SmallGru(), 740);
 }
 
 TEST(BatchEncodeEquivalenceTest, BatchedPathThreadCountInvariant) {
@@ -377,23 +399,216 @@ TEST(MaskedKernelsTest, RowSoftmaxMaskedPrefixMatchesUnmasked) {
 }
 
 TEST(MaskedKernelsTest, MaskedMeanPoolMatchesTransposedRowMean) {
+  // The shared pooling kernel (kernels::BagPairFeatures) over ragged rows
+  // of 6, 1 and 5 ids read from a table, the last split around position
+  // 2, without and with a 0/1 mask. The per-row FastBag path pools via
+  // Transpose + RowMean: a scalar r-increasing chain per column, then one
+  // division. Replicate it exactly.
   Rng rng(13);
-  const int b = 3, t = 6, d = 4;
-  std::vector<float> x(static_cast<size_t>(b) * t * d);
-  for (auto& v : x) v = static_cast<float>(rng.Gaussian());
-  std::vector<int> lengths = {6, 1, 3};
-  std::vector<float> out(static_cast<size_t>(b) * d);
-  ks::MaskedMeanPool(b, t, d, x.data(), lengths.data(), out.data());
-  for (int i = 0; i < b; ++i) {
-    // The per-row FastBag path pools via Transpose + RowMean: a scalar
-    // r-increasing chain per column. Replicate it exactly.
-    const int len = lengths[static_cast<size_t>(i)];
-    for (int j = 0; j < d; ++j) {
+  const int vocab = 9, d = 4;
+  std::vector<float> table(static_cast<size_t>(vocab) * d);
+  for (auto& v : table) v = static_cast<float>(rng.Gaussian());
+  const std::vector<int> ids = {1, 4, 4, 8, 0, 2, 5, 3, 6, 7, 6, 1};
+  const std::vector<int> offsets = {0, 6, 7, 12};
+  const std::vector<int> splits = {-1, -1, 2};
+  std::vector<float> ones(ids.size() * d, 1.0f), mask(ids.size() * d);
+  for (auto& v : mask) v = rng.UniformInt(2) == 0 ? 0.0f : 1.0f;
+  for (const std::vector<float>* m : {&ones, &mask}) {
+    std::vector<float> out(static_cast<size_t>(offsets.size() - 1) * 4 * d);
+    ks::BagPairFeatures(static_cast<int>(splits.size()), d, table.data(),
+                        ids.data(), offsets.data(), splits.data(),
+                        m == &ones ? nullptr : m->data(), out.data());
+    auto mean = [&](int r0, int r1, int j) {
       float s = 0.0f;
-      for (int r = 0; r < len; ++r) {
-        s += x[(static_cast<size_t>(i) * t + r) * d + j];
+      for (int r = r0; r < r1; ++r) {
+        s += table[static_cast<size_t>(ids[static_cast<size_t>(r)]) * d + j] *
+             (*m)[static_cast<size_t>(r) * d + j];
       }
-      EXPECT_EQ(out[static_cast<size_t>(i) * d + j], s / len);
+      return s / (r1 - r0);
+    };
+    for (size_t i = 0; i + 1 < offsets.size(); ++i) {
+      const int begin = offsets[i], end = offsets[i + 1], sp = splits[i];
+      for (int j = 0; j < d; ++j) {
+        const float m1 = mean(begin, sp < 0 ? end : begin + sp, j);
+        const float m2 = sp < 0 ? m1 : mean(begin + sp + 1, end, j);
+        const float* row = out.data() + i * 4 * d;
+        EXPECT_EQ(row[j], m1);
+        EXPECT_EQ(row[d + j], m2);
+        EXPECT_EQ(row[2 * d + j], std::fabs(m1 - m2));
+        EXPECT_EQ(row[3 * d + j], m1 * m2);
+      }
+    }
+  }
+}
+
+// --- BagPairFeatures against the per-row chain ------------------------------
+//
+// tensor::BagPairFeatures is FastBag's whole batched training pooling in
+// one node. It must give the bits of the per-row chain PoolOne builds,
+// values and table gradients, for any values: the chain here is built
+// from public ops in PoolOne's structure (GatherRows, Mul by the mask,
+// SliceRows per segment, Transpose/RowMean/Transpose, Sub, Abs, Mul,
+// ConcatCols) and joined with JoinRows. NaN positions are pinned but not
+// NaN sign or payload: GCC treats + and * as commutative, so which
+// operand's NaN survives an op is the compiler's choice on both sides.
+
+uint32_t Bits(float v) {
+  uint32_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+bool SameBitsOrBothNaN(float a, float b) {
+  return Bits(a) == Bits(b) || (std::isnan(a) && std::isnan(b));
+}
+
+// Mostly normal values, with one in five drawn from +-0, +-Inf, NaN and
+// denormals.
+float SpecialOrNormal(Rng* rng) {
+  static const float kSpecial[] = {
+      0.0f, -0.0f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::denorm_min(),
+      -3.0f * std::numeric_limits<float>::denorm_min(),
+      std::numeric_limits<float>::min() / 4.0f};
+  if (rng->UniformInt(5) == 0) {
+    return kSpecial[rng->UniformInt(static_cast<int>(std::size(kSpecial)))];
+  }
+  return static_cast<float>(rng->Gaussian());
+}
+
+TEST(BagPairFeaturesTest, MatchesPerRowChainBitwise) {
+  constexpr int kVocab = 12, kSep = 3, kPad = 0, kMaxLen = 6;
+  // Segment shapes: whole rows, one-id rows and segments, a second
+  // segment from r0 > 0 to the end, the last id alone, and rows with no
+  // second segment.
+  std::vector<std::vector<int>> raw = {
+      {},                          // empty: one [PAD]
+      {5},                         // one id
+      {5, 6, 7, 8, 9},             // no [SEP]
+      {3, 5, 6},                   // [SEP] at 0: one segment
+      {5, 6, 3},                   // [SEP] at len - 1: one segment
+      {5, 3},                      // [SEP] at len - 1 of two
+      {3},                         // a lone [SEP]
+      {5, 3, 6, 3, 7},             // [SEP] twice: split at 1
+      {5, 6, 7, 3, 8},             // second segment is the last id
+      {7, 7, 3, 7, 7},             // one table row in both segments
+      {5, 6, 7, 8, 9, 10, 11, 3},  // truncated past its [SEP]
+      {5, 3, 6, 7, 8, 9, 10, 11},  // truncated, split at 1
+  };
+  Rng batch_rng(91);
+  for (int i = 0; i < 6; ++i) {  // ragged rows sharing table rows
+    std::vector<int> row;
+    const int len = 1 + batch_rng.UniformInt(9);
+    for (int t = 0; t < len; ++t) row.push_back(4 + batch_rng.UniformInt(8));
+    if (len >= 3) row[static_cast<size_t>(len / 2)] = kSep;
+    raw.push_back(row);
+  }
+  // Truncated rows, flattened, and each row's split under PoolOne's rule.
+  std::vector<std::vector<int>> rows;
+  std::vector<int> ids, offsets = {0}, splits;
+  for (const auto& r : raw) {
+    rows.push_back(TruncateOrPad(r, kMaxLen, kPad));
+    const auto& t = rows.back();
+    const int len = static_cast<int>(t.size());
+    const auto sep = std::find(t.begin(), t.end(), kSep);
+    const int s = static_cast<int>(sep - t.begin());
+    splits.push_back(sep != t.end() && s > 0 && s + 1 < len ? s : -1);
+    ids.insert(ids.end(), t.begin(), t.end());
+    offsets.push_back(static_cast<int>(ids.size()));
+  }
+  const int n = static_cast<int>(rows.size());
+
+  struct MaskCase {
+    const char* name;
+    bool has_plan;
+    augment::CutoffKind kind;
+  };
+  const MaskCase cases[] = {{"no plan", false, augment::CutoffKind::kNone},
+                            {"kNone", true, augment::CutoffKind::kNone},
+                            {"token", true, augment::CutoffKind::kToken},
+                            {"feature", true, augment::CutoffKind::kFeature},
+                            {"span", true, augment::CutoffKind::kSpan}};
+  for (int d : {1, 7, 64, 65, 300}) {
+    for (const MaskCase& mc : cases) {
+      for (uint64_t trial = 0; trial < 3; ++trial) {
+        SCOPED_TRACE(testing::Message() << "d " << d << " mask " << mc.name
+                                        << " trial " << trial);
+        Rng rng(1000 * static_cast<uint64_t>(d) + 10 * trial +
+                static_cast<uint64_t>(&mc - cases));
+        augment::CutoffPlan plan;
+        plan.kind = mc.kind;
+        plan.ratio = 0.4;
+        plan.start_frac = 0.3;
+        plan.feature_dims = {0, d / 2, d - 1, d + 3};  // d + 3: skipped
+        std::vector<float> mask;
+        if (mc.has_plan) {
+          mask.assign(ids.size() * static_cast<size_t>(d), 1.0f);
+          for (size_t i = 0; i < rows.size(); ++i) {
+            plan.ZeroCutEntries(static_cast<int>(rows[i].size()), d,
+                                mask.data() + offsets[i] * d);
+          }
+        }
+        // Two equal tables, their grads starting at equal random normals
+        // (a table grad never holds -0), and one upstream gradient.
+        std::vector<float> values(static_cast<size_t>(kVocab) * d);
+        for (auto& v : values) v = SpecialOrNormal(&rng);
+        Tensor op_table = Tensor::FromData(kVocab, d, values, true);
+        Tensor chain_table = Tensor::FromData(kVocab, d, values, true);
+        for (size_t i = 0; i < values.size(); ++i) {
+          float g = static_cast<float>(rng.Gaussian());
+          if (g == 0.0f) g = 1.0f;
+          op_table.grad()[i] = g;
+          chain_table.grad()[i] = g;
+        }
+        std::vector<float> up(static_cast<size_t>(n) * 4 * d);
+        for (auto& v : up) v = SpecialOrNormal(&rng);
+        const Tensor upstream = Tensor::FromData(n, 4 * d, up);
+
+        Tensor got = ts::BagPairFeatures(op_table, ids, offsets, splits, mask);
+        std::vector<Tensor> parts;
+        for (int i = 0; i < n; ++i) {
+          const auto& t = rows[static_cast<size_t>(i)];
+          const int len = static_cast<int>(t.size());
+          const int begin = offsets[static_cast<size_t>(i)];
+          Tensor emb = ts::GatherRows(chain_table, t);
+          if (mc.has_plan) {
+            const float* m = mask.data() + static_cast<size_t>(begin) * d;
+            emb = ts::Mul(emb, Tensor::FromData(
+                                   len, d, std::vector<float>(m, m + len * d)));
+          }
+          auto mean_rows = [](const Tensor& m) {
+            return ts::Transpose(ts::RowMean(ts::Transpose(m)));
+          };
+          const int s = splits[static_cast<size_t>(i)];
+          Tensor m1, m2;
+          if (s >= 0) {
+            m1 = mean_rows(ts::SliceRows(emb, 0, s));
+            m2 = mean_rows(ts::SliceRows(emb, s + 1, len - s - 1));
+          } else {
+            m1 = mean_rows(emb);
+            m2 = m1;
+          }
+          parts.push_back(ts::ConcatCols(
+              {m1, m2, ts::Abs(ts::Sub(m1, m2)), ts::Mul(m1, m2)}));
+        }
+        Tensor want = ts::JoinRows(parts);
+        ts::Backward(ts::SumAll(ts::Mul(got, upstream)));
+        ts::Backward(ts::SumAll(ts::Mul(want, upstream)));
+
+        ASSERT_EQ(got.rows(), n);
+        ASSERT_EQ(got.cols(), 4 * d);
+        for (size_t i = 0; i < want.size(); ++i) {
+          ASSERT_PRED2(SameBitsOrBothNaN, got.data()[i], want.data()[i])
+              << "value " << i;
+        }
+        for (size_t i = 0; i < values.size(); ++i) {
+          ASSERT_PRED2(SameBitsOrBothNaN, op_table.grad()[i],
+                       chain_table.grad()[i])
+              << "table grad " << i;
+        }
+      }
     }
   }
 }

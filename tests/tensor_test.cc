@@ -4,8 +4,6 @@
 #include "tensor/tensor.h"
 
 #include <cmath>
-#include <cstdint>
-#include <cstring>
 #include <functional>
 
 #include <gtest/gtest.h>
@@ -37,12 +35,6 @@ void CheckGradients(const std::function<Tensor()>& f, std::vector<Tensor> xs,
       }
     }
   }
-}
-
-uint32_t FloatBits(float f) {
-  uint32_t u;
-  std::memcpy(&u, &f, sizeof u);
-  return u;
 }
 
 Tensor RandInput(int rows, int cols, uint64_t seed) {
@@ -179,58 +171,6 @@ TEST(TensorTest, ReductionGradients) {
   CheckGradients([&]() { return SumAll(a); }, {a});
   CheckGradients([&]() { return MeanAll(a); }, {a});
   CheckGradients([&]() { return MeanAll(RowMean(a)); }, {a});
-}
-
-TEST(TensorTest, SegmentMeanRowsMatchesColumnsOuterReferenceBitwise) {
-  // Ragged blocks of t = 5 rows: full, empty (r0 == r1 > 0), one row,
-  // r0 > 0 to the end, an inner range, the last row alone. Widths 65 and
-  // 300 cross the backward's column chunk; the packed grad starts nonzero.
-  const int t = 5;
-  const std::vector<int> begins = {0, 2, 0, 3, 1, 4};
-  const std::vector<int> ends = {5, 2, 1, 5, 4, 5};
-  const int b = static_cast<int>(begins.size());
-  for (int d : {1, 7, 64, 65, 300}) {
-    SCOPED_TRACE(d);
-    Rng rng(static_cast<uint64_t>(500 + d));
-    Tensor packed = Tensor::Randn(b * t, d, 1.0f, &rng, /*requires_grad=*/true);
-    Tensor upstream = Tensor::Randn(b, d, 1.0f, &rng, /*requires_grad=*/false);
-    packed.ZeroGrad();
-    for (size_t i = 0; i < packed.size(); ++i) {
-      packed.grad()[i] = static_cast<float>(rng.Gaussian());
-    }
-    std::vector<float> want_value(static_cast<size_t>(b) * d, 0.0f);
-    std::vector<float> want_grad(packed.grad(), packed.grad() + packed.size());
-    // Forward: one r-increasing sum per column, then one division.
-    // Backward: columns outer, rows inner, one quotient per column.
-    for (int i = 0; i < b; ++i) {
-      const int r0 = begins[static_cast<size_t>(i)];
-      const int r1 = ends[static_cast<size_t>(i)];
-      if (r0 == r1) continue;
-      const float count = static_cast<float>(r1 - r0);
-      for (int j = 0; j < d; ++j) {
-        float sum = 0.0f;
-        for (int r = r0; r < r1; ++r) sum += packed.at(i * t + r, j);
-        want_value[static_cast<size_t>(i) * d + j] = sum / count;
-        const float gj = upstream.at(i, j) / count;
-        for (int r = r0; r < r1; ++r) {
-          want_grad[(static_cast<size_t>(i) * t + r) * d + j] += gj;
-        }
-      }
-    }
-    Tensor out = SegmentMeanRows(packed, t, begins, ends);
-    ASSERT_EQ(out.rows(), b);
-    ASSERT_EQ(out.cols(), d);
-    // The loss's gradient reaches `out` as exactly `upstream`.
-    Backward(SumAll(Mul(out, upstream)));
-    for (size_t i = 0; i < want_value.size(); ++i) {
-      ASSERT_EQ(FloatBits(out.data()[i]), FloatBits(want_value[i]))
-          << "value " << i;
-    }
-    for (size_t i = 0; i < want_grad.size(); ++i) {
-      ASSERT_EQ(FloatBits(packed.grad()[i]), FloatBits(want_grad[i]))
-          << "grad " << i;
-    }
-  }
 }
 
 TEST(TensorTest, SoftmaxGradients) {
