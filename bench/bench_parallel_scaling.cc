@@ -25,6 +25,7 @@
 #include "contrastive/pretrainer.h"
 #include "index/embedding_cache.h"
 #include "index/knn_index.h"
+#include "matcher/pair_matcher.h"
 #include "nn/encoder.h"
 #include "nn/gru.h"
 #include "sparse/tfidf.h"
@@ -368,6 +369,119 @@ void Run(const std::string& json_path) {
       }
     }
     table5.Print();
+  }
+
+  // --- allocation-free match flush -----------------------------------------
+  // One serving flush of the pairwise matcher, shaped like perfbench
+  // resolve's: a record against its 10 blocking candidates, through
+  // PairMatcher::PredictProbaInto on FastBag. Phases: the first call on an
+  // empty cache (cold); repeat calls whose every row hits (warm); and a
+  // cache far smaller than the rotation of flushes it serves, so every
+  // call misses and evicts (full). Each record is the median per-call
+  // time, plus heap allocations per call; every probability must equal a
+  // cache-less twin's.
+  {
+    constexpr int kPairs = 10, kFlushes = 64, kCalls = 2000;
+    Rng mrng(37);
+    const auto random_tokens = [&] {
+      std::vector<std::string> tokens;
+      const int len = 8 + mrng.UniformInt(33);
+      for (int t = 0; t < len; ++t) {
+        tokens.push_back("w" + std::to_string(mrng.UniformInt(3000)));
+      }
+      return tokens;
+    };
+    std::vector<std::vector<matcher::PairExample>> flushes(kFlushes);
+    std::vector<std::vector<std::string>> corpus;
+    for (auto& flush : flushes) {
+      const std::vector<std::string> x = random_tokens();
+      for (int p = 0; p < kPairs; ++p) {
+        matcher::PairExample ex;
+        ex.x = x;
+        ex.y = random_tokens();
+        corpus.push_back(ex.y);
+        flush.push_back(std::move(ex));
+      }
+      corpus.push_back(x);
+    }
+    const text::Vocab vocab = text::Vocab::Build(corpus, 4000);
+    nn::FastBagConfig bag;
+    bag.vocab_size = vocab.size();
+    bag.dim = 64;
+    bag.hidden_dim = 128;
+    bag.max_len = 64;
+    const matcher::FinetuneOptions fopts;
+
+    // Reference probabilities from a twin without a cache (same seeds,
+    // so the same weights).
+    nn::FastBagEncoder oracle_encoder(bag);
+    matcher::PairMatcher oracle(&oracle_encoder, &vocab, fopts);
+    std::vector<std::vector<float>> want(kFlushes);
+    for (int f = 0; f < kFlushes; ++f) {
+      want[static_cast<size_t>(f)] = oracle.PredictProba(flushes[static_cast<size_t>(f)]);
+    }
+
+    std::printf("\nMatch flush: %d pairs per PredictProbaInto call, FastBag "
+                "d64\n",
+                kPairs);
+    TablePrinter table7("Allocation-free match flush + embedding cache");
+    table7.SetHeader({"phase", "us/call", "allocs/call", "alloc KB/call",
+                      "hit_ratio", "identical"});
+    std::vector<float> probs(kPairs);
+    std::vector<double> times(kCalls);
+    for (const char* phase : {"cold", "warm", "full"}) {
+      const bool full = phase[0] == 'f';
+      // A full cache holds 64 of the 1,344 distinct rows of the rotation.
+      index::EmbeddingCache cache(full ? 64 : 8192);
+      nn::FastBagEncoder encoder(bag);
+      encoder.set_embedding_cache(&cache);
+      matcher::PairMatcher pm(&encoder, &vocab, fopts);
+      const int calls = phase[0] == 'c' ? 1 : kCalls;
+      bool identical = true;
+      const auto flush_of = [&](int call) {
+        return full ? call % kFlushes : 0;
+      };
+      if (phase[0] != 'c') {
+        for (int f = 0; f < kFlushes; ++f) {
+          pm.PredictProbaInto(flushes[static_cast<size_t>(flush_of(f))], probs.data());
+        }
+      }
+      const index::EmbeddingCacheStats before = cache.stats();
+      AllocCounterStart();
+      for (int call = 0; call < calls; ++call) {
+        const size_t f = static_cast<size_t>(flush_of(call));
+        WallTimer timer;
+        pm.PredictProbaInto(flushes[f], probs.data());
+        times[static_cast<size_t>(call)] = timer.ElapsedSeconds();
+        identical = identical && probs == want[f];
+      }
+      const auto allocs = AllocCounterStop();
+      const index::EmbeddingCacheStats after = cache.stats();
+      std::vector<double> sorted(times.begin(), times.begin() + calls);
+      std::sort(sorted.begin(), sorted.end());
+      const double seconds = sorted[sorted.size() / 2];
+      const double allocs_per_call = static_cast<double>(allocs.count) / calls;
+      const double bytes_per_call = static_cast<double>(allocs.bytes) / calls;
+      const uint64_t hits = after.hits - before.hits;
+      const uint64_t lookups = hits + after.misses - before.misses;
+      table7.AddRow({phase, StrFormat("%.1f", seconds * 1e6),
+                     StrFormat("%.1f", allocs_per_call),
+                     StrFormat("%.1f", bytes_per_call / 1024.0),
+                     StrFormat("%.2f", lookups > 0 ? static_cast<double>(hits) /
+                                                         static_cast<double>(lookups)
+                                                   : 0.0),
+                     identical ? "yes" : "NO"});
+      auto& r = records.Add();
+      r.Str("bench", "match_steady_state");
+      r.Str("encoder", "fastbag_d64");
+      r.Str("phase", phase);
+      r.Int("n_pairs", kPairs);
+      r.Num("seconds", seconds);
+      r.Num("allocs_per_call", allocs_per_call);
+      r.Num("alloc_bytes_per_call", bytes_per_call);
+      r.Bool("identical_to_uncached", identical);
+    }
+    table7.Print();
   }
 
   // --- contrastive training steps: per-row vs batched vs batched+threads ---

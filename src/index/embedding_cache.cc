@@ -1,6 +1,7 @@
 #include "index/embedding_cache.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "tensor/kernels.h"
 
@@ -36,10 +37,6 @@ EmbeddingCache::EmbeddingCache(size_t capacity, int num_shards,
   }
 }
 
-EmbeddingCache::Shard& EmbeddingCache::ShardFor(const std::vector<int>& ids) {
-  return shards_[IdsHash{}(ids) % shards_.size()];
-}
-
 size_t EmbeddingCache::EntryWidth(const Entry& e, IndexStorage mode) {
   return mode == IndexStorage::kInt8 ? e.qvalue.size() : e.value.size();
 }
@@ -47,9 +44,10 @@ size_t EmbeddingCache::EntryWidth(const Entry& e, IndexStorage mode) {
 bool EmbeddingCache::Lookup(const std::vector<int>& ids, float* out,
                             int dim) {
   if (capacity_ == 0) return false;
-  Shard& shard = ShardFor(ids);
+  const KeyRef key = KeyOf(ids);
+  Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(ids);
+  auto it = shard.by_key.find(key);
   // A stored vector of the wrong width (e.g. two encoders of different
   // dims sharing one cache) is a miss, never a truncated hit: the caller
   // re-encodes and Insert refreshes the entry at the new width.
@@ -69,48 +67,64 @@ bool EmbeddingCache::Lookup(const std::vector<int>& ids, float* out,
   return true;
 }
 
+void EmbeddingCache::StoreValue(const float* vec, int dim, Entry* e) const {
+  if (entry_mode_ == IndexStorage::kInt8) {
+    e->qvalue.resize(static_cast<size_t>(dim));
+    ks::QuantizeRowsI8(1, dim, vec, e->qvalue.data(), &e->scale);
+  } else {
+    e->value.assign(vec, vec + dim);
+  }
+}
+
 void EmbeddingCache::Insert(const std::vector<int>& ids, const float* vec,
                             int dim) {
   if (capacity_ == 0) return;
-  Shard& shard = ShardFor(ids);
+  const KeyRef key = KeyOf(ids);
+  Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(ids);
+  auto it = shard.by_key.find(key);
   if (it != shard.by_key.end()) {
-    Entry& e = *it->second;
-    if (entry_mode_ == IndexStorage::kInt8) {
-      e.qvalue.resize(static_cast<size_t>(dim));
-      ks::QuantizeRowsI8(1, dim, vec, e.qvalue.data(), &e.scale);
-    } else {
-      e.value.assign(vec, vec + dim);
-    }
+    StoreValue(vec, dim, &*it->second);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  while (shard.lru.size() >= shard.capacity && !shard.lru.empty()) {
-    shard.by_key.erase(shard.lru.back().key);
-    shard.lru.pop_back();
+  if (!shard.lru.empty() && shard.lru.size() >= shard.capacity) {
+    // A full shard evicts its least recently used entry and recycles it
+    // for the new key: its list node, its map node (extracted, re-keyed
+    // and re-inserted) and its key and value buffers. Eviction then
+    // allocates nothing once those buffers are wide enough.
+    const Entry& oldest = shard.lru.back();
+    auto node = shard.by_key.extract(KeyRef{&oldest.key, oldest.hash});
+    shard.lru.splice(shard.lru.begin(), shard.lru, std::prev(shard.lru.end()));
+    Entry& e = shard.lru.front();
+    e.key.assign(ids.begin(), ids.end());
+    e.hash = key.hash;
+    StoreValue(vec, dim, &e);
+    node.key() = KeyRef{&e.key, key.hash};
+    node.mapped() = shard.lru.begin();
+    shard.by_key.insert(std::move(node));
     ++shard.evictions;
+    return;
   }
-  Entry e;
+  shard.lru.emplace_front();
+  Entry& e = shard.lru.front();
   e.key = ids;
-  if (entry_mode_ == IndexStorage::kInt8) {
-    e.qvalue.resize(static_cast<size_t>(dim));
-    ks::QuantizeRowsI8(1, dim, vec, e.qvalue.data(), &e.scale);
-  } else {
-    e.value.assign(vec, vec + dim);
-  }
-  shard.lru.push_front(std::move(e));
-  shard.by_key.emplace(ids, shard.lru.begin());
+  e.hash = key.hash;
+  StoreValue(vec, dim, &e);
+  shard.by_key.emplace(KeyRef{&e.key, key.hash}, shard.lru.begin());
 }
 
 bool EmbeddingCache::Erase(const std::vector<int>& ids) {
   if (capacity_ == 0) return false;
-  Shard& shard = ShardFor(ids);
+  const KeyRef key = KeyOf(ids);
+  Shard& shard = ShardOf(key);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.by_key.find(ids);
+  auto it = shard.by_key.find(key);
   if (it == shard.by_key.end()) return false;
-  shard.lru.erase(it->second);
+  // The map entry first: its key points into the list entry.
+  const auto entry = it->second;
   shard.by_key.erase(it);
+  shard.lru.erase(entry);
   ++shard.erasures;
   return true;
 }
@@ -118,8 +132,8 @@ bool EmbeddingCache::Erase(const std::vector<int>& ids) {
 void EmbeddingCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
     shard.by_key.clear();
+    shard.lru.clear();
   }
 }
 

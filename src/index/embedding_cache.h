@@ -73,8 +73,9 @@ class EmbeddingCache {
   bool Lookup(const std::vector<int>& ids, float* out, int dim);
 
   /// Stores a copy of vec[0..dim) under `ids` (quantizing it in int8
-  /// entry mode), evicting least-recently used entries of the shard when
-  /// it is full. Re-inserting an existing key refreshes its value and
+  /// entry mode), evicting the shard's least-recently used entry when it
+  /// is full; the evicted entry's nodes and buffers are reused for the
+  /// new one. Re-inserting an existing key refreshes its value and
   /// recency.
   void Insert(const std::vector<int>& ids, const float* vec, int dim);
 
@@ -101,9 +102,24 @@ class EmbeddingCache {
  private:
   struct Entry {
     std::vector<int> key;
+    size_t hash = 0;             // IdsHash of key
     std::vector<float> value;    // fp32 entry mode
     std::vector<int8_t> qvalue;  // int8 entry mode: codes ...
     float scale = 0.0f;          // ... + per-vector scale
+  };
+  /// A map key viewing a token-id vector and carrying its IdsHash, so
+  /// each call hashes its ids once, for the shard and the map alike.
+  struct KeyRef {
+    const std::vector<int>* ids;
+    size_t hash;
+  };
+  struct KeyRefHash {
+    size_t operator()(KeyRef k) const { return k.hash; }
+  };
+  struct KeyRefEq {
+    bool operator()(KeyRef a, KeyRef b) const {
+      return a.hash == b.hash && *a.ids == *b.ids;
+    }
   };
   struct Shard {
     std::mutex mu;
@@ -112,11 +128,12 @@ class EmbeddingCache {
     /// from the front) - never more, so the cache as a whole honors its
     /// stated capacity.
     size_t capacity = 0;
-    // LRU order: front = most recent. The map's keys view the list
-    // entries' key vectors via value equality (own copies; simple and
-    // safe - keys are short token sequences).
+    // LRU order: front = most recent. Each key is stored once, in its
+    // list entry; the map's keys point at those vectors (list nodes never
+    // move), so a lookup views the caller's ids without copying them.
     std::list<Entry> lru;
-    std::unordered_map<std::vector<int>, std::list<Entry>::iterator, IdsHash>
+    std::unordered_map<KeyRef, std::list<Entry>::iterator, KeyRefHash,
+                       KeyRefEq>
         by_key;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -124,7 +141,13 @@ class EmbeddingCache {
     uint64_t erasures = 0;
   };
 
-  Shard& ShardFor(const std::vector<int>& ids);
+  /// `ids` viewed as a map key, and the shard that holds it.
+  KeyRef KeyOf(const std::vector<int>& ids) const {
+    return KeyRef{&ids, IdsHash{}(ids)};
+  }
+  Shard& ShardOf(KeyRef key) { return shards_[key.hash % shards_.size()]; }
+  /// Writes vec[0..dim) into `e` in this cache's entry mode.
+  void StoreValue(const float* vec, int dim, Entry* e) const;
   /// The stored width of an entry in this mode (fp32 value or int8
   /// codes); wrong-width entries miss rather than truncate.
   static size_t EntryWidth(const Entry& e, IndexStorage mode);

@@ -1,14 +1,20 @@
 #include "matcher/pair_matcher.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/timer.h"
 #include "nn/optimizer.h"
 #include "nn/weights.h"
 #include "pipeline/metrics.h"
+#include "tensor/kernels.h"
+#include "tensor/workspace.h"
 #include "text/serialize.h"
 
 namespace sudowoodo::matcher {
 
 namespace ts = sudowoodo::tensor;
+namespace ks = sudowoodo::tensor::kernels;
 
 PairMatcher::PairMatcher(nn::Encoder* encoder, const text::Vocab* vocab,
                          const FinetuneOptions& options)
@@ -140,19 +146,87 @@ Status PairMatcher::Train(const std::vector<PairExample>& train,
 
 std::vector<float> PairMatcher::PredictProba(
     const std::vector<PairExample>& pairs) {
-  ts::NoGradGuard ng;
-  std::vector<float> out;
-  out.reserve(pairs.size());
-  const size_t bs = static_cast<size_t>(options_.batch_size);
-  for (size_t b = 0; b < pairs.size(); b += bs) {
-    const size_t end = std::min(pairs.size(), b + bs);
-    std::vector<const PairExample*> batch;
-    for (size_t i = b; i < end; ++i) batch.push_back(&pairs[i]);
-    ts::Tensor logits = ForwardBatch(batch, /*training=*/false);
-    ts::Tensor probs = ts::RowSoftmax(logits);
-    for (int i = 0; i < probs.rows(); ++i) out.push_back(probs.at(i, 1));
-  }
+  std::vector<float> out(pairs.size());
+  PredictProbaInto(pairs, out.data());
   return out;
+}
+
+void PairMatcher::PredictProbaInto(const std::vector<PairExample>& pairs,
+                                   float* out) {
+  for (size_t b = 0; b < pairs.size(); b += kMaxPairsPerPass) {
+    PredictPass(pairs.data() + b,
+                std::min(kMaxPairsPerPass, pairs.size() - b), out + b);
+  }
+}
+
+void PairMatcher::PredictPass(const PairExample* pairs, size_t n,
+                              float* out) {
+  const bool sides = options_.sudowoodo_head;
+  const int side_dim = options_.side_dim;
+  rows_.Resize(sides ? 3 * n : n);
+  for (size_t i = 0; i < n; ++i) {
+    SUDO_CHECK(side_dim == 0 ||
+               static_cast<int>(pairs[i].side.size()) == side_dim);
+    std::vector<int>& x = sides ? rows_[n + i] : x_ids_;
+    std::vector<int>& y = sides ? rows_[2 * n + i] : y_ids_;
+    // A side equal to the previous pair's (a record against its blocking
+    // candidates) copies its ids instead of looking them up again.
+    if (i > 0 && pairs[i].x == pairs[i - 1].x) {
+      if (sides) x = rows_[n + i - 1];
+    } else {
+      vocab_->EncodeInto(pairs[i].x, &x);
+    }
+    if (i > 0 && pairs[i].y == pairs[i - 1].y) {
+      if (sides) y = rows_[2 * n + i - 1];
+    } else {
+      vocab_->EncodeInto(pairs[i].y, &y);
+    }
+    // [CLS] x [SEP] y [SEP]: Encode(x), the [SEP] id, Encode(y) without
+    // its [CLS], the [SEP] id.
+    std::vector<int>& xy = rows_[i];
+    xy.assign(x.begin(), x.end());
+    xy.push_back(text::Vocab::kSep);
+    xy.insert(xy.end(), y.begin() + 1, y.end());
+    xy.push_back(text::Vocab::kSep);
+  }
+
+  const size_t d = static_cast<size_t>(encoder_->dim());
+  const size_t in = (sides ? 2 * d : d) + static_cast<size_t>(side_dim);
+  const int m = static_cast<int>(n);
+  ts::Workspace& ws = ts::Workspace::ThreadLocal();
+  ts::Workspace::Frame frame(ws);
+  float* z = ws.Floats(rows_.size() * d);
+  encoder_->EncodeInference(rows_.rows(), z);
+
+  // The head's input rows [Z_xy | |Z_x - Z_y| | side], laid out as
+  // ConcatCols lays out its parts, with Sub and Abs's float chain.
+  float* features = ws.Floats(n * in);
+  for (size_t i = 0; i < n; ++i) {
+    float* f = features + i * in;
+    std::copy(z + i * d, z + (i + 1) * d, f);
+    if (sides) {
+      const float* zx = z + (n + i) * d;
+      const float* zy = z + (2 * n + i) * d;
+      for (size_t j = 0; j < d; ++j) f[d + j] = std::fabs(zx[j] - zy[j]);
+    }
+    std::copy(pairs[i].side.begin(), pairs[i].side.begin() + side_dim,
+              f + in - static_cast<size_t>(side_dim));
+  }
+  // Linear::Forward and Mlp::Forward with the tape off, then RowSoftmax.
+  float* logits = ws.Floats(n * 2);
+  if (options_.mlp_head) {
+    const size_t hidden = static_cast<size_t>(mlp_head_.fc1().out_dim());
+    float* h = ws.Floats(n * hidden);
+    float* g = ws.Floats(n * hidden);
+    mlp_head_.fc1().ForwardInto(features, m, h);
+    ks::GeluForward(static_cast<int>(n * hidden), h, g);
+    mlp_head_.fc2().ForwardInto(g, m, logits);
+  } else {
+    head_.ForwardInto(features, m, logits);
+  }
+  float* probs = ws.Floats(n * 2);
+  ks::RowSoftmax(m, 2, logits, probs);
+  for (size_t i = 0; i < n; ++i) out[i] = probs[2 * i + 1];
 }
 
 std::vector<int> PairMatcher::Predict(const std::vector<PairExample>& pairs) {

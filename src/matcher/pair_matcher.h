@@ -77,8 +77,24 @@ class PairMatcher {
   Status Train(const std::vector<PairExample>& train,
                const std::vector<PairExample>& valid);
 
-  /// P(match) for each pair.
+  /// P(match) for each pair (a copying wrapper of PredictProbaInto).
   std::vector<float> PredictProba(const std::vector<PairExample>& pairs);
+
+  /// P(match) of pairs[i] to out[i]. One pass over the pairs into
+  /// retained scratch:
+  ///   - each side's tokens are looked up in the vocabulary once, and the
+  ///     x⊕y ids are built from the two id lists (Vocab::Encode maps each
+  ///     token on its own, so they equal Encode(SerializePairTokens(x, y)));
+  ///   - one Encoder::EncodeInference call encodes the [x⊕y; x; y] rows
+  ///     (a row's value never depends on its co-batch);
+  ///   - the head runs on the kernels the no-grad tensor ops call, into
+  ///     the thread's inference Workspace.
+  /// So every probability equals the graph route's (ForwardBatch in eval
+  /// mode, then RowSoftmax) bit for bit, on every kernel tier. With the
+  /// encoder's num_threads() <= 1 and an all-hit embedding cache (or shapes
+  /// seen before without one), steady state allocates nothing. Not
+  /// re-entrant, like the encoder's serving path it drives.
+  void PredictProbaInto(const std::vector<PairExample>& pairs, float* out);
 
   /// Hard 0/1 predictions at threshold 0.5.
   std::vector<int> Predict(const std::vector<PairExample>& pairs);
@@ -90,11 +106,24 @@ class PairMatcher {
   double train_seconds() const { return train_seconds_; }
 
  private:
-  /// Logits [batch, 2] for a slice of examples.
+  friend class PairMatcherTestPeer;  // reads the graph route as an oracle
+
+  /// The training route: logits [batch, 2] for a slice of examples as an
+  /// autograd graph, from three EncodeBatch calls. PredictProbaInto does
+  /// not use it.
   tensor::Tensor ForwardBatch(const std::vector<const PairExample*>& batch,
                               bool training);
   /// Applies the configured classification head.
   tensor::Tensor Classify(const tensor::Tensor& features) const;
+
+  /// PredictProbaInto for at most kMaxPairsPerPass pairs.
+  void PredictPass(const PairExample* pairs, size_t n, float* out);
+
+  /// Pairs per EncodeInference call. It keeps the workspace a long pair
+  /// list takes (an offline predict, or a flush of many kClean
+  /// candidates) below what a 256-row bulk encode already takes; a flush
+  /// of kMatch requests at the default max_batch is one pass.
+  static constexpr size_t kMaxPairsPerPass = 64;
 
   nn::Encoder* encoder_;
   const text::Vocab* vocab_;
@@ -103,6 +132,13 @@ class PairMatcher {
   nn::Mlp mlp_head_;
   double best_valid_f1_ = 0.0;
   double train_seconds_ = 0.0;
+
+  /// PredictPass scratch, capacity kept across calls: the rows to encode
+  /// ([x⊕y; x; y], or x⊕y alone without the Sudowoodo head), and the side
+  /// ids when they are not encoded.
+  nn::IdRows rows_;
+  std::vector<int> x_ids_;
+  std::vector<int> y_ids_;
 };
 
 }  // namespace sudowoodo::matcher

@@ -16,6 +16,7 @@
 #define SUDOWOODO_NN_BATCH_PACK_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace sudowoodo::nn {
@@ -85,6 +86,35 @@ class PackScratch {
   std::vector<PackedBucket> buckets_;  // first n_buckets_ are live
   int n_buckets_ = 0;
   std::vector<int> order_;  // packing permutation scratch
+};
+
+/// A list of id rows whose length changes from call to call without
+/// giving up the rows' capacity: rows that Resize cuts off wait in a spare
+/// list for a later, longer call. The serving paths build each call's
+/// rows in one, so their steady state allocates nothing.
+class IdRows {
+ public:
+  void Resize(size_t n) {
+    while (rows_.size() > n) {
+      spare_.push_back(std::move(rows_.back()));
+      rows_.pop_back();
+    }
+    while (rows_.size() < n) {
+      if (spare_.empty()) {
+        rows_.emplace_back();
+      } else {
+        rows_.push_back(std::move(spare_.back()));
+        spare_.pop_back();
+      }
+    }
+  }
+  size_t size() const { return rows_.size(); }
+  std::vector<int>& operator[](size_t i) { return rows_[i]; }
+  const std::vector<std::vector<int>>& rows() const { return rows_; }
+
+ private:
+  std::vector<std::vector<int>> rows_;
+  std::vector<std::vector<int>> spare_;
 };
 
 /// Packs `seqs` into `scratch` (reusing its buffers; see PackScratch) and

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/parallel.h"
 #include "common/thread_pool.h"
@@ -53,29 +52,41 @@ void Encoder::EncodeInference(const std::vector<std::vector<int>>& batch,
   }
   if (miss_rows_.empty()) return;
   // Dedupe the misses so a batch of repeats (cleaning's candidate pairs)
-  // encodes each distinct sequence once. Encoding only the misses is safe
-  // because every row's batched-inference value is independent of its
-  // co-batch (the bit-identity contract of tests/batch_encode_test.cc).
-  miss_batch_.clear();
+  // encodes each distinct sequence once, in order of first appearance.
+  // Encoding only the misses is safe because every row's batched-inference
+  // value is independent of its co-batch (the bit-identity contract of
+  // tests/batch_encode_test.cc). The distinct rows are found through an
+  // open-addressing table of slots, so the dedupe allocates nothing once
+  // its buffers are wide enough.
+  size_t table_size = 1;
+  while (table_size < 2 * miss_rows_.size()) table_size <<= 1;
+  miss_table_.assign(table_size, -1);
+  miss_batch_.Resize(miss_rows_.size());
   miss_slot_.clear();
-  std::unordered_map<std::vector<int>, int, index::EmbeddingCache::IdsHash>
-      slot_of;
+  size_t distinct = 0;
   for (int r : miss_rows_) {
-    const auto [it, fresh] = slot_of.try_emplace(
-        batch[static_cast<size_t>(r)],
-        static_cast<int>(miss_batch_.size()));
-    if (fresh) miss_batch_.push_back(batch[static_cast<size_t>(r)]);
-    miss_slot_.push_back(it->second);
+    const std::vector<int>& ids = batch[static_cast<size_t>(r)];
+    size_t h = index::EmbeddingCache::IdsHash{}(ids) & (table_size - 1);
+    while (miss_table_[h] >= 0 &&
+           miss_batch_[static_cast<size_t>(miss_table_[h])] != ids) {
+      h = (h + 1) & (table_size - 1);
+    }
+    if (miss_table_[h] < 0) {
+      miss_table_[h] = static_cast<int>(distinct);
+      miss_batch_[distinct++].assign(ids.begin(), ids.end());
+    }
+    miss_slot_.push_back(miss_table_[h]);
   }
-  miss_out_.resize(miss_batch_.size() * static_cast<size_t>(d));
-  EncodeInferenceImpl(miss_batch_, miss_out_.data());
+  miss_batch_.Resize(distinct);
+  miss_out_.resize(distinct * static_cast<size_t>(d));
+  EncodeInferenceImpl(miss_batch_.rows(), miss_out_.data());
   for (size_t i = 0; i < miss_rows_.size(); ++i) {
     const float* src =
         miss_out_.data() + static_cast<size_t>(miss_slot_[i]) * d;
     std::copy(src, src + d,
               out + static_cast<size_t>(miss_rows_[i]) * d);
   }
-  for (size_t u = 0; u < miss_batch_.size(); ++u) {
+  for (size_t u = 0; u < distinct; ++u) {
     cache_->Insert(miss_batch_[u], miss_out_.data() + u * d, d);
   }
 }

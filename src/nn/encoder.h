@@ -54,6 +54,8 @@ class Encoder {
   /// inference Workspace: with num_threads() <= 1, steady state (shapes
   /// seen before, all hits or cache off) performs zero heap allocations
   /// - see src/tensor/README.md "Workspace lifetime and aliasing rules".
+  /// So do misses into a full cache once its recycled entries are wide
+  /// enough (EmbeddingCache::Insert).
   /// (A threaded fan-out allocates nothing either: at 4 threads, 1,500
   /// rows encode with 0 allocations per call after one warm-up call, for
   /// all three encoders. But any thread may claim any shard, so a
@@ -224,10 +226,13 @@ class Encoder {
   /// Set by training/graph encodes; the next serving call clears the
   /// cache (weights may have stepped since it was filled).
   bool cache_dirty_ = false;
-  /// Cache-miss scratch (reused across calls; allocates only on misses).
+  /// Cache-miss scratch, reused across calls: the missed rows, each one's
+  /// distinct-sequence slot, the dedupe's hash table, the distinct
+  /// sequences and their encodings.
   std::vector<int> miss_rows_;
   std::vector<int> miss_slot_;
-  std::vector<std::vector<int>> miss_batch_;
+  std::vector<int> miss_table_;
+  IdRows miss_batch_;
   std::vector<float> miss_out_;
   static constexpr uint64_t kAutoEpoch = ~0ULL;
   uint64_t stream_epoch_ = kAutoEpoch;

@@ -125,10 +125,20 @@ std::future<Response> Server::Submit(Request request) {
     return future;
   }
   Pending pending;
-  pending.deadline = request.timeout_us > 0
-                         ? Clock::now() +
-                               std::chrono::microseconds(request.timeout_us)
-                         : Clock::time_point::max();
+  pending.deadline = Clock::time_point::max();
+  if (request.timeout_us > 0) {
+    // A timeout past what the clock can still count to (INT64_MAX, the
+    // usual "never", among them) saturates to no deadline: now + timeout
+    // would overflow the clock's signed nanoseconds and wrap into the past.
+    const Clock::time_point now = Clock::now();
+    const int64_t headroom_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            Clock::time_point::max() - now)
+            .count();
+    if (request.timeout_us < headroom_us) {
+      pending.deadline = now + std::chrono::microseconds(request.timeout_us);
+    }
+  }
   pending.request = std::move(request);
   pending.promise = std::move(promise);
   if (!queue_.Push(pending)) {

@@ -4,17 +4,31 @@
 // Everything below PR 7 optimizes one in-process call; this layer gives
 // the library the concurrent-request shape. Client threads Submit()
 // individual requests and get a std::future<Response>; a bounded MPSC
-// queue (request_queue.h) buffers them; worker threads pop *batches* -
-// flushed when `max_batch` requests are waiting or `max_wait_us` has
-// elapsed since the oldest one arrived - and dispatch each batch through
-// the existing [B,T]-pack entry points: Encoder::EncodeNormalizedInto for
-// encode requests, matcher::PairMatcher::PredictProba for match and clean
-// requests. Batching is therefore free of a correctness tax: every
-// batched inference row is bit-identical to a single-request encode
-// (tests/batch_encode_test.cc), so a response never depends on which
-// requests happened to share its flush - the PR 3-7 determinism contract
-// extended to batch composition under concurrency, asserted in
-// tests/serving_test.cc (including under TSan in CI).
+// queue (request_queue.h) buffers them; worker threads pop *batches* and
+// dispatch each through the existing [B,T]-pack entry points:
+// Encoder::EncodeNormalizedInto for encode requests,
+// matcher::PairMatcher::PredictProba for match and clean requests.
+//
+// The flush rule: a batch closes at `max_batch` requests, once the queue
+// has stayed empty for a short linger (BoundedBatchQueue::kLinger) since
+// the batch last took a request, or when its oldest request has waited
+// `max_wait_us` since Submit - whichever comes first. So a lone request
+// (a client that sends nothing more until it is answered) waits out the
+// linger, not the window, and `max_wait_us` bounds the latency batching
+// adds. A worker that comes back from a flush to a queued request skips
+// the linger and batches up to `max_wait_us`: it is saturated, and bigger
+// batches are its throughput. The linger is timed by spinning, not by a
+// timer sleep, and an idle worker spins for up to kParkSpin before it
+// parks, so a follow-up request that arrives within that time needs no
+// wake-up. In a process that can run on one CPU only, nothing spins: the
+// worker parks at once and lingers in a timed wait (request_queue.h).
+//
+// Batching is free of a correctness tax: every batched inference row is
+// bit-identical to a single-request encode (tests/batch_encode_test.cc),
+// so a response never depends on which requests happened to share its
+// flush - the PR 3-7 determinism contract extended to batch composition
+// under concurrency, asserted in tests/serving_test.cc (including under
+// TSan in CI).
 //
 // Threading model: each worker owns one ModelReplica (the encoder's
 // serving path is deliberately not re-entrant - it reuses per-encoder
@@ -76,7 +90,8 @@ struct Request {
   std::vector<matcher::PairExample> candidates;
   /// Per-request deadline, measured from Submit. A request still queued
   /// when it expires is answered with StatusCode::kDeadlineExceeded
-  /// instead of being computed. 0 = no deadline.
+  /// instead of being computed. 0 = no deadline, and so is any timeout
+  /// too large for the clock to reach (INT64_MAX included).
   int64_t timeout_us = 0;
 };
 
@@ -110,7 +125,10 @@ struct ServerOptions {
   /// Flush a forming batch at this many requests...
   int max_batch = 32;
   /// ...or when the oldest request in it has waited this long, whichever
-  /// comes first. 0 = never wait (each flush takes what is queued).
+  /// comes first - the bound on the latency batching adds. A batch also
+  /// closes earlier, once the queue has stayed empty for the linger
+  /// (BoundedBatchQueue::kLinger). 0 = never wait (each flush takes what
+  /// is queued).
   int64_t max_wait_us = 1000;
   /// Bounded-queue depth; Submit blocks (backpressure) when full.
   size_t queue_capacity = 1024;

@@ -46,9 +46,15 @@ std::vector<int> Vocab::Encode(const std::vector<std::string>& tokens,
                                bool add_cls) const {
   std::vector<int> out;
   out.reserve(tokens.size() + 1);
-  if (add_cls) out.push_back(kCls);
-  for (const auto& tok : tokens) out.push_back(Id(tok));
+  EncodeInto(tokens, &out, add_cls);
   return out;
+}
+
+void Vocab::EncodeInto(const std::vector<std::string>& tokens,
+                       std::vector<int>* out, bool add_cls) const {
+  out->clear();
+  if (add_cls) out->push_back(kCls);
+  for (const auto& tok : tokens) out->push_back(Id(tok));
 }
 
 const std::string& Vocab::Token(int id) const {

@@ -32,8 +32,15 @@ class Vocab {
   int Id(const std::string& token) const;
 
   /// Encodes tokens to ids, prepending [CLS] when `add_cls` is true.
+  /// Each token maps on its own, so the ids of a concatenation are the
+  /// concatenation of the ids.
   std::vector<int> Encode(const std::vector<std::string>& tokens,
                           bool add_cls = true) const;
+
+  /// Encode into `out`, which is cleared first and keeps its capacity: a
+  /// caller that reuses `out` allocates nothing once it is wide enough.
+  void EncodeInto(const std::vector<std::string>& tokens,
+                  std::vector<int>* out, bool add_cls = true) const;
 
   const std::string& Token(int id) const;
   int size() const { return static_cast<int>(tokens_.size()); }

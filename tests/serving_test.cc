@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -120,6 +121,248 @@ TEST(BoundedBatchQueueTest, CloseWakesBlockedConsumer) {
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   q.Close();
   consumer.join();
+}
+
+// --- The linger ---------------------------------------------------------------
+// A batch that an idle worker forms closes once the queue has stayed
+// empty for kLinger, and max_wait still bounds it when arrivals keep
+// coming. A worker that comes back to a queued item batches up to
+// max_wait instead.
+
+using IntQueue = BoundedBatchQueue<int>;
+using Clock = std::chrono::steady_clock;
+
+// Waits for `until` without a timer sleep, whose overshoot (the kernel's
+// timer slack) would exceed the gaps these tests need.
+void BusyWaitUntil(Clock::time_point until) {
+  while (Clock::now() < until) {
+  }
+}
+
+// Gives a consumer thread just started time to reach PopBatch and find
+// the queue empty, so the batch it forms is an idle worker's.
+void LetConsumerGoIdle() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+}
+
+TEST(BoundedBatchQueueTest, LoneItemFlushesAfterTheLingerNotTheWindow) {
+  IntQueue q(16);
+  std::vector<int> batch;
+  std::atomic<int64_t> returned_ns{0};
+  std::thread consumer([&] {
+    EXPECT_TRUE(q.PopBatch(/*max_batch=*/8, microseconds(50'000), &batch));
+    returned_ns = Clock::now().time_since_epoch().count();
+  });
+  LetConsumerGoIdle();
+  const auto pushed_at = Clock::now();
+  int v = 1;
+  ASSERT_TRUE(q.Push(v));
+  consumer.join();
+  EXPECT_EQ(batch, std::vector<int>{1});
+  // The linger is tens of microseconds; the bound leaves room for a
+  // loaded runner but stays far below the 50 ms window.
+  EXPECT_LT(Clock::time_point(Clock::duration(returned_ns.load())) - pushed_at,
+            std::chrono::milliseconds(25));
+}
+
+TEST(BoundedBatchQueueTest, WorkerThatFindsAQueuedItemWaitsForCompany) {
+  // The item was queued before PopBatch: the worker is saturated, so the
+  // batch waits out max_wait for company (and gets it), linger or not.
+  IntQueue q(16);
+  int first = 1;
+  ASSERT_TRUE(q.Push(first));
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    int second = 2;
+    EXPECT_TRUE(q.Push(second));
+  });
+  std::vector<int> batch;
+  ASSERT_TRUE(q.PopBatch(/*max_batch=*/2, microseconds(10'000'000), &batch));
+  producer.join();
+  EXPECT_EQ(batch, (std::vector<int>{1, 2}));
+}
+
+TEST(BoundedBatchQueueTest, BurstWithinTheLingerCoalescesIntoOneBatch) {
+  // The consumer takes the first item and lingers; the producer pushes
+  // the rest back to back, each gap far below kLinger. A preempted
+  // producer can still open a longer gap, so the burst gets a few tries.
+  constexpr int kBurst = 8;
+  bool one_batch = false;
+  for (int attempt = 0; attempt < 10 && !one_batch; ++attempt) {
+    IntQueue q(64);
+    std::vector<int> batch;
+    std::thread consumer([&] {
+      EXPECT_TRUE(q.PopBatch(kBurst, microseconds(10'000'000), &batch));
+    });
+    LetConsumerGoIdle();
+    for (int i = 0; i < kBurst; ++i) {
+      int v = i;
+      EXPECT_TRUE(q.Push(v));
+    }
+    consumer.join();
+    one_batch = batch.size() == static_cast<size_t>(kBurst);
+    if (one_batch) {
+      EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    }
+  }
+  EXPECT_TRUE(one_batch);
+}
+
+TEST(BoundedBatchQueueTest, TrickleJustUnderTheLingerStillFlushesByMaxWait) {
+  // Items arrive every 3/4 kLinger for 300 ms to an idle worker, so the
+  // linger alone would keep the batch open for the whole trickle;
+  // max_wait (2 ms) must close it. A preempted producer can open a gap longer than the linger, which
+  // closes the batch early, so the trickle gets a few tries to show a
+  // batch of more than one item; every try must close by max_wait.
+  const auto gap = IntQueue::kLinger * 3 / 4;
+  bool coalesced = false;
+  for (int attempt = 0; attempt < 10 && !coalesced; ++attempt) {
+    IntQueue q(1 << 20);
+    const auto start = Clock::now();
+    const auto trickle_end = start + std::chrono::milliseconds(302);
+    std::thread producer([&] {
+      LetConsumerGoIdle();
+      auto next = Clock::now();
+      for (int i = 0; next < trickle_end; ++i) {
+        BusyWaitUntil(next);
+        int v = i;
+        if (!q.Push(v)) break;
+        next += gap;
+      }
+    });
+    std::vector<int> batch;
+    const bool popped = q.PopBatch(1 << 20, microseconds(2000), &batch);
+    const auto popped_at = Clock::now();
+    q.Close();
+    producer.join();
+    EXPECT_TRUE(popped);
+    // 2 ms after the first item, plus room for a loaded runner - well
+    // short of the 300 ms trickle.
+    EXPECT_LT(popped_at - start, std::chrono::milliseconds(100));
+    coalesced = batch.size() >= 2;
+  }
+  EXPECT_TRUE(coalesced);
+}
+
+TEST(BoundedBatchQueueTest, CloseDuringTheLingerDrainsAcceptedThenReturnsFalse) {
+  // A trickle keeps the consumer lingering until Close lands, 5 ms in.
+  // Every item Push accepted comes out once, in order; then PopBatch
+  // returns false.
+  IntQueue q(1 << 20);
+  std::atomic<int> accepted{0};
+  std::thread producer([&] {
+    LetConsumerGoIdle();
+    auto next = Clock::now();
+    for (int i = 0;; ++i) {
+      BusyWaitUntil(next);
+      int v = i;
+      if (!q.Push(v)) break;
+      accepted = i + 1;
+      next += IntQueue::kLinger / 2;
+    }
+  });
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    q.Close();
+  });
+  std::vector<int> all, batch;
+  while (q.PopBatch(1 << 20, microseconds(10'000'000), &batch)) {
+    all.insert(all.end(), batch.begin(), batch.end());
+  }
+  closer.join();
+  producer.join();
+  ASSERT_EQ(all.size(), static_cast<size_t>(accepted.load()));
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i], static_cast<int>(i));
+  }
+}
+
+TEST(BoundedBatchQueueTest, CloseDuringTheParkSpinDrainsThenReturnsFalse) {
+  // A consumer that finds the queue empty spins for up to kParkSpin
+  // before it parks; a Close in that window (or after it) ends PopBatch.
+  // Half the attempts accept one item just before the Close: it must be
+  // drained first.
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    IntQueue q(4);
+    std::atomic<bool> started{false};
+    std::vector<int> all;
+    std::thread consumer([&] {
+      started = true;
+      std::vector<int> batch;
+      while (q.PopBatch(4, microseconds(1000), &batch)) {
+        all.insert(all.end(), batch.begin(), batch.end());
+      }
+    });
+    while (!started) std::this_thread::yield();
+    const bool with_item = attempt % 2 == 1;
+    if (with_item) {
+      int v = attempt;
+      EXPECT_TRUE(q.Push(v));
+    }
+    q.Close();
+    consumer.join();
+    EXPECT_EQ(all, with_item ? std::vector<int>{attempt} : std::vector<int>{});
+  }
+}
+
+TEST(BoundedBatchQueueTest, SeededMultiProducerStressPopsEachItemOnceInOrder) {
+  constexpr int kProducers = 4;
+  constexpr int kPerProducer = 2000;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Rng rng(seed);
+    const int max_batch = 1 + rng.UniformInt(16);
+    const int64_t max_wait_us = rng.UniformInt(200);
+    const int consumers = 1 + static_cast<int>(seed % 2);
+    // A small capacity exercises Push's backpressure too.
+    IntQueue q(static_cast<size_t>(1 + rng.UniformInt(64)));
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        Rng prng(seed * 100 + static_cast<uint64_t>(p));
+        for (int i = 0; i < kPerProducer; ++i) {
+          int v = p * kPerProducer + i;
+          EXPECT_TRUE(q.Push(v));
+          // Now and then a pause around the linger, so flushes close on
+          // size, on the linger and on max_wait.
+          if (prng.UniformInt(16) == 0) {
+            BusyWaitUntil(Clock::now() +
+                          microseconds(prng.UniformInt(40)));
+          }
+        }
+      });
+    }
+    std::vector<std::vector<int>> seen(consumers);
+    std::vector<size_t> biggest(consumers, 0);
+    std::vector<std::thread> workers;
+    for (int c = 0; c < consumers; ++c) {
+      workers.emplace_back([&, c] {
+        std::vector<int> batch;
+        while (q.PopBatch(max_batch, microseconds(max_wait_us), &batch)) {
+          biggest[c] = std::max(biggest[c], batch.size());
+          seen[c].insert(seen[c].end(), batch.begin(), batch.end());
+        }
+      });
+    }
+    for (auto& t : producers) t.join();
+    q.Close();
+    for (auto& t : workers) t.join();
+
+    std::vector<int> times_popped(kProducers * kPerProducer, 0);
+    for (int c = 0; c < consumers; ++c) {
+      EXPECT_LE(biggest[c], static_cast<size_t>(max_batch)) << "seed " << seed;
+      // Each consumer sees every producer's items in push order.
+      std::vector<int> last(kProducers, -1);
+      for (int v : seen[c]) {
+        ++times_popped[static_cast<size_t>(v)];
+        const int p = v / kPerProducer;
+        EXPECT_GT(v, last[static_cast<size_t>(p)]) << "seed " << seed;
+        last[static_cast<size_t>(p)] = v;
+      }
+    }
+    for (size_t v = 0; v < times_popped.size(); ++v) {
+      ASSERT_EQ(times_popped[v], 1) << "item " << v << ", seed " << seed;
+    }
+  }
 }
 
 // --- Server fixtures --------------------------------------------------------
@@ -384,6 +627,32 @@ TEST(ServingTest, ExpiredRequestGetsDeadlineExceeded) {
   EXPECT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded);
   for (auto& h : head) EXPECT_TRUE(h.get().status.ok());
   EXPECT_EQ(server.stats().expired, 1u);
+}
+
+// A timeout too large for the clock - INT64_MAX, the usual "never", or
+// anything from 2^63 / 1000 microseconds up - once overflowed the
+// deadline into the past: undefined behaviour, and in a Release build a
+// kDeadlineExceeded answer for a request that was never computed. It
+// means no deadline.
+TEST(ServingTest, TimeoutsPastTheClockRangeMeanNoDeadline) {
+  text::Vocab vocab = TestVocab();
+  auto oracle_enc = MakeServingEncoder(vocab);
+  auto serve_enc = MakeServingEncoder(vocab);
+  matcher::FinetuneOptions fopts;
+  matcher::PairMatcher oracle_matcher(oracle_enc.get(), &vocab, fopts);
+  matcher::PairMatcher serve_matcher(serve_enc.get(), &vocab, fopts);
+  Workload w = MakeWorkload(12, 13, oracle_enc.get(), &oracle_matcher);
+  Server server({{serve_enc.get(), &serve_matcher}}, ServerOptions{});
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const int64_t timeout_us : {kMax, kMax / 1000 + 1}) {
+    for (size_t i = 0; i < w.requests.size(); ++i) {
+      Request req = w.requests[i];
+      req.timeout_us = timeout_us;
+      const Response got = server.Submit(std::move(req)).get();
+      ExpectBitIdentical(got, w.expected[i], w.requests[i]);
+    }
+  }
+  EXPECT_EQ(server.stats().expired, 0u);
 }
 
 TEST(ServingTest, ShutdownDrainsEveryAcceptedRequest) {
