@@ -1,11 +1,11 @@
-// Recall-vs-speed series for the IVF approximate blocking index
+// Recall-vs-speed series for the blocking index's IVF cells
 // (index/ivf_index.h): at N in {2.5k, 25k, 100k} items, sweep nprobe and
-// report QueryBatch wall-clock, speedup over the exact oracle, and
+// report QueryBatch wall-clock, speedup over its exact scan, and
 // recall@k against the exact top-k; at 25k and 100k also the cost of
 // batch and single-row inserts into a live index. The 2.5k point is
 // paper scale (where the pipelines default to the exact path); the 100k
 // point is where the sub-linear flop count pays. A single-query series
-// at N in {10k, 25k, 100k} times one VectorIndex::Query at a time - the
+// at N in {10k, 25k, 100k} times one BlockingIndex::Query at a time - the
 // serving shape - with its heap allocations per call.
 // scripts/bench_compare.py treats recall_at_k as a correctness metric: a
 // drop beyond tolerance FAILs the comparison, and so does any allocation
@@ -24,7 +24,6 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 #include "index/ivf_index.h"
-#include "index/knn_index.h"
 
 namespace sudowoodo {
 namespace {
@@ -78,8 +77,21 @@ double RecallAtK(const std::vector<std::vector<index::Neighbor>>& exact,
   return total > 0 ? hit / total : 1.0;
 }
 
-/// Top-k of every query through the VectorIndex Status interface.
-std::vector<std::vector<index::Neighbor>> TopK(const index::VectorIndex& idx,
+/// The exact scan (kExact: never partitions) or IVF cells from the first
+/// row (kIvf), with the given storage.
+index::BlockingIndexOptions Kind(index::BlockingIndexKind kind,
+                                 const index::StorageOptions& storage = {}) {
+  index::BlockingIndexOptions o;
+  o.kind = kind;
+  o.storage = storage;
+  return o;
+}
+
+constexpr index::BlockingIndexKind kExact = index::BlockingIndexKind::kExact;
+constexpr index::BlockingIndexKind kIvf = index::BlockingIndexKind::kIvf;
+
+/// Top-k of every query at the index's default nprobe.
+std::vector<std::vector<index::Neighbor>> TopK(const index::BlockingIndex& idx,
                                                const std::vector<float>& q,
                                                int n_queries, int dim,
                                                int k) {
@@ -90,19 +102,19 @@ std::vector<std::vector<index::Neighbor>> TopK(const index::VectorIndex& idx,
 
 /// IVF top-k of every query, probing `nprobe` cells.
 std::vector<std::vector<index::Neighbor>> ProbeTopK(
-    const index::IvfIndex& ivf, const std::vector<float>& q, int n_queries,
+    const index::BlockingIndex& ivf, const std::vector<float>& q, int n_queries,
     int dim, int k, int nprobe) {
   std::vector<std::vector<index::Neighbor>> out;
   SUDO_CHECK_OK(ivf.QueryBatch(q.data(), n_queries, dim, k, nprobe, &out));
   return out;
 }
 
-/// One single-query record: every query once through VectorIndex::Query
+/// One single-query record: every query once through BlockingIndex::Query
 /// into one retained output vector (warm-up, and the results the recall
 /// is computed from), then the same queries again, timed and with heap
 /// allocations counted. `seconds` is the mean per call.
 void SingleQueryRecord(const char* bench_name, const char* storage,
-                       const index::VectorIndex& idx,
+                       const index::BlockingIndex& idx,
                        const std::vector<float>& queries, int n_queries,
                        int dim, int k,
                        const std::vector<std::vector<index::Neighbor>>& truth,
@@ -155,8 +167,8 @@ void Run(const std::string& json_path) {
     const auto items = ClusteredUnitRows(centers, n_items, dim, 0.25f, 9);
     const auto queries = ClusteredUnitRows(centers, n_queries, dim, 0.25f, 11);
     const auto truth =
-        TopK(index::KnnIndex(items.data(), n_items, dim), queries, n_queries,
-             dim, k);
+        TopK(index::BlockingIndex(items.data(), n_items, dim, Kind(kExact)),
+             queries, n_queries, dim, k);
     TablePrinter table(StrFormat(
         "Single queries: N=%d, dim=%d, Q=%d, k=%d, one Query call each",
         n_items, dim, n_queries, k));
@@ -168,12 +180,12 @@ void Run(const std::string& json_path) {
       so.storage = storage;
       const char* name =
           storage == index::IndexStorage::kFp32 ? "fp32" : "int8";
-      const index::KnnIndex exact(items.data(), n_items, dim,
-                                  index::MutationOptions{}, so);
+      const index::BlockingIndex exact(items.data(), n_items, dim,
+                                       Kind(kExact, so));
       SingleQueryRecord("ann_exact_query_single", name, exact, queries,
                         n_queries, dim, k, truth, &table, &records);
-      const index::IvfIndex ivf(items.data(), n_items, dim, index::IvfOptions{},
-                                index::MutationOptions{}, so);
+      const index::BlockingIndex ivf(items.data(), n_items, dim,
+                                     Kind(kIvf, so));
       SingleQueryRecord("ann_ivf_query_single", name, ivf, queries, n_queries,
                         dim, k, truth, &table, &records);
     }
@@ -187,7 +199,7 @@ void Run(const std::string& json_path) {
     const auto items = ClusteredUnitRows(centers, n_items, dim, 0.25f, 9);
     const auto queries = ClusteredUnitRows(centers, n_queries, dim, 0.25f, 11);
 
-    index::KnnIndex exact(items.data(), n_items, dim);
+    index::BlockingIndex exact(items.data(), n_items, dim, Kind(kExact));
     WallTimer exact_timer;
     const auto truth = TopK(exact, queries, n_queries, dim, k);
     const double exact_seconds = exact_timer.ElapsedSeconds();
@@ -202,7 +214,7 @@ void Run(const std::string& json_path) {
       r.Int("bytes_resident", static_cast<int64_t>(exact.bytes_resident()));
     }
 
-    // Int8 storage series (PR 10): the same rows quantized to per-row
+    // Int8 storage series: the same rows quantized to per-row
     // symmetric int8 (storage ~0.28x of fp32 at dim 64), scored through
     // the int8 panel kernel with an exact fp32 re-rank of the top
     // QuantRerankDepth candidates. recall_at_k is against the fp32 exact
@@ -214,8 +226,8 @@ void Run(const std::string& json_path) {
     if (n_items >= 25000) {
       index::StorageOptions i8so;
       i8so.storage = index::IndexStorage::kInt8;
-      index::KnnIndex exact_i8(items.data(), n_items, dim,
-                               index::MutationOptions{}, i8so);
+      index::BlockingIndex exact_i8(items.data(), n_items, dim,
+                                    Kind(kExact, i8so));
       WallTimer i8_timer;
       const auto i8_res = TopK(exact_i8, queries, n_queries, dim, k);
       const double i8_seconds = i8_timer.ElapsedSeconds();
@@ -252,7 +264,7 @@ void Run(const std::string& json_path) {
     }
 
     WallTimer build_timer;
-    index::IvfIndex ivf(items.data(), n_items, dim);
+    index::BlockingIndex ivf(items.data(), n_items, dim, Kind(kIvf));
     const double build_seconds = build_timer.ElapsedSeconds();
     {
       auto& r = records.Add();
@@ -270,8 +282,8 @@ void Run(const std::string& json_path) {
     if (n_items >= 25000) {
       index::StorageOptions i8so;
       i8so.storage = index::IndexStorage::kInt8;
-      index::IvfIndex ivf_i8(items.data(), n_items, dim, index::IvfOptions{},
-                             index::MutationOptions{}, i8so);
+      index::BlockingIndex ivf_i8(items.data(), n_items, dim,
+                                  Kind(kIvf, i8so));
       const int nprobe = 16;
       WallTimer timer;
       const auto approx =
@@ -322,8 +334,8 @@ void Run(const std::string& json_path) {
     }
     table.Print();
 
-    // Incremental series (PR 9): a live corpus growing from N/2 to N in
-    // ten arriving batches through IvfIndex::Insert (default mutation
+    // Incremental series: a live corpus growing from N/2 to N in
+    // ten arriving batches through BlockingIndex::Insert (default mutation
     // knobs, so the mid-series re-train is included in the amortized
     // cost), versus re-building the index from scratch per arriving
     // batch - the only alternative before in-place mutation. `speedup`
@@ -336,7 +348,7 @@ void Run(const std::string& json_path) {
       const int n_batches = 10;
       const int batch = n_items / (2 * n_batches);
       const int start = n_items - n_batches * batch;
-      index::IvfIndex inc(items.data(), start, dim);
+      index::BlockingIndex inc(items.data(), start, dim, Kind(kIvf));
       double insert_seconds = 0.0;
       for (int b = 0; b < n_batches; ++b) {
         WallTimer timer;
@@ -386,7 +398,7 @@ void Run(const std::string& json_path) {
       const int arrivals = 1000;
       const int start = n_items - arrivals;
       const int nprobe = 16;
-      index::IvfIndex ivf_single(items.data(), start, dim);
+      index::BlockingIndex ivf_single(items.data(), start, dim, Kind(kIvf));
       WallTimer ivf_timer;
       for (int i = start; i < n_items; ++i) {
         SUDO_CHECK_OK(ivf_single.Insert(
@@ -395,7 +407,8 @@ void Run(const std::string& json_path) {
       const double ivf_per_insert = ivf_timer.ElapsedSeconds() / arrivals;
       const double recall = RecallAtK(
           truth, ProbeTopK(ivf_single, queries, n_queries, dim, k, nprobe));
-      index::KnnIndex exact_single(items.data(), start, dim);
+      index::BlockingIndex exact_single(items.data(), start, dim,
+                                        Kind(kExact));
       WallTimer exact_insert_timer;
       for (int i = start; i < n_items; ++i) {
         SUDO_CHECK_OK(exact_single.Insert(

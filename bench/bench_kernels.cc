@@ -8,7 +8,7 @@
 //     tier this machine supports, serial and row-sharded
 //     ("micro"/"micro_threads").
 //   - "gemm_bt" shapes (attention scores Q*K^T, NT-Xent Z*Z^T, kNN batch
-//     scoring) go through ks::GemmBT (MatMulBT / KnnIndex): a scalar
+//     scoring) go through ks::GemmBT (MatMulBT / BlockingIndex): a scalar
 //     single-chain dot per element (the seed engine's structure) vs the
 //     micro-kernel.
 //

@@ -24,7 +24,7 @@
 #include "common/timer.h"
 #include "contrastive/pretrainer.h"
 #include "index/embedding_cache.h"
-#include "index/knn_index.h"
+#include "index/ivf_index.h"
 #include "matcher/pair_matcher.h"
 #include "nn/encoder.h"
 #include "nn/gru.h"
@@ -89,7 +89,9 @@ void Run(const std::string& json_path) {
   for (const auto& v : RandomUnitVectors(n_items, dim, 7)) {
     items.insert(items.end(), v.begin(), v.end());
   }
-  index::KnnIndex index(items.data(), n_items, dim);
+  index::BlockingIndexOptions exact;
+  exact.kind = index::BlockingIndexKind::kExact;
+  index::BlockingIndex index(items.data(), n_items, dim, exact);
   const auto queries = RandomUnitVectors(n_queries, dim, 11);
 
   std::vector<std::vector<index::Neighbor>> baseline;

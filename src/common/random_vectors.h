@@ -12,7 +12,7 @@
 namespace sudowoodo {
 
 /// n Gaussian vectors of the given width, L2-normalized (so inner product
-/// equals cosine similarity, matching KnnIndex's contract).
+/// equals cosine similarity, matching the blocking index's contract).
 inline std::vector<std::vector<float>> RandomUnitVectors(int n, int dim,
                                                          uint64_t seed) {
   Rng rng(seed);

@@ -1,8 +1,9 @@
 // A live (mutable, concurrently queried) blocking corpus: the layer the
 // serving front door points at. It owns
 //
-//   - a VectorIndex (the BlockingIndex facade by default - exact below
-//     the kAuto threshold, IVF above it, migrating on growth),
+//   - a BlockingIndex (by default kAuto: the exact scan below the
+//     threshold, IVF cells once growth reaches it; kIvf partitions the
+//     rows of its first upsert),
 //   - the external-id <-> internal-id translation: callers address items
 //     by their own non-negative item ids (upsert/remove/result ids),
 //     while the index underneath keeps its dense monotone internal ids
@@ -49,7 +50,7 @@ struct LiveIndexStats {
   bool using_ivf = false;
   int retrains = 0;
   /// Index payload bytes (rows + ids + IVF structures), ~0.28x smaller
-  /// under int8 storage - see VectorIndex::bytes_resident.
+  /// under int8 storage - see BlockingIndex::bytes_resident.
   size_t index_bytes_resident = 0;
 };
 
@@ -83,7 +84,7 @@ class LiveBlockingIndex {
 
   /// Top-k over the live corpus; neighbour ids are *external* item ids.
   /// Query into a retained `*out` allocates nothing in steady state
-  /// (VectorIndex::Query).
+  /// (BlockingIndex::Query).
   Status Query(const float* query, int dim, int k,
                std::vector<Neighbor>* out) const;
   Status QueryBatch(const float* queries, int n_queries, int dim, int k,

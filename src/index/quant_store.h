@@ -1,4 +1,4 @@
-// The row storage behind both blocking indexes. QuantRowStore is one
+// The row storage behind the blocking index. QuantRowStore is one
 // contiguous buffer that is either fp32 rows pre-packed as GemmBT panels
 // (tensor/kernels.h GemmBTPacked: whole panels of 32 rows, k-major, so a
 // query scores them without gathering anything) or row-major per-row
@@ -11,8 +11,8 @@
 //
 // Quantize-once contract: a row is quantized exactly once, when it
 // enters a store from fp32 (Append). Every later layout move -
-// compaction (MoveRow/Truncate), IVF cell layout and retraining, and
-// facade migration (RowSet::Repartition) - transfers the (codes, scale)
+// compaction (MoveRow/Truncate) and partitioning into IVF cells or
+// retraining them (RowSet::Repartition) - transfers the (codes, scale)
 // pair verbatim. Re-quantizing a dequantized row would preserve
 // the codes but can move the scale by 1 ulp (the max|x|/127 division
 // re-rounds), which would break the "mutated index == from-scratch
@@ -99,13 +99,14 @@ struct RowRef {
   int pos;
 };
 
-/// The mutable rows of one blocking index: one or more tables (KnnIndex
-/// keeps one, IvfIndex one per cell), each a QuantRowStore with its
-/// position -> id list and live count, plus one id -> (table, position)
-/// map and the monotone next id. Rows enter a table in ascending-id order
-/// and compaction is a stable erase, so every table's live rows stay in
-/// ascending-id order across any mutation sequence - the invariant behind
-/// both indexes' "mutated == rebuilt from the survivors" contracts.
+/// The mutable rows of one blocking index: one or more tables (one
+/// before the index partitions, one per cell after), each a QuantRowStore
+/// with its position -> id list and live count, plus one id -> (table,
+/// position) map and the monotone next id. Rows enter a table in
+/// ascending-id order and compaction is a stable erase, so every table's
+/// live rows stay in ascending-id order across any mutation sequence -
+/// the invariant behind the index's "mutated == rebuilt from the
+/// survivors" contracts.
 class RowSet {
  public:
   struct Table {

@@ -1,6 +1,7 @@
-// The one top-k selector behind every index query: exact and IVF top-k,
-// IVF probe selection, the int8 candidate stage and its fp32 re-rank,
-// and nearest-cell assignment all rank through it.
+// The one top-k selector behind every index query: the top-k of the
+// exact scan and of probed cells, IVF probe selection, the int8
+// candidate stage and its fp32 re-rank, and nearest-cell assignment all
+// rank through it.
 //
 // Order: score descending, then id ascending, with NaN scores last as one
 // id-ordered class. A NaN-oblivious float comparator is not a strict weak
@@ -8,7 +9,7 @@
 // so the kept set and its sorted order are a function of the offered
 // (score, id) pairs alone - not of the order they are offered in. That is
 // what lets an IVF query push each probed cell's scores as they come and
-// still rank exactly like the exact index.
+// still rank exactly like the exact scan.
 //
 // Bounded: a size-k heap whose root is the worst kept entry. Once k
 // entries are kept, a score below the root's is rejected by one compare,

@@ -1,32 +1,26 @@
 #include "nn/gru.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/thread_pool.h"
 #include "nn/batch_pack.h"
-#include "tensor/kernels.h"
 #include "tensor/workspace.h"
 
 namespace sudowoodo::nn {
 
 namespace ts = sudowoodo::tensor;
-namespace ks = sudowoodo::tensor::kernels;
 
 namespace {
 
 /// One gate projection on raw buffers for a whole step batch:
-/// out[b,d] = act(xh[b,2d] * W + b). Gemm accumulates into the zeroed
-/// output and the bias is added per row afterwards, mirroring
-/// Linear::Forward exactly (bit-identical gate values for any batch size
-/// or shard count).
+/// out[b,d] = act(xh[b,2d] * W + b) through Linear::ForwardInto, the
+/// float chain of Linear::Forward (bit-identical gate values for any
+/// batch size or shard count).
 template <typename Act>
 void GateForward(const Linear& gate, const float* xh, int b, int d, float* out,
                  Act act, ThreadPool* pool, int num_shards) {
-  std::fill(out, out + static_cast<size_t>(b) * d, 0.0f);
-  ks::Gemm(b, d, 2 * d, xh, gate.weight().data(), out, pool, num_shards);
-  for (int i = 0; i < b; ++i) {
-    ks::Axpy(d, 1.0f, gate.bias().data(), out + static_cast<size_t>(i) * d);
-  }
+  gate.ForwardInto(xh, b, out, pool, num_shards);
   for (size_t j = 0; j < static_cast<size_t>(b) * d; ++j) out[j] = act(out[j]);
 }
 

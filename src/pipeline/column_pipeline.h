@@ -34,7 +34,7 @@ struct ColumnPipelineOptions {
   matcher::FinetuneOptions finetune;
 
   int blocking_k = 20;    // paper: kNN with k = 20
-  /// Blocking index selection (exact oracle vs sub-linear IVF; default
+  /// Blocking index selection (exact scan vs sub-linear IVF; default
   /// auto-switches on corpus size). Seed/threads/pool for IVF training are
   /// derived from this struct; see index/ivf_index.h.
   index::BlockingIndexOptions blocking_index;

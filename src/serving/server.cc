@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "index/top_k.h"
+
 namespace sudowoodo::serving {
 
 Server::Server(std::vector<ModelReplica> replicas,

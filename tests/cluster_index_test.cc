@@ -1,4 +1,5 @@
-// Tests for k-means, the Algorithm 2 batch scheduler, and the kNN index.
+// Tests for k-means, the Algorithm 2 batch scheduler, and the blocking
+// index's exact scan.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 
 #include "cluster/batch_scheduler.h"
 #include "cluster/kmeans.h"
-#include "index/knn_index.h"
+#include "index/ivf_index.h"
 
 namespace sudowoodo {
 namespace {
@@ -17,7 +18,9 @@ namespace {
 using cluster::BatchScheduler;
 using cluster::KMeans;
 using cluster::KMeansOptions;
-using index::KnnIndex;
+using index::BlockingIndex;
+using index::BlockingIndexKind;
+using index::BlockingIndexOptions;
 using index::Neighbor;
 using sparse::SparseVector;
 
@@ -136,6 +139,13 @@ std::vector<float> Flatten(const std::vector<std::vector<float>>& items) {
   return rows;
 }
 
+/// The exact scan: an index that never partitions into cells.
+BlockingIndexOptions Exact() {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kExact;
+  return o;
+}
+
 TEST(KnnIndexTest, ExactTopKAgainstBruteForce) {
   Rng rng(8);
   std::vector<std::vector<float>> items;
@@ -150,7 +160,7 @@ TEST(KnnIndexTest, ExactTopKAgainstBruteForce) {
     items.push_back(v);
   }
   const std::vector<float> rows = Flatten(items);
-  KnnIndex index(rows.data(), 50, 8);
+  BlockingIndex index(rows.data(), 50, 8, Exact());
   std::vector<float> q = items[7];
   std::vector<Neighbor> result;
   ASSERT_TRUE(index.Query(q.data(), 8, 5, &result).ok());
@@ -194,7 +204,7 @@ TEST(KnnIndexTest, SmallKOverLargeNMatchesFullSort) {
     items.push_back(v);  // exact duplicate -> guaranteed score tie
   }
   const std::vector<float> rows = Flatten(items);
-  KnnIndex index(rows.data(), n, dim);
+  BlockingIndex index(rows.data(), n, dim, Exact());
   const std::vector<float> q = items[42];
   std::vector<Neighbor> result;
   ASSERT_TRUE(index.Query(q.data(), dim, k, &result).ok());
@@ -225,7 +235,7 @@ TEST(KnnIndexTest, NanScoresRankLastWithoutUndefinedBehavior) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const std::vector<float> rows = {0.5f, 0.5f, nan,  nan,  1.0f,
                                    0.0f, nan,  0.0f, 0.0f, 1.0f};
-  KnnIndex index(rows.data(), 5, 2);
+  BlockingIndex index(rows.data(), 5, 2, Exact());
   const float q[] = {1.0f, 0.0f};
   std::vector<Neighbor> result;
   ASSERT_TRUE(index.Query(q, 2, 5, &result).ok());
@@ -244,7 +254,7 @@ TEST(KnnIndexTest, NanScoresRankLastWithoutUndefinedBehavior) {
 
 TEST(KnnIndexTest, KClampedToSize) {
   const std::vector<float> rows = {1.0f, 0.0f, 0.0f, 1.0f};
-  KnnIndex index(rows.data(), 2, 2);
+  BlockingIndex index(rows.data(), 2, 2, Exact());
   std::vector<Neighbor> result;
   ASSERT_TRUE(index.Query(rows.data(), 2, 10, &result).ok());
   EXPECT_EQ(result.size(), 2u);
@@ -255,20 +265,23 @@ TEST(KnnIndexTest, KClampedToSize) {
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result[0].id, 1);
   // ...and an empty index answers with no neighbours.
-  KnnIndex empty(nullptr, 0, 2);
+  BlockingIndex empty(nullptr, 0, 2, Exact());
   ASSERT_TRUE(empty.Query(rows.data(), 2, 10, &result).ok());
   EXPECT_TRUE(result.empty());
 }
 
 TEST(KnnIndexTest, QueryBatchMatchesSingleQueries) {
   const std::vector<float> rows = {1, 0, 0, 1, 0.7f, 0.7f};
-  KnnIndex index(rows.data(), 3, 2);
+  BlockingIndex index(rows.data(), 3, 2, Exact());
   std::vector<std::vector<Neighbor>> batch;
   ASSERT_TRUE(index.QueryBatch({{1, 0}, {0, 1}}, 2, &batch).ok());
   ASSERT_EQ(batch.size(), 2u);
   std::vector<Neighbor> single;
   ASSERT_TRUE(index.Query(rows.data(), 2, 2, &single).ok());
   EXPECT_EQ(batch[0][0].id, single[0].id);
+  // Rows of different widths are an error, not a partial flatten.
+  EXPECT_EQ(index.QueryBatch({{1, 0}, {0}}, 2, &batch).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(KnnIndexTest, QueryBatchBitIdenticalAcrossThreadCounts) {
@@ -285,7 +298,7 @@ TEST(KnnIndexTest, QueryBatchBitIdenticalAcrossThreadCounts) {
     queries.push_back({std::cos(t), std::sin(t)});
   }
   const std::vector<float> rows = Flatten(items);
-  KnnIndex index(rows.data(), 70, 2);
+  BlockingIndex index(rows.data(), 70, 2, Exact());
   std::vector<std::vector<Neighbor>> ref;
   ASSERT_TRUE(index.QueryBatch(queries, 5, &ref, /*num_threads=*/1).ok());
   for (int threads : {2, 4}) {
@@ -300,13 +313,6 @@ TEST(KnnIndexTest, QueryBatchBitIdenticalAcrossThreadCounts) {
       }
     }
   }
-}
-
-TEST(DenseCosineTest, KnownValues) {
-  EXPECT_NEAR(index::DenseCosine({1, 0}, {1, 0}), 1.0f, 1e-6f);
-  EXPECT_NEAR(index::DenseCosine({1, 0}, {0, 1}), 0.0f, 1e-6f);
-  EXPECT_NEAR(index::DenseCosine({1, 0}, {-1, 0}), -1.0f, 1e-6f);
-  EXPECT_EQ(index::DenseCosine({0, 0}, {1, 0}), 0.0f);
 }
 
 }  // namespace

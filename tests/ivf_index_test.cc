@@ -1,17 +1,18 @@
-// Tests for the dense k-means trainer, the IVF approximate index, and the
-// exact-vs-approximate blocking facade (index/ivf_index.h).
+// Tests for the dense k-means trainer and the blocking index
+// (index/ivf_index.h): its IVF cells against its exact scan, and the kind
+// that decides when it partitions.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <set>
 #include <vector>
 
 #include "cluster/dense_kmeans.h"
 #include "common/rng.h"
 #include "index/ivf_index.h"
-#include "index/knn_index.h"
 #include "tensor/kernels.h"
 
 namespace sudowoodo {
@@ -20,9 +21,7 @@ namespace {
 using index::BlockingIndex;
 using index::BlockingIndexKind;
 using index::BlockingIndexOptions;
-using index::IvfIndex;
 using index::IvfOptions;
-using index::KnnIndex;
 using index::Neighbor;
 
 // Clustered unit vectors: `n_clusters` random directions, each item is a
@@ -63,8 +62,23 @@ void ExpectBitIdentical(const std::vector<std::vector<Neighbor>>& a,
   }
 }
 
-/// Top-k of every row of `q` through the VectorIndex Status interface.
-std::vector<std::vector<Neighbor>> StatusQuery(const index::VectorIndex& idx,
+/// The exact scan: an index that never partitions into cells.
+BlockingIndexOptions Exact() {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kExact;
+  return o;
+}
+
+/// An index partitioned into cells from its first row.
+BlockingIndexOptions Ivf(const IvfOptions& ivf = {}) {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kIvf;
+  o.ivf = ivf;
+  return o;
+}
+
+/// Top-k of every row of `q`, probing the index's default nprobe.
+std::vector<std::vector<Neighbor>> StatusQuery(const BlockingIndex& idx,
                                                const std::vector<float>& q,
                                                int dim, int k) {
   std::vector<std::vector<Neighbor>> out;
@@ -74,7 +88,7 @@ std::vector<std::vector<Neighbor>> StatusQuery(const index::VectorIndex& idx,
 }
 
 /// IVF top-k of every row of `q`, probing `nprobe` cells.
-std::vector<std::vector<Neighbor>> ProbeQuery(const IvfIndex& ivf,
+std::vector<std::vector<Neighbor>> ProbeQuery(const BlockingIndex& ivf,
                                               const std::vector<float>& q,
                                               int dim, int k, int nprobe,
                                               int threads = 1) {
@@ -167,12 +181,12 @@ TEST(IvfIndexTest, RecallAtFixedNprobeBeatsFloor) {
   auto items = ClusteredUnitRows(n, dim, 80, 0.08f, 42);
   auto queries = ClusteredUnitRows(400, dim, 80, 0.08f, 43);
 
-  KnnIndex exact(items.data(), n, dim);
+  BlockingIndex exact(items.data(), n, dim, Exact());
   const auto truth = StatusQuery(exact, queries, dim, k);
 
   IvfOptions opts;
   opts.seed = 12;
-  IvfIndex ivf(items.data(), n, dim, opts);
+  BlockingIndex ivf(items.data(), n, dim, Ivf(opts));
   EXPECT_GT(ivf.num_cells(), 16);  // ~sqrt(4000) = 64 cells, minus empties
   const auto approx = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/8);
   EXPECT_GE(RecallAtK(truth, approx), 0.9);
@@ -184,7 +198,7 @@ TEST(IvfIndexTest, BitIdenticalAcrossThreadCounts) {
   auto queries = ClusteredUnitRows(130, dim, 30, 0.1f, 78);
   IvfOptions opts;
   opts.seed = 5;
-  IvfIndex ivf(items.data(), n, dim, opts);
+  BlockingIndex ivf(items.data(), n, dim, Ivf(opts));
   const auto ref = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/4,
                               /*threads=*/1);
   for (int threads : {2, 4}) {
@@ -197,8 +211,8 @@ TEST(IvfIndexTest, NprobeAtLeastCellCountMatchesExactBitwise) {
   const int n = 700, dim = 16, k = 9;
   auto items = ClusteredUnitRows(n, dim, 20, 0.15f, 99);
   auto queries = ClusteredUnitRows(65, dim, 20, 0.15f, 100);
-  KnnIndex exact(items.data(), n, dim);
-  IvfIndex ivf(items.data(), n, dim);
+  BlockingIndex exact(items.data(), n, dim, Exact());
+  BlockingIndex ivf(items.data(), n, dim, Ivf());
   // Probing every cell gathers every item; scores ride the same GemmBT
   // chains and selection tie-breaks on original ids, so the approximate
   // path degrades to the exact one bit for bit.
@@ -215,7 +229,7 @@ TEST(IvfIndexTest, SingleQueryMatchesBatchRow) {
   const int n = 400, dim = 16, k = 6;
   auto items = ClusteredUnitRows(n, dim, 12, 0.1f, 31);
   auto queries = ClusteredUnitRows(50, dim, 12, 0.1f, 32);
-  IvfIndex ivf(items.data(), n, dim);
+  BlockingIndex ivf(items.data(), n, dim, Ivf());
   const auto batch = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/3);
   for (int q = 0; q < 50; ++q) {
     std::vector<std::vector<Neighbor>> one;
@@ -234,7 +248,7 @@ TEST(IvfIndexTest, EdgeCases) {
   const int dim = 8;
   auto items = ClusteredUnitRows(20, dim, 4, 0.05f, 55);
   auto qs = ClusteredUnitRows(2, dim, 4, 0.05f, 56);
-  IvfIndex ivf(items.data(), 20, dim);
+  BlockingIndex ivf(items.data(), 20, dim, Ivf());
   std::vector<std::vector<Neighbor>> out;
 
   // k = 0: empty per-query results, no crash.
@@ -265,7 +279,7 @@ TEST(IvfIndexTest, EdgeCases) {
   EXPECT_LE(out[0].size(), 20u);
 
   // Empty index: empty results for every query.
-  IvfIndex empty(nullptr, 0, 0);
+  BlockingIndex empty(nullptr, 0, 0, Ivf());
   EXPECT_EQ(empty.size(), 0);
   EXPECT_EQ(empty.num_cells(), 0);
   ASSERT_TRUE(empty.QueryBatch(qs.data(), 1, dim, 5, 2, &out).ok());
@@ -291,7 +305,7 @@ TEST(IvfIndexTest, EdgeCases) {
   ASSERT_TRUE(facade.Remove(all.data(), 20).ok());
   EXPECT_EQ(facade.QueryBatch(qs.data(), 1, 4, 5, &out).code(),
             StatusCode::kInvalidArgument);
-  KnnIndex exact(items.data(), 20, dim);
+  BlockingIndex exact(items.data(), 20, dim, Exact());
   ASSERT_TRUE(exact.Remove(all.data(), 20).ok());
   EXPECT_EQ(exact.QueryBatch(qs.data(), 1, 4, 5, &out).code(),
             StatusCode::kInvalidArgument);
@@ -302,7 +316,7 @@ TEST(IvfIndexTest, ExplicitCellCountIsHonored) {
   auto items = ClusteredUnitRows(n, dim, 8, 0.1f, 71);
   IvfOptions opts;
   opts.num_cells = 8;
-  IvfIndex ivf(items.data(), n, dim, opts);
+  BlockingIndex ivf(items.data(), n, dim, Ivf(opts));
   EXPECT_LE(ivf.num_cells(), 8);
   EXPECT_GE(ivf.num_cells(), 1);
   EXPECT_EQ(ivf.size(), n);
@@ -311,7 +325,7 @@ TEST(IvfIndexTest, ExplicitCellCountIsHonored) {
   // the one centroid (padding included), its id list and its live count.
   namespace ks = tensor::kernels;
   opts.num_cells = 1;
-  IvfIndex one(items.data(), 33, dim, opts);
+  BlockingIndex one(items.data(), 33, dim, Ivf(opts));
   ASSERT_EQ(one.num_cells(), 1);
   EXPECT_EQ(one.bytes_resident(),
             (ks::PackedFloats(33, dim) + ks::PackedFloats(1, dim)) *
@@ -340,13 +354,19 @@ TEST(IvfBlockingIndexTest, ExactKindMatchesKnnIndexBitwise) {
   const int n = 200, dim = 12, k = 6;
   auto items = ClusteredUnitRows(n, dim, 8, 0.1f, 61);
   auto queries = ClusteredUnitRows(30, dim, 8, 0.1f, 62);
-  BlockingIndexOptions opts;
-  opts.kind = BlockingIndexKind::kExact;
-  BlockingIndex facade(items.data(), n, dim, opts);
-  KnnIndex exact(items.data(), n, dim);
+  // The per-item constructor the pipelines block through, against the
+  // flat exact scan.
+  std::vector<std::vector<float>> per_item;
+  for (int i = 0; i < n; ++i) {
+    const auto at = items.begin() + static_cast<ptrdiff_t>(i) * dim;
+    per_item.emplace_back(at, at + dim);
+  }
+  BlockingIndex facade(per_item, Exact());
+  BlockingIndex exact(items.data(), n, dim, Exact());
   ExpectBitIdentical(StatusQuery(exact, queries, dim, k),
                      StatusQuery(facade, queries, dim, k));
   EXPECT_EQ(facade.size(), n);
+  EXPECT_FALSE(facade.using_ivf());
 }
 
 TEST(IvfBlockingIndexTest, IvfKindRoutesNprobe) {
@@ -358,7 +378,11 @@ TEST(IvfBlockingIndexTest, IvfKindRoutesNprobe) {
   opts.ivf.nprobe = 5;
   opts.ivf.seed = 21;
   BlockingIndex facade(items.data(), n, dim, opts);
-  IvfIndex direct(items.data(), n, dim, opts.ivf);
+  // Same cells, default nprobe: the explicit-nprobe call must be what
+  // the facade's default call routes to.
+  IvfOptions default_probe = opts.ivf;
+  default_probe.nprobe = IvfOptions{}.nprobe;
+  BlockingIndex direct(items.data(), n, dim, Ivf(default_probe));
   ExpectBitIdentical(ProbeQuery(direct, queries, dim, k, 5),
                      StatusQuery(facade, queries, dim, k));
 }

@@ -1,8 +1,7 @@
-// Mutation battery for the live blocking index stack (PR 9): in-place
-// Insert/Remove on the exact and IVF indexes behind the unified
-// index::VectorIndex API, the BlockingIndex facade's kAuto growth
-// migration, and the LiveBlockingIndex external-id / cache-invalidation
-// layer.
+// Mutation battery for the live blocking index stack: in-place
+// Insert/Remove on the blocking index's exact scan and IVF cells, its
+// kAuto growth migration, and the LiveBlockingIndex external-id /
+// cache-invalidation layer.
 //
 // The load-bearing contract: after ANY insert/remove sequence, exact
 // queries are bitwise identical to an index rebuilt from scratch on the
@@ -26,7 +25,6 @@
 #include "common/rng.h"
 #include "index/embedding_cache.h"
 #include "index/ivf_index.h"
-#include "index/knn_index.h"
 #include "index/live_index.h"
 #include "tensor/kernels.h"
 
@@ -38,15 +36,12 @@ using index::BlockingIndexKind;
 using index::BlockingIndexOptions;
 using index::EmbeddingCache;
 using index::IndexStorage;
-using index::IvfIndex;
 using index::IvfOptions;
-using index::KnnIndex;
 using index::LiveBlockingIndex;
 using index::LiveItem;
 using index::MutationOptions;
 using index::Neighbor;
 using index::StorageOptions;
-using index::VectorIndex;
 
 std::vector<float> ClusteredUnitRows(int n, int dim, int n_clusters,
                                      float noise, uint64_t seed) {
@@ -97,8 +92,30 @@ double RecallAtK(const std::vector<std::vector<Neighbor>>& exact,
   return total > 0 ? hit / total : 1.0;
 }
 
-/// Queries `idx` through the Status interface at `threads` workers.
-std::vector<std::vector<Neighbor>> StatusQuery(const VectorIndex& idx,
+/// The exact scan: an index that never partitions into cells.
+BlockingIndexOptions Exact(const MutationOptions& mutation = {},
+                           const StorageOptions& storage = {}) {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kExact;
+  o.mutation = mutation;
+  o.storage = storage;
+  return o;
+}
+
+/// An index partitioned into cells from its first row.
+BlockingIndexOptions Ivf(const IvfOptions& ivf,
+                         const MutationOptions& mutation = {},
+                         const StorageOptions& storage = {}) {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kIvf;
+  o.ivf = ivf;
+  o.mutation = mutation;
+  o.storage = storage;
+  return o;
+}
+
+/// Queries `idx` at its default nprobe at `threads` workers.
+std::vector<std::vector<Neighbor>> StatusQuery(const BlockingIndex& idx,
                                                const std::vector<float>& q,
                                                int dim, int k,
                                                int threads = 1) {
@@ -111,30 +128,31 @@ std::vector<std::vector<Neighbor>> StatusQuery(const VectorIndex& idx,
 /// The rebuild oracle: a fresh exact index over `mutated`'s surviving
 /// rows with the same ids, via RowSet::ExportLive + the explicit-id
 /// constructor.
-std::unique_ptr<KnnIndex> RebuildFromSurvivors(const KnnIndex& mutated) {
+std::unique_ptr<BlockingIndex> RebuildFromSurvivors(
+    const BlockingIndex& mutated) {
   std::vector<float> rows;
   std::vector<int> ids;
   mutated.rows().ExportLive(&rows, &ids);
-  return std::make_unique<KnnIndex>(rows.data(), ids.data(),
-                                    static_cast<int>(ids.size()),
-                                    mutated.dim());
+  return std::make_unique<BlockingIndex>(rows.data(), ids.data(),
+                                         static_cast<int>(ids.size()),
+                                         mutated.dim(), Exact());
 }
 
-// --- KnnIndex mutation -------------------------------------------------------
+// --- Exact-scan mutation -----------------------------------------------------
 
 TEST(KnnIndexMutationTest, InsertMatchesFromScratchIndexBitwise) {
   const int dim = 16;
   auto rows = ClusteredUnitRows(140, dim, 5, 0.2f, 31);
   auto queries = ClusteredUnitRows(33, dim, 5, 0.3f, 32);
 
-  KnnIndex grown(rows.data(), 100, dim);
+  BlockingIndex grown(rows.data(), 100, dim, Exact());
   // Two appends of different batch sizes.
   ASSERT_TRUE(grown.Insert(rows.data() + 100 * dim, 25, dim).ok());
   ASSERT_TRUE(grown.Insert(rows.data() + 125 * dim, 15, dim).ok());
   ASSERT_EQ(grown.size(), 140);
   ASSERT_EQ(grown.next_id(), 140);
 
-  KnnIndex scratch(rows.data(), 140, dim);
+  BlockingIndex scratch(rows.data(), 140, dim, Exact());
   for (int threads : {1, 2, 4}) {
     ExpectBitIdentical(StatusQuery(grown, queries, dim, 10, threads),
                        StatusQuery(scratch, queries, dim, 10, threads));
@@ -150,7 +168,7 @@ TEST(KnnIndexMutationTest, RemoveMatchesRebuildOnSurvivorsBitwise) {
   // filtered-scoring path rather than compaction.
   MutationOptions keep;
   keep.compact_tombstone_fraction = 1.0f;
-  KnnIndex mutated(rows.data(), 150, dim, keep);
+  BlockingIndex mutated(rows.data(), 150, dim, Exact(keep));
   std::vector<int> doomed;
   for (int id = 0; id < 150; id += 3) doomed.push_back(id);
   ASSERT_TRUE(
@@ -171,7 +189,7 @@ TEST(KnnIndexMutationTest, InterleavedMutationSequenceMatchesRebuild) {
   auto rows = ClusteredUnitRows(400, dim, 7, 0.25f, 35);
   auto queries = ClusteredUnitRows(40, dim, 7, 0.3f, 36);
 
-  KnnIndex mutated(rows.data(), 200, dim);
+  BlockingIndex mutated(rows.data(), 200, dim, Exact());
   Rng rng(99);
   int appended = 200;
   std::set<int> live;
@@ -218,8 +236,8 @@ TEST(KnnIndexMutationTest, CompactionIsInvisibleInResults) {
   eager.compact_tombstone_fraction = 0.0f;
   MutationOptions lazy;    // never compacts between mutations
   lazy.compact_tombstone_fraction = 1.0f;
-  KnnIndex compacted(rows.data(), 120, dim, eager);
-  KnnIndex tombstoned(rows.data(), 120, dim, lazy);
+  BlockingIndex compacted(rows.data(), 120, dim, Exact(eager));
+  BlockingIndex tombstoned(rows.data(), 120, dim, Exact(lazy));
   std::vector<int> doomed;
   for (int id = 5; id < 120; id += 2) doomed.push_back(id);
   const int nd = static_cast<int>(doomed.size());
@@ -250,7 +268,7 @@ TEST(KnnIndexMutationTest, CompactionIsInvisibleInResults) {
 TEST(KnnIndexMutationTest, StatusErrorsOnBadMutations) {
   const int dim = 8;
   auto rows = ClusteredUnitRows(20, dim, 2, 0.2f, 39);
-  KnnIndex idx(rows.data(), 20, dim);
+  BlockingIndex idx(rows.data(), 20, dim, Exact());
 
   EXPECT_EQ(idx.Insert(rows.data(), 5, dim + 1).code(),
             StatusCode::kInvalidArgument);
@@ -270,11 +288,11 @@ TEST(KnnIndexMutationTest, StatusErrorsOnBadMutations) {
   EXPECT_EQ(idx.size(), 20);
 
   // A dimensionless empty index cannot accept rows.
-  KnnIndex empty(nullptr, 0, 0);
+  BlockingIndex empty(nullptr, 0, 0, Exact());
   EXPECT_EQ(empty.Insert(rows.data(), 1, dim).code(),
             StatusCode::kFailedPrecondition);
   // An empty index *with* a width can.
-  KnnIndex sized(nullptr, 0, dim);
+  BlockingIndex sized(nullptr, 0, dim, Exact());
   EXPECT_TRUE(sized.Insert(rows.data(), 3, dim).ok());
   EXPECT_EQ(sized.size(), 3);
 
@@ -286,20 +304,22 @@ TEST(KnnIndexMutationTest, StatusErrorsOnBadMutations) {
   EXPECT_EQ(idx.QueryBatch(rows.data(), 2, dim + 2, 3, &out, 1).code(),
             StatusCode::kInvalidArgument);
 
-  EXPECT_EQ(KnnIndex::Create(nullptr, 5, dim).status().code(),
+  EXPECT_EQ(BlockingIndex::Create(nullptr, 5, dim, Exact()).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(KnnIndex::Create(rows.data(), -2, dim).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      BlockingIndex::Create(rows.data(), -2, dim, Exact()).status().code(),
+      StatusCode::kInvalidArgument);
   MutationOptions bad;
   bad.retrain_imbalance = 0.5f;
-  EXPECT_EQ(KnnIndex::Create(rows.data(), 20, dim, bad).status().code(),
-            StatusCode::kInvalidArgument);
-  auto ok = KnnIndex::Create(rows.data(), 20, dim);
+  EXPECT_EQ(
+      BlockingIndex::Create(rows.data(), 20, dim, Exact(bad)).status().code(),
+      StatusCode::kInvalidArgument);
+  auto ok = BlockingIndex::Create(rows.data(), 20, dim, Exact());
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.value()->size(), 20);
 }
 
-// --- IvfIndex mutation -------------------------------------------------------
+// --- IVF mutation -----------------------------------------------------------
 
 IvfOptions SmallIvf(int nprobe = 16) {
   IvfOptions o;
@@ -315,7 +335,8 @@ TEST(IvfIndexMutationTest, ProbeAllCellsBitwiseEqualsExactAfterMutations) {
   auto rows = ClusteredUnitRows(600, dim, 9, 0.15f, 41);
   auto queries = ClusteredUnitRows(40, dim, 9, 0.3f, 42);
 
-  IvfIndex ivf(rows.data(), 400, dim, SmallIvf(/*nprobe=*/1 << 20));
+  BlockingIndex ivf(rows.data(), 400, dim,
+                    Ivf(SmallIvf(/*nprobe=*/1 << 20)));
   ASSERT_TRUE(ivf.Insert(rows.data() + 400 * dim, 200, dim).ok());
   std::vector<int> doomed;
   for (int id = 0; id < 600; id += 4) doomed.push_back(id);
@@ -324,7 +345,7 @@ TEST(IvfIndexMutationTest, ProbeAllCellsBitwiseEqualsExactAfterMutations) {
   ASSERT_EQ(ivf.size(), 450);
 
   // The exact oracle over the same survivors with the same ids.
-  KnnIndex full(rows.data(), 600, dim);
+  BlockingIndex full(rows.data(), 600, dim, Exact());
   ASSERT_TRUE(
       full.Remove(doomed.data(), static_cast<int>(doomed.size())).ok());
   for (int threads : {1, 2, 4}) {
@@ -346,7 +367,7 @@ TEST(IvfIndexMutationTest, InsertKeepsRecallWithinGateBudget) {
   // a retrain bailing it out.
   MutationOptions m;
   m.retrain_insert_fraction = 1e6f;
-  IvfIndex ivf(rows.data(), 1500, dim, o, m);
+  BlockingIndex ivf(rows.data(), 1500, dim, Ivf(o, m));
   for (int at = 1500; at < 2000; at += 125) {
     ASSERT_TRUE(
         ivf.Insert(rows.data() + static_cast<size_t>(at) * dim, 125, dim)
@@ -354,7 +375,7 @@ TEST(IvfIndexMutationTest, InsertKeepsRecallWithinGateBudget) {
   }
   EXPECT_EQ(ivf.retrain_count(), 0);
 
-  KnnIndex exact(rows.data(), 2000, dim);
+  BlockingIndex exact(rows.data(), 2000, dim, Exact());
   const double recall = RecallAtK(StatusQuery(exact, queries, dim, 10),
                                   StatusQuery(ivf, queries, dim, 10));
   // The bench gate's budget (scripts/bench_compare.py RECALL_EPSILON).
@@ -367,7 +388,7 @@ TEST(IvfIndexMutationTest, VolumeTriggerRetrains) {
 
   MutationOptions m;
   m.retrain_insert_fraction = 0.25f;  // retrain after >50 inserts on 200
-  IvfIndex ivf(rows.data(), 200, dim, SmallIvf(), m);
+  BlockingIndex ivf(rows.data(), 200, dim, Ivf(SmallIvf(), m));
   ASSERT_TRUE(ivf.Insert(rows.data() + 200 * dim, 40, dim).ok());
   EXPECT_EQ(ivf.retrain_count(), 0);
   ASSERT_TRUE(ivf.Insert(rows.data() + 240 * dim, 20, dim).ok());
@@ -378,7 +399,7 @@ TEST(IvfIndexMutationTest, VolumeTriggerRetrains) {
 
   MutationOptions never;
   never.retrain_insert_fraction = 1e6f;
-  IvfIndex calm(rows.data(), 200, dim, SmallIvf(), never);
+  BlockingIndex calm(rows.data(), 200, dim, Ivf(SmallIvf(), never));
   ASSERT_TRUE(calm.Insert(rows.data() + 200 * dim, 100, dim).ok());
   EXPECT_EQ(calm.retrain_count(), 0);
 }
@@ -392,7 +413,7 @@ TEST(IvfIndexMutationTest, ImbalanceTriggerRetrains) {
   MutationOptions m;
   m.retrain_insert_fraction = 1e6f;  // volume trigger off
   m.retrain_imbalance = 3.0f;
-  IvfIndex ivf(base.data(), 200, dim, SmallIvf(), m);
+  BlockingIndex ivf(base.data(), 200, dim, Ivf(SmallIvf(), m));
   ASSERT_EQ(ivf.retrain_count(), 0);
   for (int at = 0; at < 120; at += 30) {
     ASSERT_TRUE(
@@ -412,8 +433,8 @@ TEST(IvfIndexMutationTest, CompactionIsInvisibleInResults) {
   eager.compact_tombstone_fraction = 0.0f;
   MutationOptions lazy;
   lazy.compact_tombstone_fraction = 1.0f;
-  IvfIndex compacted(rows.data(), 400, dim, SmallIvf(), eager);
-  IvfIndex tombstoned(rows.data(), 400, dim, SmallIvf(), lazy);
+  BlockingIndex compacted(rows.data(), 400, dim, Ivf(SmallIvf(), eager));
+  BlockingIndex tombstoned(rows.data(), 400, dim, Ivf(SmallIvf(), lazy));
   std::vector<int> doomed;
   for (int id = 1; id < 400; id += 2) doomed.push_back(id);
   const int nd = static_cast<int>(doomed.size());
@@ -426,7 +447,7 @@ TEST(IvfIndexMutationTest, CompactionIsInvisibleInResults) {
                      StatusQuery(tombstoned, queries, dim, 10));
 }
 
-// --- IvfIndex insert histories at partial probe ------------------------------
+// --- IVF insert histories at partial probe ----------------------------------
 //
 // The batteries above compare the IVF index against exact only with every
 // cell probed, where cell layout cannot show. These replay seeded
@@ -473,7 +494,7 @@ std::vector<HistoryOp> RandomHistory(int n_initial, int n_rows, int n_ops,
 }
 
 /// Applies one history step; `split` inserts a batch one row at a time.
-void ApplyHistory(IvfIndex* idx, const std::vector<float>& rows, int dim,
+void ApplyHistory(BlockingIndex* idx, const std::vector<float>& rows, int dim,
                   const HistoryOp& op, bool split) {
   if (op.insert == 0) {
     ASSERT_TRUE(
@@ -513,8 +534,10 @@ TEST(IvfIndexMutationTest, SingleRowInsertsMatchBatchInsertAtPartialProbe) {
   for (IndexStorage mode : {IndexStorage::kFp32, IndexStorage::kInt8}) {
     StorageOptions so;
     so.storage = mode;
-    IvfIndex single(rows.data(), 400, dim, PartialProbeIvf(), frozen, so);
-    IvfIndex batched(rows.data(), 400, dim, PartialProbeIvf(), frozen, so);
+    BlockingIndex single(rows.data(), 400, dim,
+                         Ivf(PartialProbeIvf(), frozen, so));
+    BlockingIndex batched(rows.data(), 400, dim,
+                          Ivf(PartialProbeIvf(), frozen, so));
     ASSERT_GE(single.num_cells(), 3 * PartialProbeIvf().nprobe);
     for (size_t step = 0; step < history.size(); ++step) {
       ApplyHistory(&single, rows, dim, history[step], /*split=*/true);
@@ -543,8 +566,10 @@ TEST(IvfIndexMutationTest, CompactionInvisibleAtPartialProbeWithInserts) {
   for (IndexStorage mode : {IndexStorage::kFp32, IndexStorage::kInt8}) {
     StorageOptions so;
     so.storage = mode;
-    IvfIndex compacted(rows.data(), 400, dim, PartialProbeIvf(), eager, so);
-    IvfIndex tombstoned(rows.data(), 400, dim, PartialProbeIvf(), lazy, so);
+    BlockingIndex compacted(rows.data(), 400, dim,
+                            Ivf(PartialProbeIvf(), eager, so));
+    BlockingIndex tombstoned(rows.data(), 400, dim,
+                             Ivf(PartialProbeIvf(), lazy, so));
     bool saw_tombstones = false;
     for (size_t step = 0; step < history.size(); ++step) {
       ApplyHistory(&compacted, rows, dim, history[step], /*split=*/false);
@@ -569,11 +594,7 @@ TEST(IvfIndexMutationTest, StatusErrorsOnBadMutations) {
   const int dim = 8;
   auto rows = ClusteredUnitRows(50, dim, 2, 0.2f, 50);
 
-  IvfIndex untrained(nullptr, 0, dim, SmallIvf());
-  EXPECT_EQ(untrained.Insert(rows.data(), 5, dim).code(),
-            StatusCode::kFailedPrecondition);
-
-  IvfIndex ivf(rows.data(), 50, dim, SmallIvf());
+  BlockingIndex ivf(rows.data(), 50, dim, Ivf(SmallIvf()));
   EXPECT_EQ(ivf.Insert(rows.data(), 5, dim + 1).code(),
             StatusCode::kInvalidArgument);
   const int unknown = 777;
@@ -584,14 +605,15 @@ TEST(IvfIndexMutationTest, StatusErrorsOnBadMutations) {
 
   IvfOptions bad = SmallIvf();
   bad.nprobe = 0;
-  EXPECT_EQ(IvfIndex::Create(rows.data(), 50, dim, bad).status().code(),
-            StatusCode::kInvalidArgument);
-  auto ok = IvfIndex::Create(rows.data(), 50, dim, SmallIvf());
+  EXPECT_EQ(
+      BlockingIndex::Create(rows.data(), 50, dim, Ivf(bad)).status().code(),
+      StatusCode::kInvalidArgument);
+  auto ok = BlockingIndex::Create(rows.data(), 50, dim, Ivf(SmallIvf()));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.value()->size(), 50);
 }
 
-// --- BlockingIndex facade mutation -------------------------------------------
+// --- kAuto migration and the kExact kind -------------------------------------
 
 TEST(IvfBlockingIndexMutationTest, AutoGrowthMigratesToIvfPreservingIds) {
   const int dim = 16;
@@ -617,7 +639,7 @@ TEST(IvfBlockingIndexMutationTest, AutoGrowthMigratesToIvfPreservingIds) {
   EXPECT_EQ(facade.next_id(), 700);
 
   // The exact oracle over the same history.
-  KnnIndex oracle(rows.data(), 700, dim);
+  BlockingIndex oracle(rows.data(), 700, dim, Exact());
   ASSERT_TRUE(oracle.Remove(doomed, 2).ok());
   for (int threads : {1, 2, 4}) {
     ExpectBitIdentical(StatusQuery(facade, queries, dim, 10, threads),
@@ -633,7 +655,7 @@ TEST(IvfBlockingIndexMutationTest, ExactFacadeDelegatesMutationsBitwise) {
   BlockingIndexOptions opts;
   opts.kind = BlockingIndexKind::kExact;
   BlockingIndex facade(rows.data(), 100, dim, opts);
-  KnnIndex oracle(rows.data(), 100, dim);
+  BlockingIndex oracle(rows.data(), 100, dim, Exact());
   ASSERT_TRUE(facade.Insert(rows.data() + 100 * dim, 50, dim).ok());
   ASSERT_TRUE(oracle.Insert(rows.data() + 100 * dim, 50, dim).ok());
   const int doomed[] = {10, 20, 120};
@@ -667,12 +689,31 @@ TEST(IvfBlockingIndexMutationTest, CreateValidatesOptions) {
   EXPECT_EQ(ok.value()->size(), 20);
 }
 
+// The constructors abort on exactly what Create rejects: an invalid
+// option that the exact scan never reads (nprobe) must not wait for the
+// kAuto migration to surface as a failing query.
+TEST(IvfBlockingIndexDeathTest, ConstructorsAbortOnWhatCreateRejects) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  const int dim = 8;
+  auto rows = ClusteredUnitRows(20, dim, 2, 0.2f, 55);
+  BlockingIndexOptions opts;  // kAuto, far below its threshold
+  opts.ivf.nprobe = 0;
+  EXPECT_DEATH(BlockingIndex(rows.data(), 20, dim, opts),
+               "nprobe must be > 0");
+  EXPECT_DEATH(LiveBlockingIndex(dim, opts), "nprobe must be > 0");
+  opts = Exact();
+  opts.ivf.train_iters = -1;
+  EXPECT_DEATH(BlockingIndex(rows.data(), 20, dim, opts),
+               "train_iters must be >= 0");
+}
+
 // --- Model-based check across the kAuto migration ---------------------------
 //
-// Every mutation oracle above is a KnnIndex, which shares its row
-// bookkeeping (index::RowSet) with IvfIndex. This reference shares no
-// index code: a std::map of id -> row, scored with one GemmBT panel over
-// the survivors in ascending-id order and ranked by (score desc, id asc).
+// Every mutation oracle above is the index's own exact scan, which shares
+// its row bookkeeping (index::RowSet) with the IVF cells. This reference
+// shares no index code: a std::map of id -> row, scored with one GemmBT
+// panel over the survivors in ascending-id order and ranked by (score
+// desc, id asc).
 
 /// Top-k of every query over `live`, by the reference's own ranking.
 std::vector<std::vector<Neighbor>> ReferenceTopK(
@@ -889,6 +930,43 @@ TEST(LiveIndexTest, RemoveErasesCacheKeyNoStaleHits) {
   EXPECT_EQ(live.stats().cache_erasures, doomed.size());
   // Surviving items still hit.
   EXPECT_TRUE(cache.Lookup(keys[1], got.data(), dim));
+}
+
+// A kIvf index starts with no cells when it starts empty, as a live
+// index always does: its first insert partitions that batch's rows, so
+// it answers exactly like a kIvf index built over the same rows and ids.
+TEST(LiveIndexTest, IvfKindPartitionsItsFirstUpsert) {
+  const int dim = 16, n = 300, nq = 20, k = 8;
+  auto rows = ClusteredUnitRows(n, dim, 8, 0.15f, 91);
+  auto queries = ClusteredUnitRows(nq, dim, 8, 0.3f, 92);
+  const BlockingIndexOptions opts = Ivf(SmallIvf(/*nprobe=*/3));
+
+  BlockingIndex empty(nullptr, 0, dim, opts);
+  EXPECT_FALSE(empty.using_ivf());
+  ASSERT_TRUE(empty.Insert(rows.data(), n, dim).ok());
+  EXPECT_TRUE(empty.using_ivf());
+  BlockingIndex built(rows.data(), n, dim, opts);
+  ASSERT_GT(built.num_cells(), 3);  // partial probe: the layout shows
+  ExpectBitIdentical(StatusQuery(empty, queries, dim, k),
+                     StatusQuery(built, queries, dim, k));
+
+  LiveBlockingIndex live(dim, opts);
+  EXPECT_FALSE(live.stats().using_ivf);
+  std::vector<LiveItem> items(static_cast<size_t>(n));
+  std::vector<int> ids(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    ids[static_cast<size_t>(i)] = 1000 + 3 * i;  // sparse, ascending
+    items[static_cast<size_t>(i)].item_id = ids[static_cast<size_t>(i)];
+  }
+  ASSERT_TRUE(live.Upsert(items.data(), rows.data(), n, dim).ok());
+  EXPECT_TRUE(live.stats().using_ivf);
+  BlockingIndex by_id(rows.data(), ids.data(), n, dim, opts);
+  for (int threads : {1, 3}) {
+    std::vector<std::vector<Neighbor>> got;
+    ASSERT_TRUE(
+        live.QueryBatch(queries.data(), nq, dim, k, &got, threads).ok());
+    ExpectBitIdentical(got, StatusQuery(by_id, queries, dim, k, threads));
+  }
 }
 
 TEST(LiveIndexTest, ValidationErrors) {

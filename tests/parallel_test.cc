@@ -21,7 +21,7 @@
 #include "data/cleaning_dataset.h"
 #include "data/em_dataset.h"
 #include "gtest/gtest.h"
-#include "index/knn_index.h"
+#include "index/ivf_index.h"
 #include "nn/encoder.h"
 #include "pipeline/cleaning_pipeline.h"
 #include "pipeline/em_pipeline.h"
@@ -476,7 +476,9 @@ TEST(ParallelDeterminismTest, KnnQueryBatchBitIdenticalToSerial) {
   const auto queries = RandomUnitVectors(123, 16, 11);
   std::vector<float> rows;
   for (const auto& v : items) rows.insert(rows.end(), v.begin(), v.end());
-  index::KnnIndex index(rows.data(), 400, 16);
+  index::BlockingIndexOptions exact;
+  exact.kind = index::BlockingIndexKind::kExact;
+  index::BlockingIndex index(rows.data(), 400, 16, exact);
   std::vector<std::vector<index::Neighbor>> serial;
   ASSERT_TRUE(index.QueryBatch(queries, 10, &serial, /*num_threads=*/1).ok());
   for (int num_threads : {2, 4, 8}) {

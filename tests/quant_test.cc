@@ -30,7 +30,6 @@
 #include "data/cleaning_dataset.h"
 #include "index/embedding_cache.h"
 #include "index/ivf_index.h"
-#include "index/knn_index.h"
 #include "index/quant_store.h"
 #include "index/top_k.h"
 #include "pipeline/cleaning_pipeline.h"
@@ -45,9 +44,7 @@ using index::BlockingIndexKind;
 using index::BlockingIndexOptions;
 using index::EmbeddingCache;
 using index::IndexStorage;
-using index::IvfIndex;
 using index::IvfOptions;
-using index::KnnIndex;
 using index::MutationOptions;
 using index::Neighbor;
 using index::StorageOptions;
@@ -112,8 +109,30 @@ void ExpectSameNeighbors(const std::vector<std::vector<Neighbor>>& a,
   }
 }
 
-/// Top-k of every row of `q` through the VectorIndex Status interface.
-std::vector<std::vector<Neighbor>> StatusQuery(const index::VectorIndex& idx,
+/// The exact scan: an index that never partitions into cells.
+BlockingIndexOptions Exact(const MutationOptions& mutation = {},
+                           const StorageOptions& storage = {}) {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kExact;
+  o.mutation = mutation;
+  o.storage = storage;
+  return o;
+}
+
+/// An index partitioned into cells from its first row.
+BlockingIndexOptions Ivf(const IvfOptions& ivf = {},
+                         const MutationOptions& mutation = {},
+                         const StorageOptions& storage = {}) {
+  BlockingIndexOptions o;
+  o.kind = BlockingIndexKind::kIvf;
+  o.ivf = ivf;
+  o.mutation = mutation;
+  o.storage = storage;
+  return o;
+}
+
+/// Top-k of every row of `q`, probing the index's default nprobe.
+std::vector<std::vector<Neighbor>> StatusQuery(const BlockingIndex& idx,
                                                const std::vector<float>& q,
                                                int dim, int k,
                                                int threads = 1) {
@@ -124,7 +143,7 @@ std::vector<std::vector<Neighbor>> StatusQuery(const index::VectorIndex& idx,
 }
 
 /// IVF top-k of every row of `q`, probing `nprobe` cells.
-std::vector<std::vector<Neighbor>> ProbeQuery(const IvfIndex& ivf,
+std::vector<std::vector<Neighbor>> ProbeQuery(const BlockingIndex& ivf,
                                               const std::vector<float>& q,
                                               int dim, int k, int nprobe,
                                               int threads = 1) {
@@ -593,7 +612,7 @@ TEST(RowSetHistoryTest, ExportAndRowsMatchRowMajorReference) {
 }
 
 // ---------------------------------------------------------------------
-// Exact index, int8 storage
+// Exact scan, int8 storage
 // ---------------------------------------------------------------------
 
 TEST(KnnIndexInt8Test, RerankDepthLosesAlmostNothing) {
@@ -608,13 +627,14 @@ TEST(KnnIndexInt8Test, RerankDepthLosesAlmostNothing) {
   const int n = 4000, dim = 64, nq = 300, k = 10;
   const std::vector<float> rows = ClusteredUnitRows(n, dim, 21);
   const std::vector<float> queries = ClusteredUnitRows(nq, dim, 22);
-  KnnIndex fp32(rows.data(), n, dim);
+  BlockingIndex fp32(rows.data(), n, dim, Exact());
   StorageOptions so;
   so.storage = IndexStorage::kInt8;
-  KnnIndex int8(rows.data(), n, dim, MutationOptions{}, so);
+  BlockingIndex int8(rows.data(), n, dim, Exact(MutationOptions{}, so));
   StorageOptions exhaustive = so;
   exhaustive.rerank_min = n;  // preselect everything: the depth oracle
-  KnnIndex int8_full(rows.data(), n, dim, MutationOptions{}, exhaustive);
+  BlockingIndex int8_full(rows.data(), n, dim,
+                          Exact(MutationOptions{}, exhaustive));
   const auto truth = StatusQuery(fp32, queries, dim, k, 4);
   const double r_depth =
       RecallAtK(truth, StatusQuery(int8, queries, dim, k, 4));
@@ -630,7 +650,7 @@ TEST(KnnIndexInt8Test, BitwiseAcrossTiersThreadsAndSingleQuery) {
   const std::vector<float> queries = ClusteredUnitRows(nq, dim, 32);
   StorageOptions so;
   so.storage = IndexStorage::kInt8;
-  KnnIndex idx(rows.data(), n, dim, MutationOptions{}, so);
+  BlockingIndex idx(rows.data(), n, dim, Exact(MutationOptions{}, so));
   std::vector<std::vector<Neighbor>> ref;
   {
     ScopedTier tier(KernelTier::kPortable);
@@ -658,7 +678,7 @@ TEST(KnnIndexInt8Test, MutationsMatchRebuildOracle) {
   so.storage = IndexStorage::kInt8;
   MutationOptions mo;
   mo.compact_tombstone_fraction = 0.2f;  // force compactions mid-battery
-  KnnIndex idx(all.data(), 100, dim, mo, so);
+  BlockingIndex idx(all.data(), 100, dim, Exact(mo, so));
   std::map<int, const float*> live;
   for (int i = 0; i < 100; ++i) live[i] = all.data() + static_cast<size_t>(i) * dim;
 
@@ -689,8 +709,8 @@ TEST(KnnIndexInt8Test, MutationsMatchRebuildOracle) {
       sids.push_back(id);
       srows.insert(srows.end(), row, row + dim);
     }
-    KnnIndex rebuilt(srows.data(), sids.data(),
-                     static_cast<int>(sids.size()), dim, mo, so);
+    BlockingIndex rebuilt(srows.data(), sids.data(),
+                          static_cast<int>(sids.size()), dim, Exact(mo, so));
     for (KernelTier t : AvailableTiers()) {
       ScopedTier tier(t);
       for (int threads : {1, 4}) {
@@ -708,15 +728,28 @@ TEST(KnnIndexInt8Test, ExportLiveStoreMigratesBitwise) {
   const std::vector<float> queries = ClusteredUnitRows(nq, dim, 52);
   StorageOptions so;
   so.storage = IndexStorage::kInt8;
-  KnnIndex idx(rows.data(), n, dim, MutationOptions{}, so);
+  BlockingIndex idx(rows.data(), n, dim, Exact(MutationOptions{}, so));
   std::vector<int> doomed = {3, 77, 150, 299};
   ASSERT_TRUE(idx.Remove(doomed.data(), 4).ok());
 
-  // The kAuto migration path: the exact index's row set partitioned into
+  // The kAuto migration path: the exact scan's row set partitioned into
   // IVF cells, ids and next_id kept, (codes, scale) pairs moved verbatim.
-  IvfOptions io;
-  io.nprobe = 1 << 20;  // probe everything: exact over the same rows
-  IvfIndex ivf(idx.rows(), io, MutationOptions{}, so);
+  // The same history on a kAuto index: built below its threshold over
+  // rows [0, n - 4), it reaches the threshold when the last four rows
+  // arrive after three of the removals, migrates with their tombstones
+  // in place, and takes the fourth removal in a cell.
+  BlockingIndexOptions auto_opts;
+  auto_opts.kind = BlockingIndexKind::kAuto;
+  auto_opts.exact_threshold = n - 3;
+  auto_opts.storage = so;
+  auto_opts.ivf.nprobe = 1 << 20;  // probe everything: exact over the rows
+  BlockingIndex ivf(rows.data(), n - 4, dim, auto_opts);
+  ASSERT_FALSE(ivf.using_ivf());
+  ASSERT_TRUE(ivf.Remove(doomed.data(), 3).ok());
+  ASSERT_TRUE(
+      ivf.Insert(rows.data() + static_cast<size_t>(n - 4) * dim, 4, dim).ok());
+  ASSERT_TRUE(ivf.using_ivf());
+  ASSERT_TRUE(ivf.Remove(&doomed[3], 1).ok());
   EXPECT_EQ(ivf.size(), idx.size());
   EXPECT_EQ(ivf.next_id(), idx.next_id());
   ExpectSameNeighbors(ProbeQuery(ivf, queries, dim, k, ivf.num_cells()),
@@ -733,8 +766,9 @@ TEST(IvfIndexInt8Test, AllCellsProbedEqualsExactAndNprobeRecall) {
   const std::vector<float> queries = ClusteredUnitRows(nq, dim, 62);
   StorageOptions so;
   so.storage = IndexStorage::kInt8;
-  IvfIndex ivf(rows.data(), n, dim, IvfOptions{}, MutationOptions{}, so);
-  KnnIndex exact(rows.data(), n, dim, MutationOptions{}, so);
+  BlockingIndex ivf(rows.data(), n, dim,
+                    Ivf(IvfOptions{}, MutationOptions{}, so));
+  BlockingIndex exact(rows.data(), n, dim, Exact(MutationOptions{}, so));
 
   // nprobe >= cells probes every cell: the candidate set is every live
   // row regardless of the trained layout, so results must equal the
@@ -744,7 +778,7 @@ TEST(IvfIndexInt8Test, AllCellsProbedEqualsExactAndNprobeRecall) {
 
   // And at the default probe budget, recall against the fp32 oracle
   // stays in the same band the fp32 IVF path promises.
-  KnnIndex fp32(rows.data(), n, dim);
+  BlockingIndex fp32(rows.data(), n, dim, Exact());
   const auto truth = StatusQuery(fp32, queries, dim, k, 2);
   const auto got = ProbeQuery(ivf, queries, dim, k, /*nprobe=*/16, 2);
   EXPECT_GE(RecallAtK(truth, got), 0.95);
@@ -761,7 +795,7 @@ TEST(IvfIndexInt8Test, MutationsMatchRebuildOracle) {
   mo.retrain_insert_fraction = 0.3f;  // force retrains mid-battery
   IvfOptions io;
   io.num_cells = 16;
-  IvfIndex ivf(all.data(), 400, dim, io, mo, so);
+  BlockingIndex ivf(all.data(), 400, dim, Ivf(io, mo, so));
   std::map<int, const float*> live;
   for (int i = 0; i < 400; ++i) {
     live[i] = all.data() + static_cast<size_t>(i) * dim;
@@ -791,8 +825,9 @@ TEST(IvfIndexInt8Test, MutationsMatchRebuildOracle) {
       sids.push_back(id);
       srows.insert(srows.end(), row, row + dim);
     }
-    IvfIndex rebuilt(srows.data(), sids.data(),
-                     static_cast<int>(sids.size()), dim, io, mo, so);
+    BlockingIndex rebuilt(srows.data(), sids.data(),
+                          static_cast<int>(sids.size()), dim,
+                          Ivf(io, mo, so));
     // With every cell probed the candidate set is the full live row set
     // on both sides, so the mutated index must equal the from-scratch
     // rebuild bitwise even though their trained cell layouts differ.

@@ -1,5 +1,4 @@
-// Tests for the §III-C hill-climbing threshold search and the LR
-// schedules.
+// Tests for the §III-C hill-climbing threshold search.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 
 #include "common/rng.h"
 #include "matcher/threshold_search.h"
-#include "nn/lr_schedule.h"
 
 namespace sudowoodo {
 namespace {
@@ -78,35 +76,6 @@ TEST(ThresholdSearchTest, RespectsTrialBudget) {
   auto result = HillClimbPositiveRatio(scored, base, trial, opts);
   EXPECT_EQ(calls, 4);
   EXPECT_EQ(result.trials_run, 4);
-}
-
-TEST(LrScheduleTest, ConstantIsFlat) {
-  nn::LrSchedule s(nn::LrScheduleKind::kConstant, 0.1f, 100);
-  EXPECT_FLOAT_EQ(s.At(0), 0.1f);
-  EXPECT_FLOAT_EQ(s.At(99), 0.1f);
-}
-
-TEST(LrScheduleTest, LinearDecayReachesNearZero) {
-  nn::LrSchedule s(nn::LrScheduleKind::kLinearDecay, 1.0f, 10);
-  EXPECT_FLOAT_EQ(s.At(0), 1.0f);
-  EXPECT_NEAR(s.At(9), 0.1f, 1e-5f);
-  // Monotone decreasing.
-  for (int i = 1; i < 10; ++i) EXPECT_LT(s.At(i), s.At(i - 1));
-}
-
-TEST(LrScheduleTest, WarmupRampsThenDecays) {
-  nn::LrSchedule s(nn::LrScheduleKind::kWarmupLinearDecay, 1.0f, 20, 5);
-  // Ramp up over the first 5 steps.
-  EXPECT_NEAR(s.At(0), 0.2f, 1e-5f);
-  EXPECT_NEAR(s.At(4), 1.0f, 1e-5f);
-  // Then decay.
-  EXPECT_GT(s.At(5), s.At(15));
-}
-
-TEST(LrScheduleTest, StepsClampedToBudget) {
-  nn::LrSchedule s(nn::LrScheduleKind::kLinearDecay, 1.0f, 10);
-  EXPECT_FLOAT_EQ(s.At(-5), s.At(0));
-  EXPECT_FLOAT_EQ(s.At(500), s.At(9));
 }
 
 }  // namespace
