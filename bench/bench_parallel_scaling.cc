@@ -27,7 +27,6 @@
 #include "index/ivf_index.h"
 #include "matcher/pair_matcher.h"
 #include "nn/encoder.h"
-#include "nn/gru.h"
 #include "sparse/tfidf.h"
 #include "text/vocab.h"
 
@@ -189,16 +188,11 @@ void Run(const std::string& json_path) {
     trf.n_heads = 4;
     trf.ffn_dim = 64;
     trf.max_len = 64;
-    nn::GruConfig gru;
-    gru.vocab_size = vocab;
-    gru.dim = 32;
-    gru.max_len = 64;
     const EncoderCase cases[] = {
         {"fastbag_d64",
          [&] { return std::make_unique<nn::FastBagEncoder>(bag); }},
         {"transformer_d32",
          [&] { return std::make_unique<nn::TransformerEncoder>(trf); }},
-        {"gru_d32", [&] { return std::make_unique<nn::GruEncoder>(gru); }},
     };
 
     std::printf("\nInference encoding: %d ragged sequences, batched vs one-row "
@@ -296,18 +290,12 @@ void Run(const std::string& json_path) {
     trf.n_heads = 4;
     trf.ffn_dim = 64;
     trf.max_len = 64;
-    nn::GruConfig gru;
-    gru.vocab_size = vocab;
-    gru.dim = 32;
-    gru.max_len = 64;
     const EncoderCase cases[] = {
         {"fastbag_d64",
          [&] { return std::make_unique<nn::FastBagEncoder>(bag); }, bag.dim},
         {"transformer_d32",
          [&] { return std::make_unique<nn::TransformerEncoder>(trf); },
          trf.dim},
-        {"gru_d32", [&] { return std::make_unique<nn::GruEncoder>(gru); },
-         gru.dim},
     };
 
     std::printf(

@@ -1,6 +1,7 @@
 #include "baselines/deepmatcher.h"
 
-#include "nn/gru.h"
+#include "nn/encoder.h"
+#include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "pipeline/em_pipeline.h"
 #include "text/vocab.h"
@@ -21,29 +22,19 @@ pipeline::PRF1 RunDeepMatcherOnEm(const data::EmDataset& ds,
   }
   text::Vocab vocab = text::Vocab::Build(corpus, 6000);
 
-  std::unique_ptr<nn::Encoder> encoder;
-  if (options.use_gru) {
-    nn::GruConfig config;
-    config.vocab_size = vocab.size();
-    config.dim = options.dim;
-    config.max_len = options.max_len;
-    config.seed = options.seed;
-    encoder = std::make_unique<nn::GruEncoder>(config);
-  } else {
-    nn::FastBagConfig config;
-    config.vocab_size = vocab.size();
-    config.dim = options.dim;
-    config.max_len = options.max_len;
-    config.hidden_dim = 2 * options.dim;
-    config.seed = options.seed;
-    encoder = std::make_unique<nn::FastBagEncoder>(config);
-  }
+  nn::FastBagConfig config;
+  config.vocab_size = vocab.size();
+  config.dim = options.dim;
+  config.max_len = options.max_len;
+  config.hidden_dim = 2 * options.dim;
+  config.seed = options.seed;
+  nn::FastBagEncoder encoder(config);
 
   // Similarity-feature head: [Zx, Zy, |Zx-Zy|, Zx*Zy] -> MLP -> 2.
   Rng rng(options.seed + 1);
   nn::Mlp head(4 * options.dim, 2 * options.dim, 2, &rng);
 
-  std::vector<ts::Tensor> params = encoder->Parameters();
+  std::vector<ts::Tensor> params = encoder.Parameters();
   nn::AppendParameters(&params, head.Parameters());
   nn::AdamWOptions aopts;
   aopts.lr = options.lr;
@@ -58,8 +49,8 @@ pipeline::PRF1 RunDeepMatcherOnEm(const data::EmDataset& ds,
       y_ids.push_back(vocab.Encode(
           pipeline::EmPipeline::SerializeRow(ds.table_b, p->b_idx)));
     }
-    ts::Tensor zx = encoder->EncodeBatch(x_ids, nullptr, training);
-    ts::Tensor zy = encoder->EncodeBatch(y_ids, nullptr, training);
+    ts::Tensor zx = encoder.EncodeBatch(x_ids, nullptr, training);
+    ts::Tensor zy = encoder.EncodeBatch(y_ids, nullptr, training);
     ts::Tensor feat = ts::ConcatCols(
         {zx, zy, ts::Abs(ts::Sub(zx, zy)), ts::Mul(zx, zy)});
     return head.Forward(feat);

@@ -3,7 +3,7 @@
 //
 // DeepMatcher encodes the two entities separately (RNN/attention
 // summarizers in the original) and classifies similarity features of the
-// two summaries. Here: a GRU or bag encoder produces Z_x and Z_y and an
+// two summaries. Here: a FastBag encoder produces Z_x and Z_y and an
 // MLP classifies [Z_x, Z_y, |Z_x - Z_y|, Z_x ⊙ Z_y]. No LM pre-training
 // and no pair cross-encoding - exactly the architectural gap the paper's
 // comparison highlights.
@@ -21,8 +21,6 @@ namespace sudowoodo::baselines {
 
 /// Options for the DeepMatcher run.
 struct DeepMatcherOptions {
-  /// true = GRU summarizer (faithful, slower); false = bag summarizer.
-  bool use_gru = false;
   int dim = 48;
   int max_len = 48;
   int epochs = 10;

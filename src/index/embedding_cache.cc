@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
-#include "tensor/kernels.h"
-
 namespace sudowoodo::index {
-
-namespace ks = sudowoodo::tensor::kernels;
 
 size_t EmbeddingCache::IdsHash::operator()(const std::vector<int>& ids) const {
   // FNV-1a over the id words; collisions only cost a (value-compared)
@@ -20,9 +16,8 @@ size_t EmbeddingCache::IdsHash::operator()(const std::vector<int>& ids) const {
   return static_cast<size_t>(h);
 }
 
-EmbeddingCache::EmbeddingCache(size_t capacity, int num_shards,
-                               IndexStorage entry_mode)
-    : capacity_(capacity), entry_mode_(entry_mode) {
+EmbeddingCache::EmbeddingCache(size_t capacity, int num_shards)
+    : capacity_(capacity) {
   const size_t n = static_cast<size_t>(std::max(1, num_shards));
   // Don't spread a tiny budget so thin that shards round down to nothing.
   const size_t used = std::min(n, std::max<size_t>(capacity, 1));
@@ -37,10 +32,6 @@ EmbeddingCache::EmbeddingCache(size_t capacity, int num_shards,
   }
 }
 
-size_t EmbeddingCache::EntryWidth(const Entry& e, IndexStorage mode) {
-  return mode == IndexStorage::kInt8 ? e.qvalue.size() : e.value.size();
-}
-
 bool EmbeddingCache::Lookup(const std::vector<int>& ids, float* out,
                             int dim) {
   if (capacity_ == 0) return false;
@@ -52,28 +43,15 @@ bool EmbeddingCache::Lookup(const std::vector<int>& ids, float* out,
   // dims sharing one cache) is a miss, never a truncated hit: the caller
   // re-encodes and Insert refreshes the entry at the new width.
   if (it == shard.by_key.end() ||
-      EntryWidth(*it->second, entry_mode_) != static_cast<size_t>(dim)) {
+      it->second->value.size() != static_cast<size_t>(dim)) {
     ++shard.misses;
     return false;
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  const Entry& entry = *it->second;
-  if (entry_mode_ == IndexStorage::kInt8) {
-    ks::DequantizeRowsI8(1, dim, entry.qvalue.data(), &entry.scale, out);
-  } else {
-    std::copy(entry.value.data(), entry.value.data() + dim, out);
-  }
+  const std::vector<float>& value = it->second->value;
+  std::copy(value.begin(), value.end(), out);
   return true;
-}
-
-void EmbeddingCache::StoreValue(const float* vec, int dim, Entry* e) const {
-  if (entry_mode_ == IndexStorage::kInt8) {
-    e->qvalue.resize(static_cast<size_t>(dim));
-    ks::QuantizeRowsI8(1, dim, vec, e->qvalue.data(), &e->scale);
-  } else {
-    e->value.assign(vec, vec + dim);
-  }
 }
 
 void EmbeddingCache::Insert(const std::vector<int>& ids, const float* vec,
@@ -84,7 +62,7 @@ void EmbeddingCache::Insert(const std::vector<int>& ids, const float* vec,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.by_key.find(key);
   if (it != shard.by_key.end()) {
-    StoreValue(vec, dim, &*it->second);
+    it->second->value.assign(vec, vec + dim);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
@@ -99,7 +77,7 @@ void EmbeddingCache::Insert(const std::vector<int>& ids, const float* vec,
     Entry& e = shard.lru.front();
     e.key.assign(ids.begin(), ids.end());
     e.hash = key.hash;
-    StoreValue(vec, dim, &e);
+    e.value.assign(vec, vec + dim);
     node.key() = KeyRef{&e.key, key.hash};
     node.mapped() = shard.lru.begin();
     shard.by_key.insert(std::move(node));
@@ -110,7 +88,7 @@ void EmbeddingCache::Insert(const std::vector<int>& ids, const float* vec,
   Entry& e = shard.lru.front();
   e.key = ids;
   e.hash = key.hash;
-  StoreValue(vec, dim, &e);
+  e.value.assign(vec, vec + dim);
   shard.by_key.emplace(KeyRef{&e.key, key.hash}, shard.lru.begin());
 }
 
@@ -147,10 +125,8 @@ EmbeddingCacheStats EmbeddingCache::stats() const {
     out.erasures += shard.erasures;
     out.entries += shard.lru.size();
     for (const Entry& e : shard.lru) {
-      out.bytes_resident += e.key.size() * sizeof(int) +
-                            e.value.size() * sizeof(float) +
-                            e.qvalue.size() * sizeof(int8_t) +
-                            (e.qvalue.empty() ? 0 : sizeof(float));
+      out.bytes_resident +=
+          e.key.size() * sizeof(int) + e.value.size() * sizeof(float);
     }
   }
   return out;

@@ -28,8 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/vector_index.h"
-
 namespace sudowoodo::index {
 
 /// Aggregated counters, surfaced in the pipeline run results.
@@ -41,9 +39,7 @@ struct EmbeddingCacheStats {
   /// capacity evictions.
   uint64_t erasures = 0;
   uint64_t entries = 0;
-  /// Payload bytes held (keys + stored vectors/codes + scales). Int8
-  /// entry mode stores dim bytes + one scale per vector instead of
-  /// 4*dim, ~4x smaller at serving dims.
+  /// Payload bytes held (keys + stored vectors).
   uint64_t bytes_resident = 0;
 };
 
@@ -55,28 +51,17 @@ class EmbeddingCache {
   /// floor split with the remainder spread, not a ceiling). 0 disables the
   /// cache entirely (Lookup always misses without counting, Insert is a
   /// no-op) so a zero-capacity cache behaves exactly like no cache.
-  ///
-  /// `entry_mode` kInt8 stores each vector as per-row symmetric int8
-  /// codes + one fp32 scale (4x smaller rows; see IndexStorage). Hits
-  /// then return the quantized image of the encode, not the exact
-  /// floats - the caller opts into the same representation error the
-  /// int8 blocking indexes already score under, bounded by the
-  /// QuantizeRowsI8 round-trip contract (tensor/kernels.h). Hit/miss
-  /// behaviour, keying, and eviction are identical in both modes.
-  explicit EmbeddingCache(size_t capacity, int num_shards = 8,
-                          IndexStorage entry_mode = IndexStorage::kFp32);
+  explicit EmbeddingCache(size_t capacity, int num_shards = 8);
 
   /// On hit, copies the cached `dim`-wide vector into `out` (refreshing
-  /// LRU recency) and returns true; int8 entries dequantize straight
-  /// into `out` (no allocation). On miss returns false; `out` is
+  /// LRU recency) and returns true. On miss returns false; `out` is
   /// untouched.
   bool Lookup(const std::vector<int>& ids, float* out, int dim);
 
-  /// Stores a copy of vec[0..dim) under `ids` (quantizing it in int8
-  /// entry mode), evicting the shard's least-recently used entry when it
-  /// is full; the evicted entry's nodes and buffers are reused for the
-  /// new one. Re-inserting an existing key refreshes its value and
-  /// recency.
+  /// Stores a copy of vec[0..dim) under `ids`, evicting the shard's
+  /// least-recently used entry when it is full; the evicted entry's nodes
+  /// and buffers are reused for the new one. Re-inserting an existing key
+  /// refreshes its value and recency.
   void Insert(const std::vector<int>& ids, const float* vec, int dim);
 
   /// Drops the entry stored under `ids` if present; returns whether one
@@ -90,7 +75,6 @@ class EmbeddingCache {
   void Clear();
 
   size_t capacity() const { return capacity_; }
-  IndexStorage entry_mode() const { return entry_mode_; }
   EmbeddingCacheStats stats() const;
 
   /// FNV-1a over a token-id sequence; public so cache users (the
@@ -102,10 +86,8 @@ class EmbeddingCache {
  private:
   struct Entry {
     std::vector<int> key;
-    size_t hash = 0;             // IdsHash of key
-    std::vector<float> value;    // fp32 entry mode
-    std::vector<int8_t> qvalue;  // int8 entry mode: codes ...
-    float scale = 0.0f;          // ... + per-vector scale
+    size_t hash = 0;  // IdsHash of key
+    std::vector<float> value;
   };
   /// A map key viewing a token-id vector and carrying its IdsHash, so
   /// each call hashes its ids once, for the shard and the map alike.
@@ -146,14 +128,8 @@ class EmbeddingCache {
     return KeyRef{&ids, IdsHash{}(ids)};
   }
   Shard& ShardOf(KeyRef key) { return shards_[key.hash % shards_.size()]; }
-  /// Writes vec[0..dim) into `e` in this cache's entry mode.
-  void StoreValue(const float* vec, int dim, Entry* e) const;
-  /// The stored width of an entry in this mode (fp32 value or int8
-  /// codes); wrong-width entries miss rather than truncate.
-  static size_t EntryWidth(const Entry& e, IndexStorage mode);
 
   size_t capacity_ = 0;
-  IndexStorage entry_mode_ = IndexStorage::kFp32;
   std::vector<Shard> shards_;
 };
 

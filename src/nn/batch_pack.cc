@@ -56,14 +56,6 @@ std::vector<int> TruncateOrPad(const std::vector<int>& ids, int max_len,
   return trunc;
 }
 
-void ScatterPackedRows(const float* src, int d,
-                       const std::vector<int>& row_index, float* dst) {
-  for (size_t i = 0; i < row_index.size(); ++i) {
-    std::copy(src + i * d, src + (i + 1) * d,
-              dst + static_cast<size_t>(row_index[i]) * d);
-  }
-}
-
 int PackBatchesInto(const std::vector<std::vector<int>>& seqs,
                     const PackOptions& opts, PackScratch* scratch) {
   SUDO_CHECK(opts.max_len >= 1 && opts.max_rows >= 1);

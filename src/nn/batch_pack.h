@@ -1,9 +1,9 @@
 // Padded-pack utility for batched encoding: turns a ragged list of
 // token-id sequences into one or more dense [B, T] id blocks (row-major,
-// padded with pad_id) plus per-row valid lengths, so the Transformer and
-// GRU encoders can run whole batches through the blocked GEMM kernels
-// instead of fanning out per-row forwards. (FastBag needs no padded
-// block: it pools its ragged rows straight from the token table.)
+// padded with pad_id) plus per-row valid lengths, so the Transformer
+// encoder can run whole batches through the blocked GEMM kernels instead
+// of fanning out per-row forwards. (FastBag needs no padded block: it
+// pools its ragged rows straight from the token table.)
 //
 // Length bucketing bounds padding waste: rows are ordered by (truncated)
 // length and greedily cut into buckets such that padding a bucket to its
@@ -134,11 +134,6 @@ std::vector<PackedBucket> PackBatches(
 /// substitute a single `pad_id` token for an empty sequence.
 std::vector<int> TruncateOrPad(const std::vector<int>& ids, int max_len,
                                int pad_id);
-
-/// Undoes the packing permutation for pooled results: copies d-wide row i
-/// of `src` (one per packed row) to row row_index[i] of `dst`.
-void ScatterPackedRows(const float* src, int d,
-                       const std::vector<int>& row_index, float* dst);
 
 }  // namespace sudowoodo::nn
 

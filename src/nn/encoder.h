@@ -58,7 +58,7 @@ class Encoder {
   /// enough (EmbeddingCache::Insert).
   /// (A threaded fan-out allocates nothing either: at 4 threads, 1,500
   /// rows encode with 0 allocations per call after one warm-up call, for
-  /// all three encoders. But any thread may claim any shard, so a
+  /// both encoders. But any thread may claim any shard, so a
   /// worker's thread-local workspace and GEMM pack buffer still grow the
   /// first time that worker claims a larger shard than it has seen. The
   /// pinned zero-alloc contract is therefore the serial one, which the
@@ -216,9 +216,9 @@ class Encoder {
   /// this to their config seed so both their paths derive equal keys.
   uint64_t drop_seed_ = 0;
 
-  /// Reusable packing buffers for the padded-pack inference routes of the
-  /// Transformer and the GRU (vector capacity retained across calls - the
-  /// allocation-free part of the serving contract).
+  /// Reusable packing buffers for the Transformer's padded-pack inference
+  /// route (vector capacity retained across calls - the allocation-free
+  /// part of the serving contract).
   PackScratch pack_scratch_;
 
  private:
@@ -468,7 +468,7 @@ Tensor ApplyCutoff(const Tensor& emb, const augment::CutoffPlan& plan);
 /// carries the plan evaluated at that row's own length (cutoff positions
 /// are length-relative fractions) and padded rows stay 1. Multiplying the
 /// packed embedding by this is bit-identical, row for row, to per-row
-/// ApplyCutoff. The Transformer and GRU training routes use it.
+/// ApplyCutoff. The Transformer's training route uses it.
 Tensor PackedCutoffMask(const augment::CutoffPlan& plan,
                         const PackedBucket& bucket, int d);
 

@@ -45,11 +45,6 @@ class Linear {
   int in_dim() const { return w_.rows(); }
   int out_dim() const { return w_.cols(); }
 
-  /// Raw parameter handles for graph-free inference paths that call the
-  /// kernel layer directly (e.g. the GRU recurrence).
-  const Tensor& weight() const { return w_; }
-  const Tensor& bias() const { return b_; }
-
  private:
   Tensor w_;
   Tensor b_;

@@ -88,8 +88,7 @@ CleaningRunResult CleaningPipeline::Run(const data::CleaningDataset& ds) {
   std::unique_ptr<index::EmbeddingCache> cache;
   if (options_.embedding_cache_capacity > 0) {
     cache = std::make_unique<index::EmbeddingCache>(
-        options_.embedding_cache_capacity, /*num_shards=*/8,
-        options_.embedding_cache_storage);
+        options_.embedding_cache_capacity);
   }
   auto encoder =
       MakeEncoder(options_.encoder_kind, vocab.size(), options_.encoder_dim,

@@ -68,8 +68,7 @@ ColumnRunResult ColumnPipeline::Run(const data::ColumnCorpus& corpus) {
   std::unique_ptr<index::EmbeddingCache> cache;
   if (options_.embedding_cache_capacity > 0) {
     cache = std::make_unique<index::EmbeddingCache>(
-        options_.embedding_cache_capacity, /*num_shards=*/8,
-        options_.embedding_cache_storage);
+        options_.embedding_cache_capacity);
   }
   auto encoder =
       MakeEncoder(options_.encoder_kind, vocab.size(), options_.encoder_dim,

@@ -6,7 +6,6 @@
 #include "cluster/batch_scheduler.h"
 #include "common/timer.h"
 #include "index/ivf_index.h"
-#include "nn/gru.h"
 
 namespace sudowoodo::pipeline {
 
@@ -97,8 +96,7 @@ EmPipeline::Prepared EmPipeline::Prepare(const data::EmDataset& ds) {
   prep.vocab = text::Vocab::Build(corpus, options_.vocab_size);
   if (options_.embedding_cache_capacity > 0) {
     prep.cache = std::make_unique<index::EmbeddingCache>(
-        options_.embedding_cache_capacity, /*num_shards=*/8,
-        options_.embedding_cache_storage);
+        options_.embedding_cache_capacity);
   }
   prep.encoder =
       MakeEncoder(options_.encoder_kind, prep.vocab.size(),

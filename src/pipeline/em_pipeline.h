@@ -97,12 +97,6 @@ struct EmPipelineOptions {
   /// Hit/miss/eviction counters land in EmRunResult::embed_cache.
   size_t embedding_cache_capacity = 0;
 
-  /// Storage mode of the embedding cache's entries: kInt8 stores each
-  /// cached vector as int8 codes + one scale (4x smaller; hits return
-  /// the quantized image instead of the exact floats - see
-  /// EmbeddingCache). Opt-in; kFp32 keeps hits bit-identical.
-  index::IndexStorage embedding_cache_storage = index::IndexStorage::kFp32;
-
   uint64_t seed = 7;
 };
 

@@ -369,18 +369,6 @@ Tensor Gelu(const Tensor& a) {
   return WrapNode(out);
 }
 
-Tensor Tanh(const Tensor& a) {
-  return Elementwise1(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
-}
-
-Tensor Sigmoid(const Tensor& a) {
-  return Elementwise1(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
-}
-
 Tensor DropoutAt(const Tensor& a, float p, const std::vector<uint64_t>& keys,
                  int rows_per_key, bool training) {
   if (!training || p <= 0.0f) return a;
@@ -599,33 +587,6 @@ Tensor GatherRows(const Tensor& table, const std::vector<int>& ids) {
     for (size_t i = 0; i < ids_copy->size(); ++i) {
       const float* g = o->grad.data() + i * n;
       float* dst = ti->grad.data() + static_cast<size_t>((*ids_copy)[i]) * n;
-      for (int j = 0; j < n; ++j) dst[j] += g[j];
-    }
-  });
-  return WrapNode(out);
-}
-
-Tensor WhereRows(const std::vector<int>& take_a, const Tensor& a,
-                 const Tensor& b) {
-  SUDO_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  const int m = a.rows(), n = a.cols();
-  SUDO_CHECK(static_cast<int>(take_a.size()) == m);
-  auto out = NewNode(m, n);
-  for (int i = 0; i < m; ++i) {
-    const float* src = (take_a[static_cast<size_t>(i)] ? a : b).data() +
-                       static_cast<size_t>(i) * n;
-    std::copy(src, src + n, out->value.data() + static_cast<size_t>(i) * n);
-  }
-  auto ai = a.impl(), bi = b.impl();
-  TensorImpl* o = out.get();
-  auto take = std::make_shared<std::vector<int>>(take_a);
-  Attach(out, {ai, bi}, [ai, bi, o, take, m, n]() {
-    for (int i = 0; i < m; ++i) {
-      const auto& pi = (*take)[static_cast<size_t>(i)] ? ai : bi;
-      if (!pi->requires_grad) continue;
-      pi->EnsureGrad();
-      const float* g = o->grad.data() + static_cast<size_t>(i) * n;
-      float* dst = pi->grad.data() + static_cast<size_t>(i) * n;
       for (int j = 0; j < n; ++j) dst[j] += g[j];
     }
   });
@@ -955,89 +916,6 @@ Tensor StandardizeCols(const Tensor& a, float eps) {
         const float xh = o->value[static_cast<size_t>(i) * n + j];
         ai->grad[static_cast<size_t>(i) * n + j] +=
             istd * (g - mean_g - xh * mean_g_xh);
-      }
-    }
-  });
-  return WrapNode(out);
-}
-
-Tensor LinearDeferred(const Tensor& x, const Tensor& w, const Tensor& b,
-                      const std::shared_ptr<DeferredGradTape>& tape, int gate,
-                      ThreadPool* pool, int num_shards) {
-  SUDO_CHECK(x.cols() == w.rows());
-  SUDO_CHECK(b.rows() == 1 && b.cols() == w.cols());
-  const int m = x.rows(), kdim = x.cols(), n = w.cols();
-  auto out = NewNode(m, n);
-  kernels::Gemm(m, n, kdim, x.data(), w.data(), out->value.data(), pool,
-                num_shards);
-  for (int i = 0; i < m; ++i) {
-    kernels::Axpy(n, 1.0f, b.data(),
-                  out->value.data() + static_cast<size_t>(i) * n);
-  }
-  auto xi = x.impl(), wi = w.impl();
-  TensorImpl* o = out.get();
-  // Parents list only x: w/b reach the sweep through the anchor, and
-  // their gradients must NOT accumulate here (that is the whole point).
-  Attach(out, {xi}, [xi, wi, o, m, kdim, n, pool, num_shards]() {
-    if (!xi->requires_grad) return;
-    xi->EnsureGrad();
-    kernels::GemmBT(m, kdim, n, o->grad.data(), wi->value.data(),
-                    xi->grad.data(), pool, num_shards);
-  });
-  if (out->requires_grad && tape != nullptr) {
-    SUDO_CHECK(gate >= 0 && gate < static_cast<int>(tape->gates.size()));
-    tape->gates[static_cast<size_t>(gate)].steps.push_back(
-        {xi.get(), out.get()});
-  }
-  return WrapNode(out);
-}
-
-Tensor AnchorDeferred(const Tensor& init,
-                      const std::shared_ptr<DeferredGradTape>& tape) {
-  SUDO_CHECK(tape != nullptr);
-  auto out = NewNode(init.rows(), init.cols());
-  std::copy(init.data(), init.data() + init.size(), out->value.data());
-  auto ii = init.impl();
-  std::vector<std::shared_ptr<TensorImpl>> parents = {ii};
-  for (const auto& gate : tape->gates) {
-    parents.push_back(gate.w);
-    parents.push_back(gate.b);
-  }
-  TensorImpl* o = out.get();
-  Attach(out, std::move(parents), [ii, o, tape]() {
-    if (ii->requires_grad) {
-      ii->EnsureGrad();
-      for (size_t i = 0; i < o->size(); ++i) ii->grad[i] += o->grad[i];
-    }
-    // Replay the tape in canonical ascending (row, step) order - the
-    // exact sequence a per-row loop over the same data produces, so the
-    // lockstep batch's parameter gradients are bit-identical to it.
-    for (auto& gate : tape->gates) {
-      const bool wg = gate.w->requires_grad, bg = gate.b->requires_grad;
-      if ((!wg && !bg) || gate.steps.empty()) continue;
-      if (wg) gate.w->EnsureGrad();
-      if (bg) gate.b->EnsureGrad();
-      for (auto& step : gate.steps) step.pre->EnsureGrad();
-      const int in = gate.w->rows, outn = gate.w->cols;
-      const int rows = gate.steps[0].x->rows;
-      for (int r = 0; r < rows; ++r) {
-        for (const auto& step : gate.steps) {
-          const float* xrow =
-              step.x->value.data() + static_cast<size_t>(r) * in;
-          const float* grow =
-              step.pre->grad.data() + static_cast<size_t>(r) * outn;
-          if (wg) {
-            for (int i = 0; i < in; ++i) {
-              const float av = xrow[i];
-              if (av == 0.0f) continue;
-              float* wrow = gate.w->grad.data() + static_cast<size_t>(i) * outn;
-              for (int j = 0; j < outn; ++j) wrow[j] += av * grow[j];
-            }
-          }
-          if (bg) {
-            for (int j = 0; j < outn; ++j) gate.b->grad[j] += grow[j];
-          }
-        }
       }
     }
   });

@@ -2,8 +2,8 @@
 // float tensors.
 //
 // This is the numerical substrate for the whole library: the Transformer
-// encoder, the GRU baseline, the contrastive losses (NT-Xent, Barlow Twins)
-// and the fine-tuning heads are all expressed in these ops, which means the
+// and FastBag encoders, the contrastive losses (NT-Xent, Barlow Twins) and
+// the fine-tuning heads are all expressed in these ops, which means the
 // gradient-check tests in tests/tensor_test.cc cover the exact code paths
 // used in training.
 //
@@ -147,8 +147,6 @@ Tensor Transpose(const Tensor& a);
 Tensor Abs(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor Gelu(const Tensor& a);
-Tensor Tanh(const Tensor& a);
-Tensor Sigmoid(const Tensor& a);
 /// Counter-based inverted dropout (the training-parallelism enabler; see
 /// CounterRng in common/rng.h and src/tensor/README.md): element (i, j)
 /// is dropped iff the stream keyed by keys[i / rows_per_key] fires at
@@ -185,12 +183,6 @@ Tensor SliceCols(const Tensor& a, int start, int len);
 Tensor SliceRows(const Tensor& a, int start, int len);
 /// out[i,:] = table[ids[i],:]; backward scatter-adds (embedding lookup).
 Tensor GatherRows(const Tensor& table, const std::vector<int>& ids);
-/// Row-wise exact-copy select: out[i,:] = take_a[i] ? a[i,:] : b[i,:].
-/// No arithmetic touches the values, and gradients route only to the
-/// chosen parent per row - the batched GRU uses this to freeze finished
-/// rows so a padded lockstep step is bit-identical to not stepping.
-Tensor WhereRows(const std::vector<int>& take_a, const Tensor& a,
-                 const Tensor& b);
 /// Column vector [m,1] of row means.
 Tensor RowMean(const Tensor& a);
 /// FastBag's segment-pair pooling of a batch of ragged token rows, read
@@ -230,55 +222,6 @@ Tensor L2NormalizeRows(const Tensor& a, float eps = 1e-9f);
 /// Per-column standardization (x - mean)/std over the batch dimension, as
 /// used by Barlow Twins before the cross-correlation matrix (Eq. 4).
 Tensor StandardizeCols(const Tensor& a, float eps = 1e-5f);
-
-/// --- deferred parameter gradients (recurrent training) ---------------------
-///
-/// A recurrence that applies the same Linear at every time step would,
-/// under the plain autograd ops, accumulate its weight gradient in
-/// backward-sweep order: step T-1 for all rows, then step T-2, and so on.
-/// A padded lockstep batch and a per-row loop interleave those float
-/// contributions differently - step-major vs row-major - so their sums
-/// differ in the last bit. The pair below pins the order instead:
-/// LinearDeferred skips the parameter gradients entirely, recording the
-/// (input, pre-activation) node pair on a caller-owned tape, and
-/// AnchorDeferred wraps the recurrence's *initial* state - an ancestor of
-/// every step, so the topological sweep runs its backward only after all
-/// of them - where the tape is replayed in ascending (row, step) order,
-/// accumulating dW and db in the same canonical sequence for any
-/// batching. Frozen/padded (row, step) pairs carry exact-zero
-/// pre-activation grads and so add nothing. See "Training batching
-/// rules" in src/tensor/README.md.
-struct DeferredGradTape {
-  struct Entry {
-    // Raw pointers on purpose: the step nodes transitively own the
-    // anchor (their parent chains run back through the initial state),
-    // and the anchor's backward closure owns this tape - shared_ptrs
-    // here would close a reference cycle and leak the whole recurrence
-    // graph every step. The graph's parent chains keep these nodes alive
-    // for as long as the anchor (and thus the tape) exists.
-    TensorImpl* x = nullptr;    // [rows, in] input at one step
-    TensorImpl* pre = nullptr;  // [rows, out] pre-activation node
-  };
-  struct Gate {
-    std::shared_ptr<TensorImpl> w;  // [in, out]; leaves - no cycle
-    std::shared_ptr<TensorImpl> b;  // [1, out]
-    std::vector<Entry> steps;       // in step order
-  };
-  std::vector<Gate> gates;
-};
-
-/// y = x W + b whose backward propagates only dX += dY W^T (row-sharded
-/// over `pool` like MatMul); dW/db are deferred to the tape's anchor.
-/// Records (x, y) on tape->gates[gate] when the tape is live.
-Tensor LinearDeferred(const Tensor& x, const Tensor& w, const Tensor& b,
-                      const std::shared_ptr<DeferredGradTape>& tape, int gate,
-                      ThreadPool* pool = nullptr, int num_shards = 1);
-
-/// Exact-copy wrapper for the recurrence's initial state whose backward
-/// replays `tape` (see above). Every gate's w/b must be registered on the
-/// tape before this call so they are reachable from the sweep.
-Tensor AnchorDeferred(const Tensor& init,
-                      const std::shared_ptr<DeferredGradTape>& tape);
 
 /// --- losses -----------------------------------------------------------------
 /// Mean negative log-likelihood of `targets` under per-row log-probs.

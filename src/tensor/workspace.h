@@ -4,7 +4,7 @@
 // The batched inference encoders (see nn/encoder.cc) run whole padded
 // buckets through the raw kernels in tensor/kernels.h. Before this layer
 // existed, every intermediate (residual stream, attention scores, softmax
-// rows, pooling buffers, GRU gate activations) was a fresh
+// rows, pooling buffers) was a fresh
 // heap-allocated Tensor or std::vector, so steady-state serving churned
 // the allocator on every bucket. A Workspace instead hands out scratch
 // spans carved from a small list of chunks that are *kept* across

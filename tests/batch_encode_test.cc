@@ -7,7 +7,7 @@
 // autograd tape on and training off: per-row Tensor ops, the same graph
 // training differentiates, sharing no packing, workspace or masking code
 // with the batched route. This holds for the Transformer too - not just
-// FastBag/GRU - because every reduction in the batched path (LayerNorm,
+// FastBag - because every reduction in the batched path (LayerNorm,
 // masked softmax over the valid prefix, GEMM k-accumulation, masked
 // mean-pool) is row-local and walks exactly the floating-point order of
 // its per-row counterpart; no reduction order changes, so no tolerance is
@@ -28,7 +28,6 @@
 #include "common/rng.h"
 #include "nn/batch_pack.h"
 #include "nn/encoder.h"
-#include "nn/gru.h"
 #include "nn/layers.h"
 #include "tensor/kernels.h"
 
@@ -108,14 +107,6 @@ FastBagConfig SmallBag() {
   return config;
 }
 
-GruConfig SmallGru() {
-  GruConfig config;
-  config.vocab_size = 200;
-  config.max_len = 24;
-  config.dim = 12;
-  return config;
-}
-
 // Padded slots must never leak into valid outputs, even when the data
 // sitting in them is NaN/Inf - no GEMM tier skips zero operands, and a
 // fused multiply-add turns 0 * NaN into NaN (see kernels.h). The worst
@@ -167,13 +158,6 @@ TEST(BatchEncodePaddingPoisonTest, FastBagSurvivesNaNAndInfPadding) {
       SmallBag(), std::numeric_limits<float>::infinity(), 304);
 }
 
-TEST(BatchEncodePaddingPoisonTest, GruSurvivesNaNAndInfPadding) {
-  ExpectPoisonedPaddingHarmless<GruEncoder>(
-      SmallGru(), std::numeric_limits<float>::quiet_NaN(), 305);
-  ExpectPoisonedPaddingHarmless<GruEncoder>(
-      SmallGru(), std::numeric_limits<float>::infinity(), 306);
-}
-
 TEST(BatchEncodeEquivalenceTest, TransformerBitIdenticalAcrossBatchSizes) {
   for (int layers : kLayerCounts) {
     SCOPED_TRACE(layers);
@@ -187,12 +171,6 @@ TEST(BatchEncodeEquivalenceTest, TransformerBitIdenticalAcrossBatchSizes) {
 TEST(BatchEncodeEquivalenceTest, FastBagBitIdenticalAcrossBatchSizes) {
   for (int b : {1, 7, 64, 257}) {
     ExpectBatchedBitIdentical<FastBagEncoder>(SmallBag(), b, 300 + b);
-  }
-}
-
-TEST(BatchEncodeEquivalenceTest, GruBitIdenticalAcrossBatchSizes) {
-  for (int b : {1, 7, 64, 257}) {
-    ExpectBatchedBitIdentical<GruEncoder>(SmallGru(), b, 500 + b);
   }
 }
 
@@ -283,10 +261,6 @@ TEST(BatchEncodeEquivalenceTest, FastBagTrainingGradsBitIdentical) {
       ExpectTrainingBitIdentical<FastBagEncoder>(SmallBag(), batch, &plan);
     }
   }
-}
-
-TEST(BatchEncodeEquivalenceTest, GruTrainingGradsBitIdentical) {
-  ExpectTrainingBitIdenticalBattery<GruEncoder>(SmallGru(), 740);
 }
 
 TEST(BatchEncodeEquivalenceTest, BatchedPathThreadCountInvariant) {

@@ -8,7 +8,6 @@
 #include "contrastive/losses.h"
 #include "contrastive/pretrainer.h"
 #include "nn/encoder.h"
-#include "nn/gru.h"
 #include "text/vocab.h"
 
 namespace sudowoodo::contrastive {
@@ -217,17 +216,10 @@ TEST_F(PretrainerTest, UniformAndClusterSchedulersBothWork) {
 // ascending-row gradient accumulation); see src/tensor/README.md.
 // ---------------------------------------------------------------------------
 
-enum class TestEncoderKind { kFastBag, kTransformer, kGru };
+enum class TestEncoderKind { kFastBag, kTransformer };
 
 const char* KindName(TestEncoderKind k) {
-  switch (k) {
-    case TestEncoderKind::kFastBag:
-      return "FastBag";
-    case TestEncoderKind::kTransformer:
-      return "Transformer";
-    default:
-      return "Gru";
-  }
+  return k == TestEncoderKind::kFastBag ? "FastBag" : "Transformer";
 }
 
 class TrainingDeterminismTest : public ::testing::Test {
@@ -262,13 +254,6 @@ class TrainingDeterminismTest : public ::testing::Test {
         c.n_heads = 2;
         c.ffn_dim = 32;
         return std::make_unique<nn::TransformerEncoder>(c);
-      }
-      case TestEncoderKind::kGru: {
-        nn::GruConfig c;
-        c.vocab_size = vocab;
-        c.max_len = 16;
-        c.dim = 12;
-        return std::make_unique<nn::GruEncoder>(c);
       }
       default: {
         nn::FastBagConfig c;
@@ -305,8 +290,7 @@ TEST_F(TrainingDeterminismTest, LossTrajectoryBitIdentityBattery) {
   auto corpus = MakeCorpus();
   text::Vocab vocab = text::Vocab::Build(corpus);
   for (TestEncoderKind kind :
-       {TestEncoderKind::kFastBag, TestEncoderKind::kTransformer,
-        TestEncoderKind::kGru}) {
+       {TestEncoderKind::kFastBag, TestEncoderKind::kTransformer}) {
     const std::vector<float> ref =
         RunPretrain(kind, corpus, vocab, /*batched=*/false, /*threads=*/1);
     for (bool batched : {false, true}) {

@@ -2,8 +2,8 @@
 // embedding_cache.h) and its encoder plumbing: hits must be bit-identical
 // to fresh encodes, LRU eviction must follow recency, capacity 0 must
 // behave exactly like no cache, stale entries must be dropped after
-// training, and concurrent hits must be data-race free (run under TSan in
-// CI).
+// training, the byte count must be exact, and concurrent hits must be
+// data-race free (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -216,6 +216,12 @@ TEST(EmbeddingCacheTest, FillPastCapacityNeverExceedsIt) {
     EXPECT_LE(cache.stats().entries, cache.capacity());
     // A hard cap must still be usable: something survives the churn.
     EXPECT_GE(cache.stats().entries, 1u);
+    // The byte count is exact: each entry holds its 2-int key and its
+    // 4-float vector, 4 bytes apiece.
+    const EmbeddingCacheStats full = cache.stats();
+    EXPECT_EQ(full.bytes_resident, full.entries * (2 + 4) * 4);
+    cache.Clear();
+    EXPECT_EQ(cache.stats().bytes_resident, 0u);
   }
 }
 

@@ -2,7 +2,7 @@
 // flush: it must equal the graph route - ForwardBatch in eval mode with
 // the tape off, then RowSoftmax, in chunks of FinetuneOptions::batch_size
 // (what PredictProba computed before the one-pass flush) - bit for bit.
-// Covered: the FastBag, Transformer and GRU encoders; the Sudowoodo head
+// Covered: the FastBag and Transformer encoders; the Sudowoodo head
 // on and off; Linear and Mlp heads; side features on and off; batches of
 // 1, 10 and 33 pairs with repeated x sides and an x == y pair; an
 // embedding cache cold and warm. CI re-runs it on the portable tier and
@@ -20,7 +20,6 @@
 #include "index/embedding_cache.h"
 #include "matcher/pair_matcher.h"
 #include "nn/encoder.h"
-#include "nn/gru.h"
 #include "tensor/tensor.h"
 #include "text/serialize.h"
 #include "text/vocab.h"
@@ -56,7 +55,7 @@ class PairMatcherTestPeer {
 
 namespace {
 
-enum class Kind { kFastBag, kTransformer, kGru };
+enum class Kind { kFastBag, kTransformer };
 
 constexpr int kWords = 300;
 constexpr int kDim = 16;
@@ -87,13 +86,6 @@ std::unique_ptr<nn::Encoder> MakeEncoder(Kind kind, int vocab_size) {
       c.ffn_dim = 2 * kDim;
       c.max_len = kMaxLen;
       return std::make_unique<nn::TransformerEncoder>(c);
-    }
-    case Kind::kGru: {
-      nn::GruConfig c;
-      c.vocab_size = vocab_size;
-      c.dim = kDim;
-      c.max_len = kMaxLen;
-      return std::make_unique<nn::GruEncoder>(c);
     }
   }
   return nullptr;
@@ -189,7 +181,7 @@ TEST_P(PredictProbaBitwiseTest, EqualsGraphRoute) {
 
 std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
   const auto [kind, sudowoodo_head, mlp_head, side_dim] = info.param;
-  const char* kinds[] = {"FastBag", "Transformer", "Gru"};
+  const char* kinds[] = {"FastBag", "Transformer"};
   return std::string(kinds[static_cast<int>(kind)]) +
          (sudowoodo_head ? "Sudowoodo" : "Plain") +
          (mlp_head ? "Mlp" : "Linear") + (side_dim > 0 ? "Side" : "");
@@ -197,8 +189,7 @@ std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllHeads, PredictProbaBitwiseTest,
-    ::testing::Combine(::testing::Values(Kind::kFastBag, Kind::kTransformer,
-                                         Kind::kGru),
+    ::testing::Combine(::testing::Values(Kind::kFastBag, Kind::kTransformer),
                        ::testing::Bool(), ::testing::Bool(),
                        ::testing::Values(0, 3)),
     ConfigName);

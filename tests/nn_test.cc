@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "nn/encoder.h"
-#include "nn/gru.h"
 #include "nn/layers.h"
 #include "nn/optimizer.h"
 #include "nn/weights.h"
@@ -237,30 +236,6 @@ TEST(TransformerTest, EmptyTokenListEncodesAsPad) {
 
 TEST(FastBagTest, EmptyTokenListEncodesAsPad) {
   ExpectEmptyRowsEncodeLikePerRow<FastBagEncoder>(SmallBag());
-}
-
-TEST(GruTest, EmptyTokenListEncodesAsPad) {
-  GruConfig config;
-  config.vocab_size = 50;
-  config.dim = 12;
-  config.dropout = 0.0f;
-  ExpectEmptyRowsEncodeLikePerRow<GruEncoder>(config);
-}
-
-TEST(GruTest, ShapeAndOrderSensitivity) {
-  GruConfig config;
-  config.vocab_size = 50;
-  config.dim = 12;
-  config.dropout = 0.0f;
-  GruEncoder enc(config);
-  ts::NoGradGuard ng;
-  Tensor z1 = enc.EncodeBatch({{2, 7, 8}}, nullptr, false);
-  EXPECT_EQ(z1.cols(), 12);
-  // GRUs are order-sensitive, unlike the bag encoder.
-  Tensor z2 = enc.EncodeBatch({{2, 8, 7}}, nullptr, false);
-  float diff = 0;
-  for (int j = 0; j < 12; ++j) diff += std::fabs(z1.at(0, j) - z2.at(0, j));
-  EXPECT_GT(diff, 1e-5f);
 }
 
 TEST(AdamWTest, MinimizesQuadratic) {

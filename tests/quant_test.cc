@@ -1,8 +1,8 @@
 // Tests for the int8 quantized storage and scoring path: the kernel
 // family (QuantizeRowsI8 / DequantizeRowsI8 / GemmBTI8), the
 // bounded top-k selector behind every query stage, the row set's stored
-// layouts, and the quantized storage mode of both blocking indexes, the
-// facade, and the embedding cache.
+// layouts, and the quantized storage mode of both blocking indexes and
+// the facade.
 //
 // The determinism contract under test is STRONGER than fp32's: because
 // the int8 panel accumulates in exact int32 arithmetic and rescales with
@@ -27,12 +27,9 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "data/cleaning_dataset.h"
-#include "index/embedding_cache.h"
 #include "index/ivf_index.h"
 #include "index/quant_store.h"
 #include "index/top_k.h"
-#include "pipeline/cleaning_pipeline.h"
 #include "tensor/kernels.h"
 
 namespace sudowoodo {
@@ -42,7 +39,6 @@ namespace ks = tensor::kernels;
 using index::BlockingIndex;
 using index::BlockingIndexKind;
 using index::BlockingIndexOptions;
-using index::EmbeddingCache;
 using index::IndexStorage;
 using index::IvfOptions;
 using index::MutationOptions;
@@ -879,93 +875,6 @@ TEST(BlockingIndexInt8Test, BytesResidentShrinksBelowThirtyPercent) {
   // dim-64 int8 row: 64B codes + 4B scale + 4B id = 72B vs 260B fp32.
   EXPECT_LE(static_cast<double>(b.bytes_resident()),
             0.30 * static_cast<double>(a.bytes_resident()));
-}
-
-// ---------------------------------------------------------------------
-// Embedding cache, int8 entries
-// ---------------------------------------------------------------------
-
-TEST(EmbeddingCacheInt8Test, HitReturnsTheQuantizedImage) {
-  const int dim = 48;
-  EmbeddingCache cache(64, 4, IndexStorage::kInt8);
-  const std::vector<float> row = ClusteredUnitRows(1, dim, 101);
-  const std::vector<int> key = {1, 2, 3};
-  std::vector<float> probe(dim);
-  EXPECT_FALSE(cache.Lookup(key, probe.data(), dim));
-  cache.Insert(key, row.data(), dim);
-  std::vector<float> got(dim);
-  ASSERT_TRUE(cache.Lookup(key, got.data(), dim));
-  // The hit is the exact quantize->dequantize image of the insert - the
-  // same representation the int8 indexes score, not approximately it.
-  std::vector<int8_t> q(dim);
-  float scale = 0.0f;
-  std::vector<float> want(dim);
-  ks::QuantizeRowsI8(1, dim, row.data(), q.data(), &scale);
-  ks::DequantizeRowsI8(1, dim, q.data(), &scale, want.data());
-  EXPECT_EQ(got, want);
-  for (int j = 0; j < dim; ++j) {
-    EXPECT_LE(std::fabs(got[static_cast<size_t>(j)] -
-                        row[static_cast<size_t>(j)]),
-              0.5f * scale + 1e-7f);
-  }
-}
-
-TEST(EmbeddingCacheInt8Test, WrongWidthIsAMissAndEraseWorks) {
-  const int dim = 32;
-  EmbeddingCache cache(16, 2, IndexStorage::kInt8);
-  const std::vector<float> row = ClusteredUnitRows(1, dim, 102);
-  const std::vector<int> key = {9, 9};
-  cache.Insert(key, row.data(), dim);
-  std::vector<float> out(dim);
-  EXPECT_FALSE(cache.Lookup(key, out.data(), dim / 2));
-  EXPECT_TRUE(cache.Lookup(key, out.data(), dim));
-  EXPECT_TRUE(cache.Erase(key));
-  EXPECT_FALSE(cache.Lookup(key, out.data(), dim));
-}
-
-TEST(EmbeddingCacheInt8Test, BytesResidentShrinksVsFp32) {
-  const int dim = 64, n_entries = 50;
-  EmbeddingCache fp(256, 4, IndexStorage::kFp32);
-  EmbeddingCache i8(256, 4, IndexStorage::kInt8);
-  const std::vector<float> rows = ClusteredUnitRows(n_entries, dim, 103);
-  for (int i = 0; i < n_entries; ++i) {
-    const std::vector<int> key = {i};
-    fp.Insert(key, rows.data() + static_cast<size_t>(i) * dim, dim);
-    i8.Insert(key, rows.data() + static_cast<size_t>(i) * dim, dim);
-  }
-  const auto sf = fp.stats();
-  const auto si = i8.stats();
-  EXPECT_EQ(sf.entries, static_cast<uint64_t>(n_entries));
-  EXPECT_EQ(si.entries, static_cast<uint64_t>(n_entries));
-  EXPECT_GT(sf.bytes_resident, 0u);
-  // Key bytes are shared; the vector payload drops 4x (dim + 4 vs
-  // 4*dim bytes), so the total must land well under half.
-  EXPECT_LT(si.bytes_resident, sf.bytes_resident / 2);
-}
-
-// ---------------------------------------------------------------------
-// End to end: pipeline with an int8 cache
-// ---------------------------------------------------------------------
-
-TEST(PipelineInt8Test, CleaningRunsWithInt8CacheAtSaneQuality) {
-  data::CleaningSpec spec = data::GetCleaningSpec("beers");
-  spec.n_rows = 40;
-  const data::CleaningDataset ds = data::GenerateCleaning(spec);
-  pipeline::CleaningPipelineOptions o;
-  o.skip_pretrain = true;
-  o.labeled_rows = 4;
-  o.max_train_candidates = 1;
-  o.encoder_dim = 32;
-  o.max_len = 32;
-  o.embedding_cache_capacity = 4096;
-  pipeline::CleaningRunResult base = pipeline::CleaningPipeline(o).Run(ds);
-  o.embedding_cache_storage = IndexStorage::kInt8;
-  pipeline::CleaningRunResult quant = pipeline::CleaningPipeline(o).Run(ds);
-  // Quantized cache hits return the int8 image, so outputs may differ
-  // from fp32 - but the cache must actually serve hits and end-quality
-  // must stay in the same band.
-  EXPECT_GT(quant.embed_cache.hits, quant.embed_cache.misses);
-  EXPECT_GE(quant.correction.f1, base.correction.f1 - 0.05);
 }
 
 }  // namespace

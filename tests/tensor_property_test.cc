@@ -47,8 +47,8 @@ TEST_P(RandomShapeGradTest, MatMulChain) {
   Rng rng(cs.seed);
   Tensor a = Tensor::Randn(cs.rows, cs.cols, 1.0f, &rng, true);
   Tensor b = Tensor::Randn(cs.cols, cs.rows, 1.0f, &rng, true);
-  CheckGrad([&]() { return MeanAll(Tanh(MatMul(a, b))); }, a);
-  CheckGrad([&]() { return MeanAll(Tanh(MatMul(a, b))); }, b);
+  CheckGrad([&]() { return MeanAll(Gelu(MatMul(a, b))); }, a);
+  CheckGrad([&]() { return MeanAll(Gelu(MatMul(a, b))); }, b);
 }
 
 TEST_P(RandomShapeGradTest, NormalizationStack) {

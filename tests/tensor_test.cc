@@ -142,8 +142,6 @@ TEST(TensorTest, ActivationGradients) {
   Tensor a = RandInput(3, 3, 8);
   CheckGradients([&]() { return MeanAll(Relu(a)); }, {a}, 5e-2f);
   CheckGradients([&]() { return MeanAll(Gelu(a)); }, {a});
-  CheckGradients([&]() { return MeanAll(Tanh(a)); }, {a});
-  CheckGradients([&]() { return MeanAll(Sigmoid(a)); }, {a});
   CheckGradients([&]() { return MeanAll(Abs(a)); }, {a}, 5e-2f);
 }
 
@@ -321,7 +319,7 @@ TEST(TensorTest, GradAccumulatesAcrossSharedUse) {
 TEST(TensorTest, BackwardThroughDeepChain) {
   Tensor a = RandInput(2, 2, 27);
   Tensor x = a;
-  for (int i = 0; i < 50; ++i) x = Tanh(x);
+  for (int i = 0; i < 50; ++i) x = Gelu(x);
   a.ZeroGrad();
   Backward(MeanAll(x));
   // Just checks it runs and produces finite gradients.

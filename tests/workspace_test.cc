@@ -5,9 +5,9 @@
 //   1. Bit-identity: the workspace batched route (Encoder::EncodeInference
 //      writing raw buffers through the kernels) produces exactly the
 //      floats of the non-workspace per-row Tensor oracle (EncodeBatch in
-//      eval mode with the tape on: the graph route), for all three
-//      encoder kinds at B in {1, 7, 64, 257} (the Transformer at 1, 2
-//      and 3 layers).
+//      eval mode with the tape on: the graph route), for both encoder
+//      kinds at B in {1, 7, 64, 257} (the Transformer at 1, 2 and 3
+//      layers).
 //   2. Allocation freedom: after one warmup call, steady-state batched
 //      encoding performs ZERO heap allocations - counted by the global
 //      operator-new replacement in common/alloc_count.h (this file is the
@@ -27,7 +27,6 @@
 #include "common/thread_pool.h"
 #include "index/embedding_cache.h"
 #include "nn/encoder.h"
-#include "nn/gru.h"
 #include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "tensor/workspace.h"
@@ -75,14 +74,6 @@ FastBagConfig SmallFastBag(int vocab) {
   return config;
 }
 
-GruConfig SmallGru(int vocab) {
-  GruConfig config;
-  config.vocab_size = vocab;
-  config.max_len = 24;
-  config.dim = 16;
-  return config;
-}
-
 template <typename EncoderT, typename ConfigT>
 void ExpectWorkspaceBitIdentical(const ConfigT& config, int batch_size,
                                  uint64_t seed) {
@@ -119,7 +110,6 @@ TEST(WorkspaceEncodeTest, BitIdenticalToPerRowOracleBattery) {
     }
     ExpectWorkspaceBitIdentical<FastBagEncoder>(SmallFastBag(200), batch_size,
                                                 13);
-    ExpectWorkspaceBitIdentical<GruEncoder>(SmallGru(200), batch_size, 17);
   }
 }
 
@@ -146,11 +136,6 @@ TEST(WorkspaceAllocationTest, TransformerSteadyStateIsAllocationFree) {
 
 TEST(WorkspaceAllocationTest, FastBagSteadyStateIsAllocationFree) {
   const auto counts = SteadyStateAllocs<FastBagEncoder>(SmallFastBag(300), 120);
-  EXPECT_EQ(counts.count, 0u) << counts.bytes << " bytes";
-}
-
-TEST(WorkspaceAllocationTest, GruSteadyStateIsAllocationFree) {
-  const auto counts = SteadyStateAllocs<GruEncoder>(SmallGru(300), 120);
   EXPECT_EQ(counts.count, 0u) << counts.bytes << " bytes";
 }
 
